@@ -34,29 +34,35 @@ int main(int argc, char** argv) {
     Relation relation = MakeUniprotLike(rows, cols, args.seed);
     const std::string csv = bench::ToCsv(relation);
 
-    ProfilingResult baseline =
-        bench::RunAlgorithm(csv, Algorithm::kBaseline, args.seed);
-    ProfilingResult hfun =
-        bench::RunAlgorithm(csv, Algorithm::kHolisticFun, args.seed);
-    ProfilingResult muds =
-        bench::RunAlgorithm(csv, Algorithm::kMuds, args.seed);
+    ProfilingResult baseline;
+    ProfilingResult hfun;
+    ProfilingResult muds;
+    const double baseline_ms = bench::WallMs([&] {
+      baseline = bench::RunAlgorithm(csv, Algorithm::kBaseline, args.seed);
+    });
+    const double hfun_ms = bench::WallMs([&] {
+      hfun = bench::RunAlgorithm(csv, Algorithm::kHolisticFun, args.seed);
+    });
+    const double muds_ms = bench::WallMs([&] {
+      muds = bench::RunAlgorithm(csv, Algorithm::kMuds, args.seed);
+    });
 
     std::printf("%-10lld %12.3f %12.3f %12.3f %8zu %8zu %8zu\n",
-                static_cast<long long>(rows), baseline.TotalSeconds(),
-                hfun.TotalSeconds(), muds.TotalSeconds(),
-                muds.inds.size(), muds.uccs.size(), muds.fds.size());
+                static_cast<long long>(rows), baseline_ms / 1e3,
+                hfun_ms / 1e3, muds_ms / 1e3, muds.inds.size(),
+                muds.uccs.size(), muds.fds.size());
     std::fflush(stdout);
 
     char name[64];
     std::snprintf(name, sizeof(name), "baseline/rows=%lld",
                   static_cast<long long>(rows));
-    json.Add(name, baseline);
+    json.Add(name, baseline_ms, baseline);
     std::snprintf(name, sizeof(name), "hfun/rows=%lld",
                   static_cast<long long>(rows));
-    json.Add(name, hfun);
+    json.Add(name, hfun_ms, hfun);
     std::snprintf(name, sizeof(name), "muds/rows=%lld",
                   static_cast<long long>(rows));
-    json.Add(name, muds);
+    json.Add(name, muds_ms, muds);
   }
   return 0;
 }

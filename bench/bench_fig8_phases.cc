@@ -26,7 +26,9 @@ int main(int argc, char** argv) {
   MudsOptions options;
   options.seed = args.seed;
   options.num_threads = args.threads;
-  MudsResult result = Muds::Run(deduped, options);
+  MudsResult result;
+  const double wall_ms =
+      bench::WallMs([&] { result = Muds::Run(deduped, options); });
 
   std::printf("Figure 8: runtime of MUDS' phases "
               "(ncvoter-like, %lld rows, %d columns)\n",
@@ -38,8 +40,9 @@ int main(int argc, char** argv) {
                 static_cast<double>(micros) / 1e6);
   }
   bench::PrintRule(42);
-  std::printf("%-28s %12.3f\n", "total",
+  std::printf("%-28s %12.3f\n", "sum of phases",
               static_cast<double>(result.timings.TotalMicros()) / 1e6);
+  std::printf("%-28s %12.3f\n", "wall", wall_ms / 1e3);
 
   std::printf("\ndiscovered: %zu INDs, %zu minimal UCCs, %zu minimal FDs\n",
               result.inds.size(), result.uccs.size(), result.fds.size());
@@ -64,8 +67,6 @@ int main(int argc, char** argv) {
   for (const auto& [name, micros] : result.timings.entries()) {
     counters.emplace_back("micros/" + name, micros);
   }
-  json.Add("muds/phases",
-           static_cast<double>(result.timings.TotalMicros()) / 1e3,
-           result.stats.num_threads_used, counters);
+  json.Add("muds/phases", wall_ms, result.stats.num_threads_used, counters);
   return 0;
 }

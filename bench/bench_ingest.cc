@@ -4,18 +4,25 @@
 // configuration, and verifies the buffered relations are bit-identical to
 // the streaming reference before reporting — a perf number for a wrong
 // parse would be meaningless.
+//
+// The dedup/rows=1000000 row times DeduplicateRows at one thread on the
+// 1M x 8 long-narrow shape against a node-based unordered_set reference
+// kept in this file, after checking both keep the same rows.
 
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "bench_util.h"
 #include "common/rng.h"
 #include "common/timer.h"
 #include "data/csv.h"
+#include "data/preprocess.h"
+#include "workload/generators.h"
 
 namespace muds {
 namespace {
@@ -59,6 +66,76 @@ bool Identical(const Relation& a, const Relation& b) {
       return false;
     }
   }
+  return true;
+}
+
+// The reference: a node-based set of row ids hashing and comparing rows
+// across the column vectors, then a row selection.
+Relation ReferenceDeduplicate(const Relation& relation,
+                              std::vector<RowId>* keep) {
+  const auto hash = [&relation](RowId row) {
+    uint64_t h = 0xcbf29ce484222325ULL;
+    for (int c = 0; c < relation.NumColumns(); ++c) {
+      h ^= static_cast<uint64_t>(relation.Code(row, c));
+      h *= 0x100000001b3ULL;
+      h ^= h >> 29;
+    }
+    return static_cast<size_t>(h);
+  };
+  const auto equal = [&relation](RowId a, RowId b) {
+    for (int c = 0; c < relation.NumColumns(); ++c) {
+      if (relation.Code(a, c) != relation.Code(b, c)) return false;
+    }
+    return true;
+  };
+  std::unordered_set<RowId, decltype(hash), decltype(equal)> seen(
+      static_cast<size_t>(relation.NumRows()) * 2 + 16, hash, equal);
+  keep->clear();
+  for (RowId row = 0; row < relation.NumRows(); ++row) {
+    if (seen.insert(row).second) keep->push_back(row);
+  }
+  return relation.SelectRows(*keep);
+}
+
+// Best-of-`reps` DeduplicateRows vs. the reference; false on a mismatch.
+bool RunDedup(const bench::BenchArgs& args, int reps,
+              bench::JsonResultWriter* writer) {
+  const int64_t rows = 1'000'000;
+  const Relation relation = MakeCategorical(
+      rows, {6, 4, 8, 3, 5, 7, 2, 9}, args.seed, "long_narrow");
+  double reference_ms = 0.0;
+  double dedup_ms = 0.0;
+  std::vector<RowId> reference_keep;
+  std::optional<Relation> reference;
+  std::optional<DeduplicateResult> result;
+  for (int rep = 0; rep < reps; ++rep) {
+    Timer reference_timer;
+    reference.emplace(ReferenceDeduplicate(relation, &reference_keep));
+    const double ref_ms =
+        static_cast<double>(reference_timer.ElapsedMicros()) / 1e3;
+    Timer timer;
+    result.emplace(DeduplicateRows(relation));
+    const double ms = static_cast<double>(timer.ElapsedMicros()) / 1e3;
+    if (rep == 0 || ref_ms < reference_ms) reference_ms = ref_ms;
+    if (rep == 0 || ms < dedup_ms) dedup_ms = ms;
+  }
+  if (DistinctRowIds(relation) != reference_keep ||
+      !Identical(result->relation, *reference)) {
+    std::fprintf(stderr,
+                 "FAIL: DeduplicateRows keeps other rows than the "
+                 "unordered_set reference\n");
+    return false;
+  }
+  const double speedup = reference_ms / dedup_ms;
+  std::printf("dedup    threads=1  %9.1f ms  (unordered_set reference "
+              "%.1f ms)  %.2fx  %lld duplicates\n",
+              dedup_ms, reference_ms, speedup,
+              static_cast<long long>(result->duplicates_removed));
+  writer->Add("dedup/rows=" + std::to_string(rows), dedup_ms, 1,
+              {{"rows", rows},
+               {"duplicates_removed", result->duplicates_removed},
+               {"reference_us", static_cast<int64_t>(reference_ms * 1e3)},
+               {"dedup_speedup_x100", static_cast<int64_t>(speedup * 100.0)}});
   return true;
 }
 
@@ -151,12 +228,13 @@ int Run(int argc, char** argv) {
                 {"speedup_vs_stream_pct",
                  static_cast<int64_t>(speedup * 100.0)}});
   }
-  writer.Write();
   std::remove(path.c_str());
+  if (!RunDedup(args, reps, &writer)) mismatch = true;
+  writer.Write();
   bench::PrintRule();
   if (mismatch) return 1;
   std::printf("all buffered relations bit-identical to the streaming "
-              "reference\n");
+              "reference; dedup keeps the reference's rows\n");
   return 0;
 }
 

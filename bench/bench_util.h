@@ -14,6 +14,7 @@
 #include "common/build_info.h"
 #include "common/json.h"
 #include "common/simd.h"
+#include "common/timer.h"
 #include "core/profiler.h"
 #include "data/csv.h"
 #include "data/relation.h"
@@ -61,6 +62,14 @@ inline ProfilingResult RunAlgorithm(const std::string& csv_text,
   options.num_threads = threads;
   Result<ProfilingResult> result = ProfileCsvString(csv_text, options);
   return std::move(result).value();
+}
+
+/// Runs `fn` and returns its wall time in milliseconds.
+template <typename F>
+double WallMs(F&& fn) {
+  const Timer timer;
+  fn();
+  return static_cast<double>(timer.ElapsedMicros()) / 1e3;
 }
 
 /// What the benches ran on — emitted into every BENCH_*.json so gate
@@ -154,14 +163,16 @@ class JsonResultWriter {
   }
 
   /// Convenience: one row straight from a profiling result, registry
-  /// metrics included.
-  void Add(const std::string& name, const ProfilingResult& result) {
+  /// metrics included. `wall_ms` is the caller's wall time around the
+  /// profile call (see WallMs), not the sum of the phase timers, which
+  /// counts overlapping parallel phases twice.
+  void Add(const std::string& name, double wall_ms,
+           const ProfilingResult& result) {
     int threads = 1;
     for (const auto& [counter, value] : result.counters) {
       if (counter == "num_threads") threads = static_cast<int>(value);
     }
-    Add(name, static_cast<double>(result.timings.TotalMicros()) / 1e3,
-        threads, result.counters, result.metrics);
+    Add(name, wall_ms, threads, result.counters, result.metrics);
   }
 
   void Write() {

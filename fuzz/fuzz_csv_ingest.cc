@@ -6,13 +6,18 @@
 // the sequential streaming reference scanner on every byte sequence: same
 // ok/error verdict, same error text, and a bit-identical relation
 // (dictionaries and codes). Successful parses additionally round-trip
-// through CsvWriter.
+// through CsvWriter, and go through duplicate-row removal, which must
+// agree across thread counts and with a naive string-row set.
 
 #include <cstdint>
+#include <set>
 #include <string>
 #include <string_view>
+#include <vector>
 
+#include "common/thread_pool.h"
 #include "data/csv.h"
+#include "data/preprocess.h"
 #include "data/relation.h"
 #include "fuzz_util.h"
 
@@ -65,6 +70,23 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     return 0;
   }
   FUZZ_ASSERT(SameRelation(stream.value(), buffered.value()));
+
+  // Dedup: the same relation at 1 and 4 threads, the naive duplicate
+  // count, and nothing left to remove on a second pass.
+  static ThreadPool four_threads(4);
+  const Relation& relation = stream.value();
+  const DeduplicateResult serial = DeduplicateRows(relation);
+  const DeduplicateResult parallel = DeduplicateRows(relation, &four_threads);
+  FUZZ_ASSERT(serial.duplicates_removed == parallel.duplicates_removed);
+  FUZZ_ASSERT(SameRelation(serial.relation, parallel.relation));
+  std::set<std::vector<std::string>> distinct;
+  for (RowId row = 0; row < relation.NumRows(); ++row) {
+    distinct.insert(relation.Row(row));
+  }
+  FUZZ_ASSERT(serial.duplicates_removed ==
+              static_cast<int64_t>(relation.NumRows()) -
+                  static_cast<int64_t>(distinct.size()));
+  FUZZ_ASSERT(DeduplicateRows(serial.relation).duplicates_removed == 0);
 
   // Round trip: writing the parsed relation and re-reading it must
   // reproduce it exactly (the writer quotes everything that needs it). A

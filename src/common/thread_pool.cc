@@ -173,4 +173,13 @@ void ThreadPool::ParallelFor(int64_t begin, int64_t end,
   if (state->error) std::rethrow_exception(state->error);
 }
 
+void ParallelForOrInline(ThreadPool* pool, int64_t n,
+                         const std::function<void(int64_t)>& body) {
+  if (pool != nullptr && pool->NumThreads() > 1) {
+    pool->ParallelFor(0, n, body);
+  } else {
+    for (int64_t i = 0; i < n; ++i) body(i);
+  }
+}
+
 }  // namespace muds

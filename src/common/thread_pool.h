@@ -91,6 +91,12 @@ class ThreadPool {
   bool stop_ = false;
 };
 
+/// Runs `body(i)` for every i in [0, n): through `pool->ParallelFor` when
+/// the pool has more than one thread, inline on the caller otherwise (also
+/// for a null pool).
+void ParallelForOrInline(ThreadPool* pool, int64_t n,
+                         const std::function<void(int64_t)>& body);
+
 }  // namespace muds
 
 #endif  // MUDS_COMMON_THREAD_POOL_H_

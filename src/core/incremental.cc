@@ -94,15 +94,15 @@ IncrementalProfiler::IncrementalProfiler(const Relation& base,
 
   {
     MUDS_TRACE_SPAN(&timings_, "dedup");
-    DeduplicateResult deduped = DeduplicateRows(base);
+    DeduplicateResult deduped = DeduplicateRows(base, pool_.get());
     relation_.emplace(std::move(deduped.relation));
     duplicates_removed_ = deduped.duplicates_removed;
   }
 
   // The base profile runs the configured algorithm unchanged; incremental
   // maintenance only kicks in from the first Append. (ProfileRelation
-  // re-deduplicates; the pass finds nothing and its time lands in the same
-  // "dedup" phase entry.)
+  // re-checks for duplicates; the pass finds none, so it profiles relation_
+  // in place, and its time lands in the same "dedup" phase entry.)
   ProfilingResult base_result = ProfileRelation(*relation_, options_);
   inds_ = std::move(base_result.inds);
   uccs_ = std::move(base_result.uccs);

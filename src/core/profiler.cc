@@ -1,6 +1,8 @@
 #include "core/profiler.h"
 
+#include <optional>
 #include <utility>
+#include <vector>
 
 #include "common/check.h"
 #include "common/metrics.h"
@@ -173,15 +175,25 @@ ProfilingResult ProfileRelation(const Relation& relation,
                                 const ProfileOptions& options) {
   const MetricsSnapshot before = MetricsRegistry::Global().Snapshot();
 
+  // A relation without duplicates is profiled in place, not copied.
   PhaseTimings dedup_timings;
-  DeduplicateResult deduped = [&] {
+  std::optional<Relation> deduped;
+  int64_t duplicates_removed = 0;
+  {
     MUDS_TRACE_SPAN(&dedup_timings, "dedup");
-    return DeduplicateRows(relation);
-  }();
+    ThreadPool pool(options.num_threads);
+    const std::vector<RowId> distinct = DistinctRowIds(relation, &pool);
+    duplicates_removed = static_cast<int64_t>(relation.NumRows()) -
+                         static_cast<int64_t>(distinct.size());
+    if (duplicates_removed > 0) {
+      deduped.emplace(relation.SelectRows(distinct, &pool));
+    }
+  }
 
-  ProfilingResult result = RunOnDeduped(deduped.relation, options);
+  ProfilingResult result =
+      RunOnDeduped(deduped ? *deduped : relation, options);
   MergeTimings(dedup_timings, &result.timings);
-  result.duplicates_removed = deduped.duplicates_removed;
+  result.duplicates_removed = duplicates_removed;
   result.metrics = MetricsRegistry::Delta(
       before, MetricsRegistry::Global().Snapshot());
   return result;

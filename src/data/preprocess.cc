@@ -1,57 +1,211 @@
 #include "data/preprocess.h"
 
-#include <unordered_set>
-#include <vector>
+#include <algorithm>
+#include <bit>
+#include <memory>
+
+#include "common/metrics.h"
+#include "common/thread_pool.h"
 
 namespace muds {
 
 namespace {
 
-// Hashes a row of dictionary codes.
-struct RowHasher {
-  const Relation* relation;
+// Rows per chunk of the row-parallel steps (keys, scatter, compaction).
+// Fixed, so every intermediate array is the same at every thread count.
+constexpr int64_t kChunkRows = int64_t{1} << 16;
 
-  size_t operator()(RowId row) const {
-    uint64_t h = 0xcbf29ce484222325ULL;
-    for (int c = 0; c < relation->NumColumns(); ++c) {
-      h ^= static_cast<uint64_t>(relation->Code(row, c));
-      h *= 0x100000001b3ULL;
-      h ^= h >> 29;
-    }
-    return static_cast<size_t>(h);
+// The scatter aims at partitions of about this many rows, so a partition's
+// probe table (two slots per row) stays cache-resident.
+constexpr int64_t kPartitionRows = int64_t{1} << 13;
+constexpr int kMaxPartitionBits = 10;
+
+// SplitMix64 finalizer. A bijection, so mixing a packed row loses nothing:
+// equal mixed keys still mean equal rows.
+uint64_t Mix(uint64_t x) {
+  x ^= x >> 30;
+  x *= 0xBF58476D1CE4E5B9ull;
+  x ^= x >> 27;
+  x *= 0x94D049BB133111EBull;
+  x ^= x >> 31;
+  return x;
+}
+
+bool SameRow(const Relation& relation, RowId a, RowId b) {
+  for (int c = 0; c < relation.NumColumns(); ++c) {
+    if (relation.Code(a, c) != relation.Code(b, c)) return false;
   }
-};
-
-struct RowEq {
-  const Relation* relation;
-
-  bool operator()(RowId a, RowId b) const {
-    for (int c = 0; c < relation->NumColumns(); ++c) {
-      if (relation->Code(a, c) != relation->Code(b, c)) return false;
-    }
-    return true;
-  }
-};
+  return true;
+}
 
 }  // namespace
 
-DeduplicateResult DeduplicateRows(const Relation& relation) {
-  std::unordered_set<RowId, RowHasher, RowEq> seen(
-      /*bucket_count=*/static_cast<size_t>(relation.NumRows()) * 2 + 16,
-      RowHasher{&relation}, RowEq{&relation});
-  std::vector<RowId> keep;
-  keep.reserve(static_cast<size_t>(relation.NumRows()));
-  for (RowId row = 0; row < relation.NumRows(); ++row) {
-    if (seen.insert(row).second) keep.push_back(row);
+std::vector<RowId> DistinctRowIds(const Relation& relation,
+                                  ThreadPool* pool) {
+  const int64_t n = relation.NumRows();
+  const int64_t num_chunks = (n + kChunkRows - 1) / kChunkRows;
+  const auto chunk_end = [n](int64_t chunk) {
+    return std::min(n, (chunk + 1) * kChunkRows);
+  };
+
+  // Step 1: a 64-bit key per row, built column by column over each chunk.
+  // When the codes fit side by side at ceil(log2 cardinality) bits each,
+  // the key is the packed row, so equal keys are equal rows. Otherwise it
+  // is a hash of the codes and a key match is confirmed on the codes.
+  // Constant columns take 0 bits and are skipped either way.
+  std::vector<int> shift(static_cast<size_t>(relation.NumColumns()));
+  int total_bits = 0;
+  for (int c = 0; c < relation.NumColumns(); ++c) {
+    shift[static_cast<size_t>(c)] = total_bits;
+    const int64_t card = relation.Cardinality(c);
+    if (card > 1) total_bits += std::bit_width(static_cast<uint64_t>(card - 1));
   }
-  const int64_t removed =
-      static_cast<int64_t>(relation.NumRows()) -
-      static_cast<int64_t>(keep.size());
+  const bool packed = total_bits <= 64;
+  std::unique_ptr<uint64_t[]> keys(new uint64_t[static_cast<size_t>(n)]);
+  ParallelForOrInline(pool, num_chunks, [&](int64_t chunk) {
+    uint64_t* const begin = keys.get() + chunk * kChunkRows;
+    uint64_t* const end = keys.get() + chunk_end(chunk);
+    std::fill(begin, end, 0);
+    for (int c = 0; c < relation.NumColumns(); ++c) {
+      if (relation.Cardinality(c) <= 1) continue;
+      const int32_t* code = relation.GetColumn(c).codes.data() +
+                            chunk * kChunkRows;
+      if (packed) {
+        const int s = shift[static_cast<size_t>(c)];
+        for (uint64_t* key = begin; key < end; ++key, ++code) {
+          *key |= static_cast<uint64_t>(static_cast<uint32_t>(*code)) << s;
+        }
+      } else {
+        for (uint64_t* key = begin; key < end; ++key, ++code) {
+          *key = (std::rotl(*key, 27) ^ static_cast<uint32_t>(*code)) *
+                 0x9E3779B97F4A7C15ull;
+        }
+      }
+    }
+    for (uint64_t* key = begin; key < end; ++key) *key = Mix(*key);
+  });
+
+  // Step 2: stable radix scatter of (row, key) by the key's top bits.
+  // Partition p takes chunk 0's rows first, then chunk 1's, ..., so every
+  // partition lists its rows in ascending order.
+  int partition_bits = 0;
+  while (partition_bits < kMaxPartitionBits &&
+         (kPartitionRows << partition_bits) < n) {
+    ++partition_bits;
+  }
+  const int64_t num_partitions = int64_t{1} << partition_bits;
+  const auto partition_of = [partition_bits](uint64_t key) {
+    return partition_bits == 0
+               ? int64_t{0}
+               : static_cast<int64_t>(key >> (64 - partition_bits));
+  };
+  // cursor[chunk * num_partitions + p]: where the chunk's next row of
+  // partition p goes (a count until the prefix sum below).
+  std::vector<int64_t> cursor(
+      static_cast<size_t>(num_chunks * num_partitions), 0);
+  ParallelForOrInline(pool, num_chunks, [&](int64_t chunk) {
+    int64_t* const count = cursor.data() + chunk * num_partitions;
+    for (int64_t r = chunk * kChunkRows; r < chunk_end(chunk); ++r) {
+      ++count[partition_of(keys[static_cast<size_t>(r)])];
+    }
+  });
+  std::vector<int64_t> partition_begin(
+      static_cast<size_t>(num_partitions) + 1);
+  int64_t running = 0;
+  for (int64_t p = 0; p < num_partitions; ++p) {
+    partition_begin[static_cast<size_t>(p)] = running;
+    for (int64_t chunk = 0; chunk < num_chunks; ++chunk) {
+      int64_t& slot = cursor[static_cast<size_t>(chunk * num_partitions + p)];
+      const int64_t count = slot;
+      slot = running;
+      running += count;
+    }
+  }
+  partition_begin[static_cast<size_t>(num_partitions)] = running;
+  std::unique_ptr<RowId[]> part_rows(new RowId[static_cast<size_t>(n)]);
+  std::unique_ptr<uint64_t[]> part_keys(new uint64_t[static_cast<size_t>(n)]);
+  ParallelForOrInline(pool, num_chunks, [&](int64_t chunk) {
+    int64_t* const next = cursor.data() + chunk * num_partitions;
+    for (int64_t r = chunk * kChunkRows; r < chunk_end(chunk); ++r) {
+      const uint64_t key = keys[static_cast<size_t>(r)];
+      const size_t pos = static_cast<size_t>(next[partition_of(key)]++);
+      part_rows[pos] = static_cast<RowId>(r);
+      part_keys[pos] = key;
+    }
+  });
+  keys.reset();
+
+  // Step 3: per partition, an open-addressing table of partition-local
+  // indices. Rows arrive in ascending order, so the one that claims a slot
+  // is its row's first occurrence. Every row belongs to one partition, so
+  // the flag writes never collide.
+  std::unique_ptr<uint8_t[]> is_first(new uint8_t[static_cast<size_t>(n)]);
+  ParallelForOrInline(pool, num_partitions, [&](int64_t p) {
+    const int64_t begin = partition_begin[static_cast<size_t>(p)];
+    const int64_t size = partition_begin[static_cast<size_t>(p) + 1] - begin;
+    const RowId* const rows = part_rows.get() + begin;
+    const uint64_t* const part = part_keys.get() + begin;
+    const size_t capacity =
+        std::bit_ceil(static_cast<size_t>(2 * size) | size_t{16});
+    const size_t mask = capacity - 1;
+    std::vector<int32_t> table(capacity, -1);
+    for (int32_t i = 0; i < size; ++i) {
+      size_t slot = static_cast<size_t>(part[i]) & mask;
+      for (;;) {
+        const int32_t j = table[slot];
+        if (j < 0) {
+          table[slot] = i;
+          is_first[static_cast<size_t>(rows[i])] = 1;
+          break;
+        }
+        if (part[j] == part[i] &&
+            (packed || SameRow(relation, rows[j], rows[i]))) {
+          is_first[static_cast<size_t>(rows[i])] = 0;
+          break;
+        }
+        slot = (slot + 1) & mask;
+      }
+    }
+  });
+  part_rows.reset();
+  part_keys.reset();
+
+  // Step 4: compact the first occurrences in row order.
+  std::vector<int64_t> kept_before(static_cast<size_t>(num_chunks) + 1, 0);
+  ParallelForOrInline(pool, num_chunks, [&](int64_t chunk) {
+    kept_before[static_cast<size_t>(chunk) + 1] = std::count(
+        is_first.get() + chunk * kChunkRows, is_first.get() + chunk_end(chunk),
+        uint8_t{1});
+  });
+  for (int64_t chunk = 0; chunk < num_chunks; ++chunk) {
+    kept_before[static_cast<size_t>(chunk) + 1] +=
+        kept_before[static_cast<size_t>(chunk)];
+  }
+  std::vector<RowId> distinct(
+      static_cast<size_t>(kept_before[static_cast<size_t>(num_chunks)]));
+  ParallelForOrInline(pool, num_chunks, [&](int64_t chunk) {
+    RowId* out = distinct.data() + kept_before[static_cast<size_t>(chunk)];
+    for (int64_t r = chunk * kChunkRows; r < chunk_end(chunk); ++r) {
+      if (is_first[static_cast<size_t>(r)]) *out++ = static_cast<RowId>(r);
+    }
+  });
+
+  metrics::Add("dedup.rows", n);
+  metrics::Add("dedup.duplicates_removed",
+               n - static_cast<int64_t>(distinct.size()));
+  return distinct;
+}
+
+DeduplicateResult DeduplicateRows(const Relation& relation,
+                                  ThreadPool* pool) {
+  const std::vector<RowId> distinct = DistinctRowIds(relation, pool);
+  const int64_t removed = static_cast<int64_t>(relation.NumRows()) -
+                          static_cast<int64_t>(distinct.size());
   if (removed == 0) {
     // Avoid rebuilding dictionaries when nothing changed.
     return DeduplicateResult{relation, 0};
   }
-  return DeduplicateResult{relation.SelectRows(keep), removed};
+  return DeduplicateResult{relation.SelectRows(distinct, pool), removed};
 }
 
 }  // namespace muds

@@ -1,7 +1,6 @@
 #include "data/relation.h"
 
 #include <algorithm>
-#include <functional>
 #include <limits>
 #include <numeric>
 #include <string_view>
@@ -13,18 +12,6 @@
 namespace muds {
 
 namespace {
-
-// Runs `fn(c)` for every column index, on the pool when it has real
-// workers and inline otherwise (the single-thread path stays deterministic
-// and allocation-free).
-void ParallelOverColumns(ThreadPool* pool, int64_t n,
-                         const std::function<void(int64_t)>& fn) {
-  if (pool != nullptr && pool->NumThreads() > 1) {
-    pool->ParallelFor(0, n, fn);
-  } else {
-    for (int64_t c = 0; c < n; ++c) fn(c);
-  }
-}
 
 // Sorts the distinct values of `raw` into a dictionary and rewrites the
 // column as codes into it. Each value is hashed exactly once: the map
@@ -162,7 +149,7 @@ AppendDelta Relation::AppendBatch(const Relation& batch, ThreadPool* pool) {
       column.codes.push_back(remap_added[static_cast<size_t>(code)]);
     }
   };
-  ParallelOverColumns(pool, static_cast<int64_t>(columns_.size()),
+  ParallelForOrInline(pool, static_cast<int64_t>(columns_.size()),
                       merge_column);
   num_rows_ = delta.new_num_rows;
   return delta;
@@ -176,13 +163,14 @@ ColumnSet Relation::ActiveColumns() const {
   return active;
 }
 
-Relation Relation::SelectRows(const std::vector<RowId>& rows) const {
+Relation Relation::SelectRows(const std::vector<RowId>& rows,
+                              ThreadPool* pool) const {
   for (const RowId row : rows) {
     MUDS_CHECK(row >= 0 && row < num_rows_);
   }
-  std::vector<Column> new_columns;
-  new_columns.reserve(columns_.size());
-  for (const Column& column : columns_) {
+  std::vector<Column> new_columns(columns_.size());
+  const auto select_column = [&](int64_t c) {
+    const Column& column = columns_[static_cast<size_t>(c)];
     // The old dictionary is already sorted, so the surviving values keep
     // their relative order: remap old codes to their rank among the codes
     // that actually occur — no strings are materialized or re-hashed.
@@ -190,7 +178,7 @@ Relation Relation::SelectRows(const std::vector<RowId>& rows) const {
     for (const RowId row : rows) {
       used[static_cast<size_t>(column.codes[static_cast<size_t>(row)])] = 1;
     }
-    Column new_column;
+    Column& new_column = new_columns[static_cast<size_t>(c)];
     std::vector<int32_t> remap(column.dictionary.size(), 0);
     for (size_t code = 0; code < used.size(); ++code) {
       if (!used[code]) continue;
@@ -202,8 +190,9 @@ Relation Relation::SelectRows(const std::vector<RowId>& rows) const {
       new_column.codes.push_back(remap[static_cast<size_t>(
           column.codes[static_cast<size_t>(row)])]);
     }
-    new_columns.push_back(std::move(new_column));
-  }
+  };
+  ParallelForOrInline(pool, static_cast<int64_t>(columns_.size()),
+                      select_column);
   return Relation(name_, column_names_, std::move(new_columns),
                   static_cast<RowId>(rows.size()));
 }

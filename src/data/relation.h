@@ -128,7 +128,10 @@ class Relation {
 
   /// New relation keeping exactly the rows in `rows` (in the given order).
   /// Dictionaries are rebuilt so they stay duplicate-free and minimal.
-  Relation SelectRows(const std::vector<RowId>& rows) const;
+  /// Columns are processed in parallel when `pool` has more than one
+  /// thread; the result is identical for every thread count.
+  Relation SelectRows(const std::vector<RowId>& rows,
+                      ThreadPool* pool = nullptr) const;
 
   /// New relation keeping exactly the columns in `columns` (in the given
   /// order). Used by the scalability experiments ("first k columns").

@@ -69,11 +69,7 @@ PliCache::PliCache(const Relation& relation, size_t budget_bytes,
     singles[static_cast<size_t>(c)] = std::make_shared<Pli>(Pli::FromColumn(
         relation.GetColumn(static_cast<int>(c)), relation.NumRows(), impl_));
   };
-  if (pool != nullptr && pool->NumThreads() > 1) {
-    pool->ParallelFor(0, n, build);
-  } else {
-    for (int c = 0; c < n; ++c) build(c);
-  }
+  ParallelForOrInline(pool, n, build);
   for (int c = 0; c < n; ++c) {
     Insert(ColumnSet::Single(c), std::move(singles[static_cast<size_t>(c)]),
            /*pinned=*/true);
@@ -311,11 +307,7 @@ void PliCache::OnAppend(const AppendDelta& delta, ThreadPool* pool) {
         *old, relation_->GetColumn(static_cast<int>(c)),
         delta.columns[static_cast<size_t>(c)], delta.new_num_rows, impl_));
   };
-  if (pool != nullptr && pool->NumThreads() > 1) {
-    pool->ParallelFor(0, n, merge);
-  } else {
-    for (int64_t c = 0; c < n; ++c) merge(c);
-  }
+  ParallelForOrInline(pool, n, merge);
 
   const CacheCounters& counters = CacheCounters::Get();
   for (Shard& shard : shards_) {

@@ -43,6 +43,30 @@ TEST(ProfilerTest, DuplicateRowsAreRemovedBeforeUccDiscovery) {
                                     ColumnSet::Single(1)}));
 }
 
+TEST(ProfilerTest, DedupCountersReachTheResultMetrics) {
+  const char* csv =
+      "A,B\n"
+      "1,x\n"
+      "1,x\n"
+      "2,y\n"
+      "1,x\n";
+  for (const int threads : {1, 4}) {
+    ProfileOptions options;
+    options.num_threads = threads;
+    auto result = ProfileCsvString(csv, options);
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result.value().duplicates_removed, 2);
+    int64_t rows = -1;
+    int64_t removed = -1;
+    for (const auto& [name, value] : result.value().metrics) {
+      if (name == "dedup.rows") rows = value;
+      if (name == "dedup.duplicates_removed") removed = value;
+    }
+    EXPECT_EQ(rows, 4) << threads;
+    EXPECT_EQ(removed, 2) << threads;
+  }
+}
+
 TEST(ProfilerTest, AllAlgorithmsExposeCounters) {
   for (Algorithm algorithm : {Algorithm::kMuds, Algorithm::kHolisticFun,
                               Algorithm::kBaseline}) {

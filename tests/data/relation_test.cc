@@ -62,6 +62,20 @@ TEST(RelationTest, SelectRows) {
   EXPECT_EQ(sub.Cardinality(0), 1);
 }
 
+TEST(RelationTest, SelectRowsOnPoolMatchesSerial) {
+  const Relation r = SampleRelation();
+  const std::vector<RowId> rows = {3, 0, 2};
+  const Relation serial = r.SelectRows(rows);
+  ThreadPool pool(4);
+  const Relation parallel = r.SelectRows(rows, &pool);
+  ASSERT_EQ(parallel.NumRows(), serial.NumRows());
+  for (int c = 0; c < r.NumColumns(); ++c) {
+    EXPECT_EQ(parallel.GetColumn(c).dictionary,
+              serial.GetColumn(c).dictionary);
+    EXPECT_EQ(parallel.GetColumn(c).codes, serial.GetColumn(c).codes);
+  }
+}
+
 TEST(RelationTest, SelectColumns) {
   Relation r = SampleRelation();
   Relation sub = r.SelectColumns({2, 0});
