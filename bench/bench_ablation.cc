@@ -24,10 +24,10 @@ namespace {
 
 using namespace muds;
 
-double TimeMuds(const Relation& relation, const MudsOptions& options,
-                size_t* fds = nullptr) {
+double TimeMuds(const Relation& relation, const EngineConfig& config,
+                const MudsOptions& options, size_t* fds = nullptr) {
   Timer timer;
-  MudsResult result = Muds::Run(relation, options);
+  MudsResult result = Muds::Run(relation, config, options);
   if (fds != nullptr) *fds = result.fds.size();
   return timer.ElapsedSeconds();
 }
@@ -35,8 +35,10 @@ double TimeMuds(const Relation& relation, const MudsOptions& options,
 void RunAblation(const char* label, const Relation& raw, uint64_t seed) {
   Relation relation = DeduplicateRows(raw).relation;
 
+  EngineConfig config;
+  config.seed = seed;
+
   MudsOptions base;
-  base.seed = seed;
 
   MudsOptions no_tree = base;
   no_tree.use_prefix_tree = false;
@@ -48,10 +50,10 @@ void RunAblation(const char* label, const Relation& raw, uint64_t seed) {
   no_paper_phase.run_paper_shadowed_phase = false;
 
   size_t fds = 0;
-  const double t_base = TimeMuds(relation, base, &fds);
-  const double t_no_tree = TimeMuds(relation, no_tree);
-  const double t_no_knowledge = TimeMuds(relation, no_knowledge);
-  const double t_no_paper = TimeMuds(relation, no_paper_phase);
+  const double t_base = TimeMuds(relation, config, base, &fds);
+  const double t_no_tree = TimeMuds(relation, config, no_tree);
+  const double t_no_knowledge = TimeMuds(relation, config, no_knowledge);
+  const double t_no_paper = TimeMuds(relation, config, no_paper_phase);
 
   std::printf("%-18s %6zu %10.3f %14.3f %16.3f %16.3f\n", label, fds,
               t_base, t_no_tree, t_no_knowledge, t_no_paper);

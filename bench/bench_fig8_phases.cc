@@ -23,12 +23,12 @@ int main(int argc, char** argv) {
   Relation relation = MakeNcvoterLike(rows, cols, args.seed);
   Relation deduped = DeduplicateRows(relation).relation;
 
-  MudsOptions options;
-  options.seed = args.seed;
-  options.num_threads = args.threads;
+  EngineConfig config;
+  config.seed = args.seed;
+  config.num_threads = args.threads;
   MudsResult result;
   const double wall_ms =
-      bench::WallMs([&] { result = Muds::Run(deduped, options); });
+      bench::WallMs([&] { result = Muds::Run(deduped, config); });
 
   std::printf("Figure 8: runtime of MUDS' phases "
               "(ncvoter-like, %lld rows, %d columns)\n",

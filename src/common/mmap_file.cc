@@ -60,13 +60,9 @@ MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
   return *this;
 }
 
-void MappedFile::Advise(Advice advice, size_t offset, size_t length) const {
+void MappedFile::Advise(Advice advice) const {
 #if MUDS_MMAP_POSIX
-  if (data_ == nullptr || length == 0 || offset >= size_) return;
-  if (offset + length > size_) length = size_ - offset;
-  const size_t page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
-  const size_t begin = offset / page * page;
-  const size_t end = offset + length;
+  if (data_ == nullptr) return;
   int adv = MADV_NORMAL;
   switch (advice) {
     case Advice::kNormal:
@@ -78,19 +74,14 @@ void MappedFile::Advise(Advice advice, size_t offset, size_t length) const {
     case Advice::kRandom:
       adv = MADV_RANDOM;
       break;
-    case Advice::kWillNeed:
-      adv = MADV_WILLNEED;
-      break;
     case Advice::kDontNeed:
       adv = MADV_DONTNEED;
       break;
   }
   // Best effort: profiling is correct without the hint.
-  (void)::madvise(static_cast<char*>(data_) + begin, end - begin, adv);
+  (void)::madvise(data_, size_, adv);
 #else
   (void)advice;
-  (void)offset;
-  (void)length;
 #endif
 }
 

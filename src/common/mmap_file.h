@@ -22,7 +22,6 @@ class MappedFile {
     kNormal,
     kSequential,  // madvise(MADV_SEQUENTIAL): aggressive read-ahead.
     kRandom,      // madvise(MADV_RANDOM): no read-ahead.
-    kWillNeed,    // madvise(MADV_WILLNEED): prefetch now.
     kDontNeed,    // madvise(MADV_DONTNEED): drop clean pages.
   };
 
@@ -47,10 +46,7 @@ class MappedFile {
   bool mapped() const { return data_ != nullptr; }
 
   /// Applies `advice` to the whole mapping; ignored where unsupported.
-  void Advise(Advice advice) const { Advise(advice, 0, size_); }
-  /// Applies `advice` to `[offset, offset + length)`; the range is widened
-  /// to page boundaries internally.
-  void Advise(Advice advice, size_t offset, size_t length) const;
+  void Advise(Advice advice) const;
 
  private:
   MappedFile(void* data, size_t size) : data_(data), size_(size) {}

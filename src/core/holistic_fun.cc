@@ -1,7 +1,6 @@
 #include "core/holistic_fun.h"
 
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -17,16 +16,6 @@ namespace muds {
 
 namespace {
 
-std::vector<Ind> DiscoverInds(const Relation& relation,
-                              const SpillConfig& spill) {
-  if (spill.enabled()) {
-    SpiderExternalOptions external;
-    external.spill = spill;
-    return Spider::DiscoverExternal(relation, external);
-  }
-  return Spider::Discover(relation);
-}
-
 void AccumulateSampling(const FdDiscoveryResult& fd_result,
                         HolisticResult* result) {
   result->sampling_pairs += fd_result.sampling_pairs;
@@ -37,12 +26,21 @@ void AccumulateSampling(const FdDiscoveryResult& fd_result,
 
 }  // namespace
 
-HolisticResult HolisticFun::Run(const Relation& relation, int num_threads,
-                                PliImpl pli_impl, const SpillConfig& spill,
-                                const SamplingConfig& sampling) {
+HolisticResult HolisticFun::Run(const Relation& relation,
+                                const EngineConfig& config) {
   HolisticResult result;
-  ThreadPool pool(num_threads);
+  ThreadPool pool(config.num_threads);
   result.num_threads_used = pool.NumThreads();
+  const auto run_fun = [&relation, &config, &result] {
+    MUDS_TRACE_SPAN(&result.timings, "FUN");
+    FdDiscoveryResult fd_result =
+        Fun::Discover(relation, config.pli_impl, config.sampling);
+    result.fds = std::move(fd_result.fds);
+    result.uccs = std::move(fd_result.uccs);
+    result.fd_checks = fd_result.fd_checks;
+    result.pli_intersects = fd_result.pli_intersects;
+    AccumulateSampling(fd_result, &result);
+  };
   if (pool.NumThreads() > 1) {
     // SPIDER (dictionary merge) and FUN (PLI lattice) read disjoint state:
     // overlap them. Each phase is charged its own task time, measured
@@ -50,24 +48,17 @@ HolisticResult HolisticFun::Run(const Relation& relation, int num_threads,
     // thread-safe). Register SPIDER first to keep the paper's phase order.
     result.timings.Add("SPIDER", 0);
     std::future<std::pair<std::vector<Ind>, int64_t>> inds =
-        pool.Submit([&relation, &spill] {
+        pool.Submit([&relation, &config] {
           // Trace-only span: PhaseTimings is not thread-safe, so the task
           // measures its own time and the caller merges it below.
           MUDS_TRACE_SPAN("SPIDER");
           Timer timer;
-          std::vector<Ind> discovered = DiscoverInds(relation, spill);
+          std::vector<Ind> discovered =
+              Spider::Discover(relation, config.spill);
           return std::make_pair(std::move(discovered),
                                 timer.ElapsedMicros());
         });
-    {
-      MUDS_TRACE_SPAN(&result.timings, "FUN");
-      FdDiscoveryResult fd_result = Fun::Discover(relation, pli_impl, sampling);
-      result.fds = std::move(fd_result.fds);
-      result.uccs = std::move(fd_result.uccs);
-      result.fd_checks = fd_result.fd_checks;
-      result.pli_intersects = fd_result.pli_intersects;
-      AccumulateSampling(fd_result, &result);
-    }
+    run_fun();
     auto [discovered, spider_micros] = inds.get();
     result.inds = std::move(discovered);
     result.timings.Add("SPIDER", spider_micros);
@@ -75,54 +66,37 @@ HolisticResult HolisticFun::Run(const Relation& relation, int num_threads,
   }
   {
     MUDS_TRACE_SPAN(&result.timings, "SPIDER");
-    result.inds = DiscoverInds(relation, spill);
+    result.inds = Spider::Discover(relation, config.spill);
   }
-  {
-    MUDS_TRACE_SPAN(&result.timings, "FUN");
-    FdDiscoveryResult fd_result = Fun::Discover(relation, pli_impl, sampling);
-    result.fds = std::move(fd_result.fds);
-    result.uccs = std::move(fd_result.uccs);
-    result.fd_checks = fd_result.fd_checks;
-    result.pli_intersects = fd_result.pli_intersects;
-    AccumulateSampling(fd_result, &result);
-  }
+  run_fun();
   return result;
 }
 
-HolisticResult Baseline::Run(const Relation& relation, uint64_t seed,
-                             int num_threads, size_t pli_budget_bytes,
-                             PliImpl pli_impl, const SpillConfig& spill,
-                             const SamplingConfig& sampling) {
+HolisticResult Baseline::Run(const Relation& relation,
+                             const EngineConfig& config) {
   HolisticResult result;
-  ThreadPool pool(num_threads);
+  ThreadPool pool(config.num_threads);
   result.num_threads_used = pool.NumThreads();
   {
     MUDS_TRACE_SPAN(&result.timings, "SPIDER");
-    result.inds = DiscoverInds(relation, spill);
+    result.inds = Spider::Discover(relation, config.spill);
   }
   {
     MUDS_TRACE_SPAN(&result.timings, "DUCC");
     // DUCC builds its own PLIs: no sharing in the baseline. The same goes
     // for its evidence store — FUN samples its own below, matching the
     // baseline's no-sharing contract.
-    PliCache cache(relation, pli_budget_bytes, &pool, pli_impl, spill);
-    std::optional<EvidenceStore> evidence;
-    if (sampling.enabled() && relation.NumRows() > 1) {
+    PliCache cache(relation, config.pli_budget_bytes, &pool, config.pli_impl,
+                   config.spill);
+    std::unique_ptr<EvidenceStore> evidence;
+    if (config.sampling.enabled() && relation.NumRows() > 1) {
       MUDS_TRACE_SPAN("evidenceBuild");
-      evidence.emplace(relation);
-      std::vector<std::shared_ptr<const Pli>> pinned;
-      std::vector<std::pair<int, const Pli*>> column_plis;
-      const ColumnSet active = relation.ActiveColumns();
-      for (int c = active.First(); c >= 0; c = active.NextAtLeast(c + 1)) {
-        pinned.push_back(cache.Get(ColumnSet::Single(c)));
-        column_plis.emplace_back(c, pinned.back().get());
-      }
-      SampleEvidence(sampling, column_plis, &*evidence);
+      evidence = BuildSampledEvidence(relation, &cache, config.sampling);
     }
     Ducc::Options options;
-    options.seed = seed;
+    options.seed = config.seed;
     result.uccs = Ducc::Discover(relation, &cache, options, nullptr,
-                                 evidence ? &*evidence : nullptr);
+                                 evidence.get());
     result.pli_intersects += cache.NumIntersects();
     const PliCache::Stats stats = cache.GetStats();
     result.pli_cache_hits = stats.hits;
@@ -140,7 +114,8 @@ HolisticResult Baseline::Run(const Relation& relation, uint64_t seed,
   }
   {
     MUDS_TRACE_SPAN(&result.timings, "FUN");
-    FdDiscoveryResult fd_result = Fun::Discover(relation, pli_impl, sampling);
+    FdDiscoveryResult fd_result =
+        Fun::Discover(relation, config.pli_impl, config.sampling);
     result.fds = std::move(fd_result.fds);
     result.fd_checks = fd_result.fd_checks;
     result.pli_intersects += fd_result.pli_intersects;

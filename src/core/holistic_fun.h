@@ -1,12 +1,10 @@
 #ifndef MUDS_CORE_HOLISTIC_FUN_H_
 #define MUDS_CORE_HOLISTIC_FUN_H_
 
-#include "common/spill.h"
 #include "common/timer.h"
-#include "core/sampling.h"
+#include "core/engine_config.h"
 #include "data/metadata.h"
 #include "data/relation.h"
-#include "pli/position_list_index.h"
 
 namespace muds {
 
@@ -43,19 +41,13 @@ struct HolisticResult {
 /// needed, so the FD runtime is unchanged.
 class HolisticFun {
  public:
-  /// With `num_threads > 1` the SPIDER and FUN tasks — which read disjoint
-  /// state — run concurrently; the discovered dependency sets are identical
-  /// for every thread count. Phase timings then measure each task's own
-  /// elapsed time, so they can sum to more than the wall clock.
-  /// `pli_impl` selects the PLI representation FUN materializes its
-  /// lattice with (the discovered sets are identical for every choice).
-  /// `spill` (when enabled) routes SPIDER through its external sort-merge.
-  /// `sampling` (when enabled) lets FUN refute Lemma-1 candidates against a
-  /// sampled evidence store first; refutation-only, identical results.
-  static HolisticResult Run(const Relation& relation, int num_threads = 1,
-                            PliImpl pli_impl = PliImpl::kAuto,
-                            const SpillConfig& spill = SpillConfig(),
-                            const SamplingConfig& sampling = SamplingConfig());
+  /// With `config.num_threads > 1` the SPIDER and FUN tasks — which read
+  /// disjoint state — run concurrently. Phase timings then measure each
+  /// task's own elapsed time, so they can sum to more than the wall clock.
+  /// FUN materializes its lattice PLIs outside any cache, so
+  /// `config.pli_budget_bytes` and `config.seed` do not apply.
+  static HolisticResult Run(const Relation& relation,
+                            const EngineConfig& config = {});
 };
 
 /// The evaluation baseline (§6): the sequential execution of the three
@@ -64,23 +56,16 @@ class HolisticFun {
 /// (The unshared *file read* is modeled by the Profiler facade, which
 /// parses the input once per algorithm for the baseline.)
 /// The three algorithms stay strictly sequential relative to each other —
-/// that ordering is what the baseline models — but `num_threads` still
-/// parallelizes DUCC's private column-PLI construction, which is
+/// that ordering is what the baseline models — but `config.num_threads`
+/// still parallelizes DUCC's private column-PLI construction, which is
 /// task-internal work.
 class Baseline {
  public:
-  /// `pli_budget_bytes` bounds DUCC's private PLI cache (0 = unlimited);
-  /// the discovered dependency sets are identical for every budget.
-  /// `spill` (when enabled) gives that cache a cold tier and routes SPIDER
-  /// through the external sort-merge. `sampling` (when enabled) gives DUCC
-  /// and FUN each a private sampled evidence store for candidate
-  /// refutation — no sharing, matching the baseline's no-sharing contract.
-  static HolisticResult Run(const Relation& relation, uint64_t seed = 1,
-                            int num_threads = 1,
-                            size_t pli_budget_bytes = size_t{1} << 30,
-                            PliImpl pli_impl = PliImpl::kAuto,
-                            const SpillConfig& spill = SpillConfig(),
-                            const SamplingConfig& sampling = SamplingConfig());
+  /// `config.pli_budget_bytes` and `config.spill` apply to DUCC's private
+  /// PLI cache. With sampling on, DUCC and FUN each sample a private
+  /// evidence store — no sharing, matching the baseline's contract.
+  static HolisticResult Run(const Relation& relation,
+                            const EngineConfig& config = {});
 };
 
 }  // namespace muds

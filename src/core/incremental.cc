@@ -125,15 +125,8 @@ IncrementalProfiler::IncrementalProfiler(const Relation& base,
   // consult the store (sampling over empty PLIs just draws nothing).
   if (options_.sampling.enabled()) {
     MUDS_TRACE_SPAN(&timings_, "evidenceBuild");
-    evidence_ = std::make_unique<EvidenceStore>(*relation_);
-    std::vector<std::shared_ptr<const Pli>> pinned;
-    std::vector<std::pair<int, const Pli*>> column_plis;
-    const ColumnSet active = relation_->ActiveColumns();
-    for (int c = active.First(); c >= 0; c = active.NextAtLeast(c + 1)) {
-      pinned.push_back(cache_->Get(ColumnSet::Single(c)));
-      column_plis.emplace_back(c, pinned.back().get());
-    }
-    SampleEvidence(options_.sampling, column_plis, evidence_.get());
+    evidence_ =
+        BuildSampledEvidence(*relation_, cache_.get(), options_.sampling);
   }
 
   row_index_.reserve(static_cast<size_t>(relation_->NumRows()));
@@ -213,13 +206,7 @@ Status IncrementalProfiler::Append(const Relation& batch) {
     // repair; but SPIDER over the merged dictionaries is one multiway merge
     // with no lattice, so a full recomputation is the cheap option.
     MUDS_TRACE_SPAN(&timings_, "incrementalInds");
-    if (options_.spill.enabled()) {
-      SpiderExternalOptions external;
-      external.spill = options_.spill;
-      inds_ = Spider::DiscoverExternal(*relation_, external);
-    } else {
-      inds_ = Spider::Discover(*relation_);
-    }
+    inds_ = Spider::Discover(*relation_, options_.spill);
     Canonicalize(&inds_);
   }
 

@@ -1,6 +1,7 @@
 #include "core/muds.h"
 
 #include <map>
+#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -244,8 +245,9 @@ class TaskLevels {
 
 class MudsRunner {
  public:
-  MudsRunner(const Relation& relation, const MudsOptions& options)
-      : relation_(relation), options_(options) {}
+  MudsRunner(const Relation& relation, const EngineConfig& config,
+             const MudsOptions& options)
+      : relation_(relation), config_(config), options_(options) {}
 
   MudsResult Run();
 
@@ -411,14 +413,15 @@ class MudsRunner {
   bool MinimizeTasks(TaskLevels* tasks, int64_t* check_counter);
 
   const Relation& relation_;
-  MudsOptions options_;
+  const EngineConfig config_;
+  const MudsOptions options_;
   MudsResult result_;
 
   std::optional<PliCache> cache_;
-  // Sampled row-pair evidence (engaged only with options_.sampling on and
+  // Sampled row-pair evidence (built only with config_.sampling on and
   // more than one row). Probes take a shared lock; feedback inserts take a
   // unique lock, so the parallel phases can consult it concurrently.
-  std::optional<EvidenceStore> evidence_;
+  std::unique_ptr<EvidenceStore> evidence_;
   std::vector<ColumnSet> uccs_;
   std::optional<UccStore> ucc_store_;
   FdStore fd_store_;
@@ -445,26 +448,16 @@ class MudsRunner {
 };
 
 MudsResult MudsRunner::Run() {
-  pool_.emplace(options_.num_threads);
+  pool_.emplace(config_.num_threads);
   result_.stats.num_threads_used = pool_->NumThreads();
   RunSpider();
   // Eager registration: the sampling.* registry counters must exist (at
   // zero) even on runs with sampling disabled, so observability tooling
   // can rely on their presence.
   EvidenceStore::RegisterMetrics();
-  if (options_.sampling.enabled() && relation_.NumRows() > 1) {
+  if (config_.sampling.enabled() && relation_.NumRows() > 1) {
     MUDS_TRACE_SPAN(&result_.timings, "evidenceBuild");
-    evidence_.emplace(relation_);
-    // The single-column PLIs are pinned in the cache; keep the shared_ptrs
-    // alive for the duration of the sampling pass.
-    std::vector<std::shared_ptr<const Pli>> pinned;
-    std::vector<std::pair<int, const Pli*>> column_plis;
-    const ColumnSet active = relation_.ActiveColumns();
-    for (int c = active.First(); c >= 0; c = active.NextAtLeast(c + 1)) {
-      pinned.push_back(cache_->Get(ColumnSet::Single(c)));
-      column_plis.emplace_back(c, pinned.back().get());
-    }
-    SampleEvidence(options_.sampling, column_plis, &*evidence_);
+    evidence_ = BuildSampledEvidence(relation_, &*cache_, config_.sampling);
   }
   RunDucc();
 
@@ -528,22 +521,17 @@ void MudsRunner::RunSpider() {
   // With a spill directory configured, SPIDER merges disk-resident runs
   // instead of in-memory dictionaries (same INDs, bounded memory).
   const auto discover_inds = [this] {
-    if (options_.spill.enabled()) {
-      SpiderExternalOptions external;
-      external.spill = options_.spill;
-      return Spider::DiscoverExternal(relation_, external);
-    }
-    return Spider::Discover(relation_);
+    return Spider::Discover(relation_, config_.spill);
   };
   if (pool_->NumThreads() > 1) {
     std::future<std::vector<Ind>> inds = pool_->Submit(discover_inds);
-    cache_.emplace(relation_, options_.pli_budget_bytes, &*pool_,
-                   options_.pli_impl, options_.spill);
+    cache_.emplace(relation_, config_.pli_budget_bytes, &*pool_,
+                   config_.pli_impl, config_.spill);
     result_.inds = inds.get();
   } else {
     result_.inds = discover_inds();
-    cache_.emplace(relation_, options_.pli_budget_bytes, nullptr,
-                   options_.pli_impl, options_.spill);
+    cache_.emplace(relation_, config_.pli_budget_bytes, nullptr,
+                   config_.pli_impl, config_.spill);
   }
   active_ = relation_.ActiveColumns();
 }
@@ -551,10 +539,10 @@ void MudsRunner::RunSpider() {
 void MudsRunner::RunDucc() {
   MUDS_TRACE_SPAN(&result_.timings, "DUCC");
   Ducc::Options ducc_options;
-  ducc_options.seed = options_.seed;
+  ducc_options.seed = config_.seed;
   uccs_ = Ducc::Discover(relation_, &*cache_, ducc_options,
                          &result_.stats.ducc,
-                         evidence_ ? &*evidence_ : nullptr);
+                         evidence_.get());
   ucc_store_.emplace(uccs_, options_.use_prefix_tree);
   z_ = ColumnSet();
   for (const ColumnSet& ucc : uccs_) z_ = z_.Union(ucc);
@@ -600,7 +588,7 @@ void MudsRunner::CalculateRz() {
       MUDS_TRACE_SPAN("rzTraversal", RhsArgs(a));
       LatticeTraversal::Options traversal_options;
       traversal_options.seed =
-          options_.seed * 7919 + static_cast<uint64_t>(a);
+          config_.seed * 7919 + static_cast<uint64_t>(a);
       // Key pruning: every minimal UCC determines `a` (a ∉ Z, so no UCC
       // contains it).
       traversal_options.known_positive = uccs_;
@@ -631,7 +619,7 @@ void MudsRunner::CalculateRz() {
     const int a = targets[static_cast<size_t>(i)];
     MUDS_TRACE_SPAN("rzTraversal", RhsArgs(a));
     LatticeTraversal::Options traversal_options;
-    traversal_options.seed = options_.seed * 7919 + static_cast<uint64_t>(a);
+    traversal_options.seed = config_.seed * 7919 + static_cast<uint64_t>(a);
     traversal_options.known_positive = uccs_;
     TaskCheckState* state = &states[static_cast<size_t>(i)];
     LatticeTraversal traversal(
@@ -823,7 +811,7 @@ void MudsRunner::ExhaustiveCompletion() {
       MUDS_TRACE_SPAN("completionTraversal", RhsArgs(a));
       LatticeTraversal::Options traversal_options;
       traversal_options.seed =
-          options_.seed * 104729 + static_cast<uint64_t>(a);
+          config_.seed * 104729 + static_cast<uint64_t>(a);
       traversal_options.known_positive = known_positive[a];
       traversal_options.known_negative = known_negative[a];
       for (const ColumnSet& lhs : fd_store_.MinimalLhsFor(a)) {
@@ -859,7 +847,7 @@ void MudsRunner::ExhaustiveCompletion() {
     const int a = targets[i];
     LatticeTraversal::Options& traversal_options = per_rhs_options[i];
     traversal_options.seed =
-        options_.seed * 104729 + static_cast<uint64_t>(a);
+        config_.seed * 104729 + static_cast<uint64_t>(a);
     traversal_options.known_positive = known_positive[a];
     traversal_options.known_negative = known_negative[a];
     for (const ColumnSet& lhs : fd_store_.MinimalLhsFor(a)) {
@@ -896,8 +884,9 @@ void MudsRunner::ExhaustiveCompletion() {
 
 }  // namespace
 
-MudsResult Muds::Run(const Relation& relation, const MudsOptions& options) {
-  return MudsRunner(relation, options).Run();
+MudsResult Muds::Run(const Relation& relation, const EngineConfig& config,
+                     const MudsOptions& options) {
+  return MudsRunner(relation, config, options).Run();
 }
 
 }  // namespace muds

@@ -4,30 +4,18 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/spill.h"
 #include "common/timer.h"
-#include "core/sampling.h"
+#include "core/engine_config.h"
 #include "data/metadata.h"
 #include "data/relation.h"
-#include "pli/position_list_index.h"
 #include "ucc/ducc.h"
 
 namespace muds {
 
-/// Tuning knobs for MUDS (§5).
+/// MUDS' algorithm ablations (§5). The engine settings every algorithm
+/// shares (seed, threads, PLI budget and layout, spill, sampling) are an
+/// EngineConfig, passed to Muds::Run next to these.
 struct MudsOptions {
-  /// Seed for the random-walk traversals (DUCC and the R\Z sub-lattices).
-  uint64_t seed = 1;
-
-  /// Worker threads for the parallel phases (single-column PLI
-  /// construction, the SPIDER/PLI load overlap, and the independent
-  /// per-right-hand-side sub-lattice traversals of "calculateRZ" and the
-  /// exhaustive completion). 0 = hardware concurrency; 1 = the sequential
-  /// code path, bit-identical to the pre-parallel implementation. Every
-  /// per-RHS traversal derives its own seed from `seed`, so the discovered
-  /// IND/UCC/FD sets are identical for every thread count.
-  int num_threads = 1;
-
   /// §5.4: use the UCC prefix tree for subset/superset look-ups. Disabling
   /// falls back to linear scans over the UCC list (the "naive
   /// implementation" the paper compares against); results are identical.
@@ -62,39 +50,6 @@ struct MudsOptions {
   /// dataset — bench_ablation quantifies the trade-off. Under kFixpoint it
   /// always runs (it is the only shadowed-FD discovery there).
   bool run_paper_shadowed_phase = true;
-
-  /// Byte budget for the shared PLI cache (0 = unlimited). Evicted entries
-  /// are transparently rebuilt, so the discovered dependency sets are
-  /// identical for every budget; only runtime and the cache counters vary.
-  size_t pli_budget_bytes = size_t{1} << 30;  // PliCache::kDefaultBudgetBytes
-
-  /// PLI representation strategy for the shared cache (--pli-impl). The
-  /// discovered IND/UCC/FD sets are identical for every choice; kAuto
-  /// attaches the low-cardinality bitmap sidecar where it pays off, kCsr
-  /// forces the flat-CSR reference layout, kBitmap forces the sidecar
-  /// whenever representable.
-  PliImpl pli_impl = PliImpl::kAuto;
-
-  /// Tiered-storage configuration (--spill-dir / --spill-budget-mb). When
-  /// enabled, PLI-cache evictions demote entries to a disk spill file
-  /// (reloaded on the next probe instead of rebuilt by intersect chains)
-  /// and SPIDER switches to its external sort-merge over disk-resident
-  /// runs. The discovered dependency sets are identical with spill on or
-  /// off; only runtime, memory, and the spill counters differ. The byte
-  /// budget applies to each spill file (the PLI tier and the SPIDER runs
-  /// use separate, independently capped files).
-  SpillConfig spill;
-
-  /// Sampling-first pre-validation (--sample-pairs / --sample-seed). With a
-  /// positive pair budget, a cluster-stratified sample of row pairs drawn
-  /// from the pinned single-column PLIs is materialized into an evidence
-  /// store (agreement bitsets indexed by a negative-cover SetTrie) right
-  /// after SPIDER. Every candidate in DUCC and the FD phases is probed
-  /// against the store before any PLI work: one subset probe refutes it
-  /// outright. Refutation-only — a sampled violation is definite, absence
-  /// proves nothing — so the discovered IND/UCC/FD sets are bit-identical
-  /// at every pair budget, seed, and thread count.
-  SamplingConfig sampling;
 };
 
 /// Counters describing what MUDS did; benches report these alongside
@@ -120,7 +75,7 @@ struct MudsStats {
   int64_t pli_cache_spill_writes = 0;
   int64_t pli_cache_spill_reloads = 0;
   int64_t pli_cache_spill_bytes = 0;
-  /// Threads the run actually used (MudsOptions::num_threads resolved, so
+  /// Threads the run actually used (EngineConfig::num_threads resolved, so
   /// 0 shows up as the hardware concurrency).
   int num_threads_used = 1;
   /// Sub-lattice traversal tasks dispatched to the pool by the parallel
@@ -155,11 +110,17 @@ struct MudsResult {
 /// traversals for right-hand sides outside every minimal UCC, and
 /// (3) discovery and minimization of shadowed FDs.
 ///
+/// With `config.num_threads > 1`, SPIDER overlaps the single-column PLI
+/// construction, and the independent per-right-hand-side sub-lattice
+/// traversals of "calculateRZ" and the exhaustive completion run on the
+/// pool; each derives its own seed from `config.seed`.
+///
 /// The Profiler facade deduplicates rows before calling this (§3).
 class Muds {
  public:
   /// Runs MUDS on `relation` (which must already be duplicate-row free).
   static MudsResult Run(const Relation& relation,
+                        const EngineConfig& config = {},
                         const MudsOptions& options = {});
 };
 

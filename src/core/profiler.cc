@@ -10,6 +10,7 @@
 #include "common/trace.h"
 #include "core/holistic_fun.h"
 #include "core/incremental.h"
+#include "core/muds.h"
 #include "data/preprocess.h"
 #include "pli/pli_cache.h"
 #include "ucc/ducc.h"
@@ -39,7 +40,7 @@ Algorithm ChooseAutomatically(const Relation& relation,
     MUDS_TRACE_SPAN(timings, "autoSelect");
     ThreadPool pool(options.num_threads);
     PliCache cache(relation, options.pli_budget_bytes, &pool,
-                   options.pli_impl);
+                   options.pli_impl, options.spill);
     Ducc::Options ducc_options;
     ducc_options.seed = options.seed;
     uccs = Ducc::Discover(relation, &cache, ducc_options);
@@ -77,14 +78,7 @@ ProfilingResult RunOnDeduped(const Relation& relation,
   result.algorithm_used = options.algorithm;
   switch (options.algorithm) {
     case Algorithm::kMuds: {
-      MudsOptions muds_options = options.muds;
-      muds_options.seed = options.seed;
-      muds_options.num_threads = options.num_threads;
-      muds_options.pli_budget_bytes = options.pli_budget_bytes;
-      muds_options.pli_impl = options.pli_impl;
-      muds_options.spill = options.spill;
-      muds_options.sampling = options.sampling;
-      MudsResult muds = Muds::Run(relation, muds_options);
+      MudsResult muds = Muds::Run(relation, options);
       result.inds = std::move(muds.inds);
       result.uccs = std::move(muds.uccs);
       result.fds = std::move(muds.fds);
@@ -122,12 +116,8 @@ ProfilingResult RunOnDeduped(const Relation& relation,
     case Algorithm::kBaseline: {
       HolisticResult holistic =
           options.algorithm == Algorithm::kHolisticFun
-              ? HolisticFun::Run(relation, options.num_threads,
-                                 options.pli_impl, options.spill,
-                                 options.sampling)
-              : Baseline::Run(relation, options.seed, options.num_threads,
-                              options.pli_budget_bytes, options.pli_impl,
-                              options.spill, options.sampling);
+              ? HolisticFun::Run(relation, options)
+              : Baseline::Run(relation, options);
       result.inds = std::move(holistic.inds);
       result.uccs = std::move(holistic.uccs);
       result.fds = std::move(holistic.fds);
@@ -199,20 +189,18 @@ ProfilingResult ProfileRelation(const Relation& relation,
   return result;
 }
 
-namespace {
-
-// The session thread count drives the ingest engine too, unless the caller
-// pinned `csv.num_threads` to something other than its default.
 CsvOptions CsvOptionsForLoad(const ProfileOptions& options) {
   CsvOptions csv = options.csv;
   if (csv.num_threads == 1) csv.num_threads = options.num_threads;
   return csv;
 }
 
-}  // namespace
+namespace {
 
-Result<ProfilingResult> ProfileCsvString(std::string_view text,
-                                         const ProfileOptions& options) {
+// The body of ProfileCsvString and ProfileCsvFile; `load` parses the input.
+template <typename Load>
+Result<ProfilingResult> ProfileCsv(const Load& load,
+                                   const ProfileOptions& options) {
   // The baseline runs three independent tools, each reading the input
   // itself; the holistic algorithms read once (§3: shared I/O).
   const int num_reads = options.algorithm == Algorithm::kBaseline ? 3 : 1;
@@ -225,7 +213,7 @@ Result<ProfilingResult> ProfileCsvString(std::string_view text,
   for (int i = 0; i < num_reads; ++i) {
     MUDS_TRACE_SPAN("load");
     Timer load_timer;
-    Result<Relation> parsed = CsvReader::ReadString(text, csv);
+    Result<Relation> parsed = load(csv);
     if (!parsed.ok()) return parsed.status();
     load_micros += load_timer.ElapsedMicros();
     relation.emplace(std::move(parsed).value());
@@ -238,27 +226,22 @@ Result<ProfilingResult> ProfileCsvString(std::string_view text,
   return result;
 }
 
+}  // namespace
+
+Result<ProfilingResult> ProfileCsvString(std::string_view text,
+                                         const ProfileOptions& options) {
+  return ProfileCsv(
+      [text](const CsvOptions& csv) {
+        return CsvReader::ReadString(text, csv);
+      },
+      options);
+}
+
 Result<ProfilingResult> ProfileCsvFile(const std::string& path,
                                        const ProfileOptions& options) {
-  const int num_reads = options.algorithm == Algorithm::kBaseline ? 3 : 1;
-  const MetricsSnapshot before = MetricsRegistry::Global().Snapshot();
-  const CsvOptions csv = CsvOptionsForLoad(options);
-  int64_t load_micros = 0;
-  std::optional<Relation> relation;
-  for (int i = 0; i < num_reads; ++i) {
-    MUDS_TRACE_SPAN("load");
-    Timer load_timer;
-    Result<Relation> parsed = CsvReader::ReadFile(path, csv);
-    if (!parsed.ok()) return parsed.status();
-    load_micros += load_timer.ElapsedMicros();
-    relation.emplace(std::move(parsed).value());
-  }
-
-  ProfilingResult result = ProfileRelation(*relation, options);
-  result.timings.Add("load", load_micros);
-  result.metrics = MetricsRegistry::Delta(
-      before, MetricsRegistry::Global().Snapshot());
-  return result;
+  return ProfileCsv(
+      [&path](const CsvOptions& csv) { return CsvReader::ReadFile(path, csv); },
+      options);
 }
 
 Result<ProfilingResult> ProfileCsvStringWithAppends(

@@ -8,17 +8,16 @@
 #include <vector>
 
 #include "common/metrics.h"
-#include "common/spill.h"
 #include "common/status.h"
 #include "common/timer.h"
-#include "core/muds.h"
+#include "core/engine_config.h"
 #include "data/csv.h"
 #include "data/metadata.h"
 #include "data/relation.h"
 
 namespace muds {
 
-/// Which profiling strategy Profile() runs (§6 compares all three).
+/// Which profiling strategy ProfileRelation() runs (§6 compares all three).
 enum class Algorithm {
   /// MUDS (§5): the holistic, inter-task-pruning algorithm.
   kMuds,
@@ -52,42 +51,12 @@ enum class AutoPolicy {
   kUccShape,
 };
 
-/// Options for the Profile* entry points.
-struct ProfileOptions {
+/// Options for the Profile* entry points: the engine settings every
+/// algorithm takes (EngineConfig), plus which algorithm runs and how its
+/// input is read. MUDS' algorithm ablations (MudsOptions) are reachable
+/// only through Muds::Run.
+struct ProfileOptions : EngineConfig {
   Algorithm algorithm = Algorithm::kMuds;
-  /// Seed for randomized traversals (MUDS / baseline DUCC).
-  uint64_t seed = 1;
-  /// Worker threads for the parallel engine (0 = hardware concurrency,
-  /// 1 = the deterministic sequential path). The discovered IND/UCC/FD
-  /// sets are identical for every thread count; overrides
-  /// `muds.num_threads` the same way `seed` overrides `muds.seed`.
-  int num_threads = 1;
-  /// Byte budget for the PLI caches (MUDS' shared cache and the baseline's
-  /// private DUCC cache; 0 = unlimited). Overrides `muds.pli_budget_bytes`
-  /// the same way `seed` overrides `muds.seed`. The discovered dependency
-  /// sets are identical for every budget — a tight budget only trades
-  /// rebuild work for memory.
-  size_t pli_budget_bytes = size_t{1} << 30;
-  /// PLI representation strategy (--pli-impl). Overrides `muds.pli_impl`
-  /// the same way `seed` overrides `muds.seed` and applies to every
-  /// engine. The discovered dependency sets are identical for every
-  /// choice; the axis exists for A/B debugging and perf work.
-  PliImpl pli_impl = PliImpl::kAuto;
-  /// Tiered-storage configuration (--spill-dir / --spill-budget-mb),
-  /// applied to every engine: PLI-cache evictions demote to a disk spill
-  /// file and SPIDER streams disk-resident runs. Overrides `muds.spill`
-  /// the same way `seed` overrides `muds.seed`. The discovered dependency
-  /// sets are identical with spill on or off.
-  SpillConfig spill;
-  /// Sampling-first pre-validation (--sample-pairs / --sample-seed),
-  /// applied to every engine: candidates are probed against a sampled
-  /// evidence store of violating row pairs before any PLI work. Overrides
-  /// `muds.sampling` the same way `seed` overrides `muds.seed`.
-  /// Refutation-only, so the discovered dependency sets are identical at
-  /// every pair budget and seed.
-  SamplingConfig sampling;
-  /// MUDS-specific knobs (its `seed` field is overridden by `seed` above).
-  MudsOptions muds;
   /// CSV dialect for the CSV entry points.
   CsvOptions csv;
   /// kAuto selection rule and its column threshold ("Muds usually performs
@@ -145,6 +114,11 @@ Result<ProfilingResult> ProfileCsvString(std::string_view text,
 /// Reads a CSV file and profiles it (same baseline re-read semantics).
 Result<ProfilingResult> ProfileCsvFile(const std::string& path,
                                        const ProfileOptions& options = {});
+
+/// The CSV dialect the entry points load with: `options.csv`, except that
+/// `options.num_threads` drives the ingest engine too unless the caller
+/// pinned `csv.num_threads` to something other than its default.
+CsvOptions CsvOptionsForLoad(const ProfileOptions& options);
 
 /// Profiles `base` and then applies each element of `appends` — headerless
 /// row batches in the base's dialect — as delta batches through

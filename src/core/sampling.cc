@@ -2,6 +2,7 @@
 
 #include "common/rng.h"
 #include "core/evidence.h"
+#include "pli/pli_cache.h"
 
 namespace muds {
 
@@ -39,6 +40,22 @@ void SampleEvidence(const SamplingConfig& config,
       store->AddPair(cluster[a], cluster[b], /*fed_back=*/false);
     }
   }
+}
+
+std::unique_ptr<EvidenceStore> BuildSampledEvidence(
+    const Relation& relation, PliCache* cache, const SamplingConfig& config) {
+  auto store = std::make_unique<EvidenceStore>(relation);
+  // The single-column PLIs are pinned in the cache; keep the shared_ptrs
+  // alive for the duration of the sampling pass.
+  std::vector<std::shared_ptr<const Pli>> pinned;
+  std::vector<std::pair<int, const Pli*>> column_plis;
+  const ColumnSet active = relation.ActiveColumns();
+  for (int c = active.First(); c >= 0; c = active.NextAtLeast(c + 1)) {
+    pinned.push_back(cache->Get(ColumnSet::Single(c)));
+    column_plis.emplace_back(c, pinned.back().get());
+  }
+  SampleEvidence(config, column_plis, store.get());
+  return store;
 }
 
 }  // namespace muds

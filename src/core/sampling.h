@@ -2,6 +2,7 @@
 #define MUDS_CORE_SAMPLING_H_
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -10,6 +11,8 @@
 namespace muds {
 
 class EvidenceStore;
+class PliCache;
+class Relation;
 
 /// Configuration of the sampling-first pre-validator (--sample-pairs /
 /// --sample-seed). Sampling is refutation-only, so the discovered
@@ -43,6 +46,13 @@ struct SamplingConfig {
 void SampleEvidence(const SamplingConfig& config,
                     const std::vector<std::pair<int, const Pli*>>& column_plis,
                     EvidenceStore* store);
+
+/// The engines' evidence build: pins every active column's single-column
+/// PLI in `cache` and samples `config` into a new store over `relation`.
+/// Callers decide whether to build (their guards differ) and which span
+/// the build is charged to.
+std::unique_ptr<EvidenceStore> BuildSampledEvidence(
+    const Relation& relation, PliCache* cache, const SamplingConfig& config);
 
 }  // namespace muds
 

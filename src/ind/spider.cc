@@ -139,6 +139,13 @@ class RunReader {
 
 }  // namespace
 
+std::vector<Ind> Spider::Discover(const Relation& relation,
+                                  const SpillConfig& spill) {
+  SpiderExternalOptions external;
+  external.spill = spill;
+  return DiscoverExternal(relation, external);
+}
+
 std::vector<Ind> Spider::DiscoverExternal(const Relation& relation,
                                           const SpiderExternalOptions& options) {
   if (!options.spill.enabled()) return Discover(relation);

@@ -39,6 +39,11 @@ class Spider {
   /// canonical order.
   static std::vector<Ind> Discover(const Relation& relation);
 
+  /// The engines' entry point: the in-memory merge above, or the external
+  /// sort-merge below (default run buffers) when `spill` is enabled.
+  static std::vector<Ind> Discover(const Relation& relation,
+                                   const SpillConfig& spill);
+
   /// External sort-merge variant: phase 1 writes each column's sorted
   /// duplicate-free dictionary as a length-prefixed run into a disk pool,
   /// phase 2 merges the runs through fixed-size streaming buffers — the

@@ -7,9 +7,13 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cmath>
 #include <cstdarg>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <utility>
 
 #include "common/metrics.h"
@@ -105,6 +109,40 @@ std::string ErrorResponse(const Status& status) {
   response.object["code"] = MakeString(StatusCodeName(status.code()));
   response.object["error"] = MakeString(status.message());
   return json::Dump(response);
+}
+
+// JSON numbers arrive as doubles: integers above 2^53 are already rounded,
+// so ids and seeds are capped there.
+constexpr int64_t kMaxExactInteger = int64_t{1} << 53;
+// Millisecond fields become nanosecond waits; 2^40 ms (about 35 years)
+// keeps that conversion in range.
+constexpr int64_t kMaxMillis = int64_t{1} << 40;
+
+// Reads `value` (request field `name`) as an integer in [min, max]. Casting
+// a non-finite or out-of-range double to an integer is undefined
+// behaviour, so anything but a finite integral value in range is an
+// InvalidArgument. `min` and `max` must be exact doubles.
+Result<int64_t> IntegerField(const json::Value& value, const char* name,
+                             int64_t min, int64_t max) {
+  const double number = value.number;
+  if (!value.IsNumber() || !std::isfinite(number) ||
+      number != std::floor(number) || number < static_cast<double>(min) ||
+      number > static_cast<double>(max)) {
+    return Status::InvalidArgument(
+        "\"" + std::string(name) + "\" must be an integer in [" +
+        std::to_string(min) + ", " + std::to_string(max) + "]");
+  }
+  return static_cast<int64_t>(number);
+}
+
+// The "job" field of a status/result/cancel request.
+Result<JobId> JobField(const json::Value& request, const char* cmd) {
+  const json::Value* job = request.Find("job");
+  if (job == nullptr) {
+    return Status::InvalidArgument(std::string(cmd) +
+                                   " needs a numeric \"job\"");
+  }
+  return IntegerField(*job, "job", 0, kMaxExactInteger);
 }
 
 // Embeds `raw_json` (a known-valid document we serialized ourselves) as
@@ -304,11 +342,10 @@ std::string Server::HandleSubmit(const json::Value& request) {
     }
   }
   if (const json::Value* seed = request.Find("seed")) {
-    if (!seed->IsNumber() || seed->number < 0) {
-      return ErrorResponse(
-          Status::InvalidArgument("\"seed\" must be a non-negative number"));
-    }
-    profile.seed = static_cast<uint64_t>(seed->number);
+    const Result<int64_t> parsed =
+        IntegerField(*seed, "seed", 0, kMaxExactInteger);
+    if (!parsed.ok()) return ErrorResponse(parsed.status());
+    profile.seed = static_cast<uint64_t>(parsed.value());
   }
   // Engine threads come from the server pool, not per request: the pool
   // is the shared substrate, and a per-job thread count would let one
@@ -319,18 +356,17 @@ std::string Server::HandleSubmit(const json::Value& request) {
 
   JobConfig config;
   if (const json::Value* priority = request.Find("priority")) {
-    if (!priority->IsNumber()) {
-      return ErrorResponse(
-          Status::InvalidArgument("\"priority\" must be a number"));
-    }
-    config.priority = static_cast<int>(priority->number);
+    const Result<int64_t> parsed =
+        IntegerField(*priority, "priority", std::numeric_limits<int>::min(),
+                     std::numeric_limits<int>::max());
+    if (!parsed.ok()) return ErrorResponse(parsed.status());
+    config.priority = static_cast<int>(parsed.value());
   }
   if (const json::Value* deadline = request.Find("deadline_ms")) {
-    if (!deadline->IsNumber() || deadline->number < 0) {
-      return ErrorResponse(Status::InvalidArgument(
-          "\"deadline_ms\" must be a non-negative number"));
-    }
-    config.deadline_ms = static_cast<int64_t>(deadline->number);
+    const Result<int64_t> parsed =
+        IntegerField(*deadline, "deadline_ms", 0, kMaxMillis);
+    if (!parsed.ok()) return ErrorResponse(parsed.status());
+    config.deadline_ms = parsed.value();
   }
 
   auto record = std::make_shared<JobRecord>();
@@ -413,12 +449,9 @@ Status Server::RunProfileJob(JobContext& context,
 }
 
 std::string Server::HandleStatus(const json::Value& request) {
-  const json::Value* job = request.Find("job");
-  if (job == nullptr || !job->IsNumber()) {
-    return ErrorResponse(
-        Status::InvalidArgument("status needs a numeric \"job\""));
-  }
-  const JobId id = static_cast<JobId>(job->number);
+  const Result<JobId> job = JobField(request, "status");
+  if (!job.ok()) return ErrorResponse(job.status());
+  const JobId id = job.value();
   const std::optional<JobState> state = scheduler_->GetState(id);
   if (!state.has_value()) {
     return ErrorResponse(
@@ -432,19 +465,16 @@ std::string Server::HandleStatus(const json::Value& request) {
 }
 
 std::string Server::HandleResult(const json::Value& request) {
-  const json::Value* job = request.Find("job");
-  if (job == nullptr || !job->IsNumber()) {
-    return ErrorResponse(
-        Status::InvalidArgument("result needs a numeric \"job\""));
-  }
-  const JobId id = static_cast<JobId>(job->number);
+  const Result<JobId> job = JobField(request, "result");
+  if (!job.ok()) return ErrorResponse(job.status());
+  const JobId id = job.value();
   int64_t timeout_ms = -1;
   if (const json::Value* timeout = request.Find("timeout_ms")) {
-    if (!timeout->IsNumber()) {
-      return ErrorResponse(
-          Status::InvalidArgument("\"timeout_ms\" must be a number"));
-    }
-    timeout_ms = static_cast<int64_t>(timeout->number);
+    // Negative waits without a timeout.
+    const Result<int64_t> parsed =
+        IntegerField(*timeout, "timeout_ms", -kMaxMillis, kMaxMillis);
+    if (!parsed.ok()) return ErrorResponse(parsed.status());
+    timeout_ms = parsed.value();
   }
   std::shared_ptr<JobRecord> record;
   {
@@ -493,12 +523,9 @@ std::string Server::HandleResult(const json::Value& request) {
 }
 
 std::string Server::HandleCancel(const json::Value& request) {
-  const json::Value* job = request.Find("job");
-  if (job == nullptr || !job->IsNumber()) {
-    return ErrorResponse(
-        Status::InvalidArgument("cancel needs a numeric \"job\""));
-  }
-  const JobId id = static_cast<JobId>(job->number);
+  const Result<JobId> job = JobField(request, "cancel");
+  if (!job.ok()) return ErrorResponse(job.status());
+  const JobId id = job.value();
   const bool cancelled = scheduler_->Cancel(id);
   json::Value response = MakeObject();
   response.object["ok"] = MakeBool(true);

@@ -49,6 +49,12 @@ namespace serve {
 ///                   "scheduler": {"queued": N, "running": N}}
 ///   shutdown {} -> drains running jobs, then {"ok": true, ...}
 ///
+/// Numeric fields must be integers in range, or the reply is an
+/// InvalidArgument error frame: "seed" and "job" in [0, 2^53] (larger
+/// values do not survive JSON's doubles), "priority" in int's range,
+/// "deadline_ms" in [0, 2^40] and "timeout_ms" in [-2^40, 2^40] (negative
+/// waits without a timeout).
+///
 /// Graceful shutdown (the `shutdown` command, SIGTERM in the daemon, or
 /// Shutdown()): admission stops first — new submits are rejected with the
 /// distinct Unavailable code while in-flight jobs drain — then the

@@ -66,8 +66,8 @@ TEST(MudsTest, PrefixTreeToggleDoesNotChangeResults) {
     with_tree.use_prefix_tree = true;
     MudsOptions without_tree;
     without_tree.use_prefix_tree = false;
-    MudsResult a = Muds::Run(r, with_tree);
-    MudsResult b = Muds::Run(r, without_tree);
+    MudsResult a = Muds::Run(r, {}, with_tree);
+    MudsResult b = Muds::Run(r, {}, without_tree);
     EXPECT_EQ(a.fds, b.fds) << "seed " << seed;
     EXPECT_EQ(a.uccs, b.uccs) << "seed " << seed;
   }
@@ -81,8 +81,8 @@ TEST(MudsTest, SkippingThePaperShadowedPhaseDoesNotChangeResults) {
     MudsOptions with_phase;
     MudsOptions without_phase;
     without_phase.run_paper_shadowed_phase = false;
-    MudsResult a = Muds::Run(r, with_phase);
-    MudsResult b = Muds::Run(r, without_phase);
+    MudsResult a = Muds::Run(r, {}, with_phase);
+    MudsResult b = Muds::Run(r, {}, without_phase);
     EXPECT_EQ(a.fds, b.fds) << "seed " << seed;
     EXPECT_EQ(a.uccs, b.uccs) << "seed " << seed;
   }
@@ -90,12 +90,12 @@ TEST(MudsTest, SkippingThePaperShadowedPhaseDoesNotChangeResults) {
 
 TEST(MudsTest, SeedIndependence) {
   Relation r = DeduplicateRows(RandomRelation(42, 7, 70, 3)).relation;
-  MudsOptions options;
-  options.seed = 1;
-  const MudsResult reference = Muds::Run(r, options);
+  EngineConfig config;
+  config.seed = 1;
+  const MudsResult reference = Muds::Run(r, config);
   for (uint64_t seed = 2; seed <= 6; ++seed) {
-    options.seed = seed;
-    MudsResult result = Muds::Run(r, options);
+    config.seed = seed;
+    MudsResult result = Muds::Run(r, config);
     EXPECT_EQ(result.fds, reference.fds) << "seed " << seed;
     EXPECT_EQ(result.uccs, reference.uccs) << "seed " << seed;
   }
@@ -119,10 +119,10 @@ TEST(MudsTest, PaperShadowedReconstructionIsIncomplete) {
 
     MudsOptions fixpoint;
     fixpoint.completion = MudsOptions::Completion::kFixpoint;
-    if (Muds::Run(r, fixpoint).fds != expected) ++incomplete;
+    if (Muds::Run(r, {}, fixpoint).fds != expected) ++incomplete;
 
     MudsOptions exhaustive;  // The default.
-    EXPECT_EQ(Muds::Run(r, exhaustive).fds, expected) << "seed " << seed;
+    EXPECT_EQ(Muds::Run(r, {}, exhaustive).fds, expected) << "seed " << seed;
   }
   EXPECT_GT(incomplete, 0)
       << "the paper-faithful mode unexpectedly became complete; if this is "

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "test_util.h"
 
 namespace muds {
@@ -118,24 +121,52 @@ TEST(ProfilerTest, MissingFilePropagatesError) {
   EXPECT_EQ(result.status().code(), StatusCode::kIoError);
 }
 
+int64_t Metric(const ProfilingResult& result, const std::string& name) {
+  for (const auto& [key, value] : result.metrics) {
+    if (key == name) return value;
+  }
+  return -1;
+}
+
 TEST(ProfilerTest, TinyPliBudgetDoesNotChangeResults) {
-  // An eviction-forcing budget only trades rebuild work for memory: the
-  // discovered dependency sets must be identical, for every algorithm and
-  // thread count.
+  // Every EngineConfig field must reach every engine, and none may change
+  // the discovered dependency sets. Identical results alone would not show
+  // a field that stopped being passed on, so the run's metric deltas are
+  // checked too: the sampler must have drawn pairs, and the engines that
+  // own a PLI cache must have spilled under the eviction-forcing budget.
   const Relation r = RandomRelation(11, 6, 120, 3);
-  for (Algorithm algorithm : {Algorithm::kMuds, Algorithm::kBaseline}) {
-    for (int threads : {1, 2}) {
-      ProfileOptions unlimited;
-      unlimited.algorithm = algorithm;
-      unlimited.num_threads = threads;
-      unlimited.pli_budget_bytes = 0;
-      ProfileOptions tiny = unlimited;
-      tiny.pli_budget_bytes = 1;
-      const ProfilingResult a = ProfileRelation(r, unlimited);
-      const ProfilingResult b = ProfileRelation(r, tiny);
-      EXPECT_EQ(a.inds, b.inds) << AlgorithmName(algorithm);
-      EXPECT_EQ(a.uccs, b.uccs) << AlgorithmName(algorithm);
-      EXPECT_EQ(a.fds, b.fds) << AlgorithmName(algorithm);
+  EngineConfig config;
+  config.seed = 7;
+  config.num_threads = 3;
+  config.pli_budget_bytes = 1;
+  config.pli_impl = PliImpl::kCsr;
+  config.spill.dir = ::testing::TempDir();
+  config.sampling.pairs = 64;
+  config.sampling.seed = 5;
+  const std::pair<Algorithm, AutoPolicy> runs[] = {
+      {Algorithm::kMuds, AutoPolicy::kColumnCount},
+      {Algorithm::kHolisticFun, AutoPolicy::kColumnCount},
+      {Algorithm::kBaseline, AutoPolicy::kColumnCount},
+      {Algorithm::kAuto, AutoPolicy::kColumnCount},
+      {Algorithm::kAuto, AutoPolicy::kUccShape},
+  };
+  for (const auto& [algorithm, policy] : runs) {
+    ProfileOptions defaults;
+    defaults.algorithm = algorithm;
+    defaults.auto_policy = policy;
+    ProfileOptions tuned = defaults;
+    static_cast<EngineConfig&>(tuned) = config;
+    const ProfilingResult a = ProfileRelation(r, defaults);
+    const ProfilingResult b = ProfileRelation(r, tuned);
+    const std::string label = std::string(AlgorithmName(algorithm)) + "/" +
+                              AlgorithmName(b.algorithm_used);
+    EXPECT_EQ(a.algorithm_used, b.algorithm_used) << label;
+    EXPECT_EQ(a.inds, b.inds) << label;
+    EXPECT_EQ(a.uccs, b.uccs) << label;
+    EXPECT_EQ(a.fds, b.fds) << label;
+    EXPECT_GT(Metric(b, "sampling.pairs"), 0) << label;
+    if (b.algorithm_used != Algorithm::kHolisticFun) {
+      EXPECT_GT(Metric(b, "pli_cache.spill_writes"), 0) << label;
     }
   }
 }

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/mmap_file.h"
+#include "test_util.h"
+
 namespace muds {
 namespace {
 
@@ -237,6 +240,71 @@ TEST(CsvFileTest, SmallFileThroughMmapPathParses) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_EQ(result.value().NumRows(), 2);
   EXPECT_EQ(result.value().Row(1), original.Row(1));
+  std::remove(path.c_str());
+}
+
+std::string MmapTempPath(const char* stem) {
+  return ::testing::TempDir() + "/muds_csv_mmap_test_" + stem;
+}
+
+TEST(MappedFileTest, EmptyFileYieldsUnmappedEmptyView) {
+  // mmap(len=0) is invalid, so a size-0 file opens as "not mapped"; view()
+  // must hand back an empty view instead of wrapping a null pointer.
+  const std::string path = MmapTempPath("empty");
+  { std::ofstream touch(path, std::ios::binary | std::ios::trunc); }
+  Result<MappedFile> mapped = MappedFile::Open(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  EXPECT_FALSE(mapped.value().mapped());
+  EXPECT_EQ(mapped.value().size(), 0u);
+  EXPECT_TRUE(mapped.value().view().empty());
+  // Advice on an unmapped file must be a harmless no-op.
+  mapped.value().Advise(MappedFile::Advice::kSequential);
+  std::remove(path.c_str());
+}
+
+TEST(MappedFileTest, MapsFileContentsReadOnly) {
+  const std::string path = MmapTempPath("mapped");
+  const std::string payload = "hello, mapped world";
+  {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fputs(payload.c_str(), f);
+    std::fclose(f);
+  }
+  Result<MappedFile> mapped = MappedFile::Open(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  EXPECT_EQ(mapped.value().view(), payload);
+  // Advice is best-effort; exercising it must not disturb the mapping.
+  mapped.value().Advise(MappedFile::Advice::kSequential);
+  mapped.value().Advise(MappedFile::Advice::kRandom);
+  EXPECT_EQ(mapped.value().view(), payload);
+  EXPECT_FALSE(MappedFile::Open(MmapTempPath("mapped_missing")).ok());
+  std::remove(path.c_str());
+}
+
+TEST(CsvMmapTest, MmapIngestMatchesBufferedIngest) {
+  const Relation original = RandomRelation(9, 4, 400, 10);
+  const std::string path = MmapTempPath("csv");
+  ASSERT_TRUE(CsvWriter::WriteFile(original, path).ok());
+
+  CsvOptions buffered;
+  buffered.mmap_min_bytes = static_cast<size_t>(-1);  // Never map.
+  CsvOptions mapped;
+  mapped.mmap_min_bytes = 0;  // Always map.
+  Result<Relation> a = CsvReader::ReadFile(path, buffered);
+  Result<Relation> b = CsvReader::ReadFile(path, mapped);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  ASSERT_EQ(a.value().NumColumns(), b.value().NumColumns());
+  ASSERT_EQ(a.value().NumRows(), b.value().NumRows());
+  EXPECT_EQ(a.value().ColumnNames(), b.value().ColumnNames());
+  for (int c = 0; c < a.value().NumColumns(); ++c) {
+    EXPECT_EQ(a.value().GetColumn(c).dictionary,
+              b.value().GetColumn(c).dictionary)
+        << "column " << c;
+    EXPECT_EQ(a.value().GetColumn(c).codes, b.value().GetColumn(c).codes)
+        << "column " << c;
+  }
   std::remove(path.c_str());
 }
 

@@ -61,15 +61,16 @@ TEST_P(DifferentialTest, AllFdAlgorithmsMatchBruteForce) {
   EXPECT_EQ(fun.uccs, expected_uccs) << "FUN uccs, seed " << seed;
 
   // MUDS (default: exhaustive completion).
-  MudsOptions muds_options;
-  muds_options.seed = static_cast<uint64_t>(seed) + 1;
-  MudsResult muds = Muds::Run(r, muds_options);
+  EngineConfig muds_config;
+  muds_config.seed = static_cast<uint64_t>(seed) + 1;
+  MudsResult muds = Muds::Run(r, muds_config);
   EXPECT_EQ(muds.fds, expected_fds) << "MUDS fds, seed " << seed;
   EXPECT_EQ(muds.uccs, expected_uccs) << "MUDS uccs, seed " << seed;
 
   // Without the knowledge-pruning ablation the result must be identical.
-  muds_options.shadowed_knowledge_pruning = false;
-  MudsResult muds_unpruned = Muds::Run(r, muds_options);
+  MudsOptions unpruned;
+  unpruned.shadowed_knowledge_pruning = false;
+  MudsResult muds_unpruned = Muds::Run(r, muds_config, unpruned);
   EXPECT_EQ(muds_unpruned.fds, expected_fds)
       << "MUDS(no knowledge pruning) fds, seed " << seed;
 }

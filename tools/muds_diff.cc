@@ -83,7 +83,7 @@ const char* EngineLabel(Engine engine) {
 
 constexpr size_t kTinyBudgetBytes = 32 * 1024;
 
-struct EngineConfig {
+struct DiffConfig {
   int threads = 1;
   size_t pli_budget_bytes = 0;  // 0 = unlimited
   CsvIoMode io = CsvIoMode::kBuffered;
@@ -109,12 +109,12 @@ struct EngineConfig {
   }
 };
 
-std::vector<EngineConfig> ConfigMatrix() {
-  std::vector<EngineConfig> configs;
+std::vector<DiffConfig> ConfigMatrix() {
+  std::vector<DiffConfig> configs;
   for (int threads : {1, 2, 8}) {
     for (size_t budget : {kTinyBudgetBytes, size_t{0}}) {
       for (CsvIoMode io : {CsvIoMode::kStream, CsvIoMode::kBuffered}) {
-        configs.push_back(EngineConfig{threads, budget, io});
+        configs.push_back(DiffConfig{threads, budget, io});
       }
     }
   }
@@ -124,7 +124,7 @@ std::vector<EngineConfig> ConfigMatrix() {
   for (PliImpl impl : {PliImpl::kCsr, PliImpl::kBitmap}) {
     for (bool scalar : {false, true}) {
       for (int threads : {1, 8}) {
-        EngineConfig config;
+        DiffConfig config;
         config.threads = threads;
         config.impl = impl;
         config.force_scalar_simd = scalar;
@@ -138,7 +138,7 @@ std::vector<EngineConfig> ConfigMatrix() {
   // out-of-core path must be invisible in the result sets.
   for (PliImpl impl : {PliImpl::kAuto, PliImpl::kCsr, PliImpl::kBitmap}) {
     for (int threads : {1, 8}) {
-      EngineConfig config;
+      DiffConfig config;
       config.threads = threads;
       config.pli_budget_bytes = kTinyBudgetBytes;
       config.impl = impl;
@@ -152,11 +152,11 @@ std::vector<EngineConfig> ConfigMatrix() {
   // these runs must produce exactly the oracle's result sets.
   for (int64_t pairs : {int64_t{1024}, int64_t{65536}}) {
     for (int threads : {1, 8}) {
-      EngineConfig config;
+      DiffConfig config;
       config.threads = threads;
       config.sample_pairs = pairs;
       configs.push_back(config);
-      EngineConfig tiny_spill = config;
+      DiffConfig tiny_spill = config;
       tiny_spill.pli_budget_bytes = kTinyBudgetBytes;
       tiny_spill.spill = true;
       configs.push_back(tiny_spill);
@@ -194,7 +194,7 @@ class ScopedForceScalar {
 };
 
 EngineAnswer RunEngine(Engine engine, const std::string& csv_text,
-                       const EngineConfig& config, uint64_t seed) {
+                       const DiffConfig& config, uint64_t seed) {
   EngineAnswer answer;
   ScopedForceScalar scalar_guard(config.force_scalar_simd);
   CsvOptions csv;
@@ -299,7 +299,7 @@ std::string DiffAgainstOracle(const EngineAnswer& answer,
 }
 
 bool Mismatches(Engine engine, const Relation& relation,
-                const EngineConfig& config, uint64_t seed) {
+                const DiffConfig& config, uint64_t seed) {
   const std::string csv_text = CsvWriter::ToString(relation);
   const ReferenceResult oracle = ReferenceProfiler::Profile(relation);
   const EngineAnswer answer = RunEngine(engine, csv_text, config, seed);
@@ -310,7 +310,7 @@ bool Mismatches(Engine engine, const Relation& relation,
 // first drops columns one at a time to a fixpoint, then removes row chunks
 // of halving sizes (ddmin-style). Bounded by `max_runs` engine reruns.
 Relation MinimizeReproducer(Engine engine, Relation relation,
-                            const EngineConfig& config, uint64_t seed,
+                            const DiffConfig& config, uint64_t seed,
                             int max_runs = 400) {
   int runs = 0;
   // Column pass.
@@ -358,7 +358,7 @@ Relation MinimizeReproducer(Engine engine, Relation relation,
   return relation;
 }
 
-void PrintReproducer(Engine engine, const EngineConfig& config,
+void PrintReproducer(Engine engine, const DiffConfig& config,
                      const AdversarialParams& params, int seed,
                      const CliOptions& cli, const Relation& minimized,
                      const std::string& diff) {
@@ -380,7 +380,7 @@ void PrintReproducer(Engine engine, const EngineConfig& config,
 // Runs the full engine x config matrix for one seed. Returns the number of
 // mismatching runs (each already reported + minimized).
 int RunSeed(int seed, const CliOptions& cli,
-            const std::vector<EngineConfig>& configs) {
+            const std::vector<DiffConfig>& configs) {
   const AdversarialParams params =
       SampleAdversarialParams(static_cast<uint64_t>(seed), cli.max_cols,
                               cli.max_rows);
@@ -398,7 +398,7 @@ int RunSeed(int seed, const CliOptions& cli,
   const Engine engines[] = {Engine::kMuds, Engine::kHolisticFun,
                             Engine::kBaseline, Engine::kTane};
   for (Engine engine : engines) {
-    for (const EngineConfig& config : configs) {
+    for (const DiffConfig& config : configs) {
       // TANE has no thread/budget/impl/sampling knobs; run it once per io
       // mode.
       if (engine == Engine::kTane &&
@@ -424,23 +424,23 @@ int RunSeed(int seed, const CliOptions& cli,
 // The append-axis configurations: the thread and memory-pressure extremes.
 // Incremental maintenance must be invisible in the result sets for every
 // thread count and under eviction + spill of the PLIs it patches.
-std::vector<EngineConfig> AppendConfigMatrix() {
-  std::vector<EngineConfig> configs;
+std::vector<DiffConfig> AppendConfigMatrix() {
+  std::vector<DiffConfig> configs;
   for (int threads : {1, 8}) {
-    EngineConfig unlimited;
+    DiffConfig unlimited;
     unlimited.threads = threads;
     configs.push_back(unlimited);
-    EngineConfig tiny_spill;
+    DiffConfig tiny_spill;
     tiny_spill.threads = threads;
     tiny_spill.pli_budget_bytes = kTinyBudgetBytes;
     tiny_spill.spill = true;
     configs.push_back(tiny_spill);
     // Sampled maintenance: the evidence store persists across batches and
     // must stay invisible in the maintained sets.
-    EngineConfig sampled = unlimited;
+    DiffConfig sampled = unlimited;
     sampled.sample_pairs = 1024;
     configs.push_back(sampled);
-    EngineConfig sampled_spill = tiny_spill;
+    DiffConfig sampled_spill = tiny_spill;
     sampled_spill.sample_pairs = 1024;
     configs.push_back(sampled_spill);
   }
@@ -454,7 +454,7 @@ std::vector<EngineConfig> AppendConfigMatrix() {
 // of the row prefix. Returns the number of mismatching (config, batch)
 // runs; `total_runs` counts every comparison performed.
 int RunAppendSeed(int seed, const CliOptions& cli,
-                  const std::vector<EngineConfig>& configs, int* total_runs) {
+                  const std::vector<DiffConfig>& configs, int* total_runs) {
   const AdversarialParams params =
       SampleAdversarialParams(static_cast<uint64_t>(seed), cli.max_cols,
                               cli.max_rows);
@@ -497,7 +497,7 @@ int RunAppendSeed(int seed, const CliOptions& cli,
   }
 
   int mismatches = 0;
-  for (const EngineConfig& config : configs) {
+  for (const DiffConfig& config : configs) {
     CsvOptions csv;
     csv.num_threads = config.threads;
     ProfileOptions options;
@@ -572,7 +572,7 @@ int SelfTest(const CliOptions& cli) {
   const Relation relation = MakeAdversarial(params);
   const ReferenceResult oracle = ReferenceProfiler::Profile(relation);
   const std::string csv_text = CsvWriter::ToString(relation);
-  const EngineConfig config;
+  const DiffConfig config;
   EngineAnswer honest =
       RunEngine(Engine::kMuds, csv_text, config, /*seed=*/1);
   if (!DiffAgainstOracle(honest, oracle, relation.ColumnNames()).empty()) {
@@ -686,8 +686,8 @@ int main(int argc, char** argv) {
   }
   if (cli.self_test) return SelfTest(cli);
 
-  const std::vector<EngineConfig> configs = ConfigMatrix();
-  const std::vector<EngineConfig> append_configs = AppendConfigMatrix();
+  const std::vector<DiffConfig> configs = ConfigMatrix();
+  const std::vector<DiffConfig> append_configs = AppendConfigMatrix();
   int mismatches = 0;
   int runs = 0;
   for (int seed = cli.start_seed; seed < cli.start_seed + cli.seeds; ++seed) {

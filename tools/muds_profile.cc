@@ -335,12 +335,9 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
 }
 
 // The incremental path: profile INPUT, then feed each --append batch to the
-// IncrementalProfiler. Mirrors ProfileCsvFile's thread inheritance (the
-// session thread count drives the ingest engine unless the CSV dialect
-// pinned its own).
+// IncrementalProfiler, loading with the same dialect ProfileCsvFile uses.
 Result<ProfilingResult> ProfileWithAppends(const CliOptions& options) {
-  CsvOptions csv = options.profile.csv;
-  if (csv.num_threads == 1) csv.num_threads = options.profile.num_threads;
+  const CsvOptions csv = CsvOptionsForLoad(options.profile);
   Result<Relation> base = CsvReader::ReadFile(options.input, csv);
   if (!base.ok()) return base.status();
   IncrementalProfiler profiler(base.value(), options.profile);
