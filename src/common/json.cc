@@ -50,9 +50,17 @@ class Parser {
     const char c = text_[pos_];
     switch (c) {
       case '{':
-        return ParseObject(out);
-      case '[':
-        return ParseArray(out);
+      case '[': {
+        // Arrays and objects recurse; bound the depth so hostile input
+        // cannot overflow the stack.
+        if (depth_ == kMaxDepth) {
+          return Error("nesting deeper than " + std::to_string(kMaxDepth));
+        }
+        ++depth_;
+        Status status = c == '{' ? ParseObject(out) : ParseArray(out);
+        --depth_;
+        return status;
+      }
       case '"':
         out->type = Value::Type::kString;
         return ParseString(&out->string);
@@ -206,8 +214,11 @@ class Parser {
     }
   }
 
+  static constexpr int kMaxDepth = 512;
+
   std::string_view text_;
   size_t pos_ = 0;
+  int depth_ = 0;  // Arrays and objects open at pos_.
 };
 
 }  // namespace

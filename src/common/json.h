@@ -42,7 +42,8 @@ class Value {
 };
 
 /// Parses a complete JSON document (trailing whitespace allowed, trailing
-/// garbage is an error). Returns ParseError with a byte offset on failure.
+/// garbage is an error). Returns ParseError with a byte offset on failure,
+/// including for arrays and objects nested more than 512 deep.
 Result<Value> Parse(std::string_view text);
 
 /// Escapes `value` for embedding in JSON, surrounding quotes included.

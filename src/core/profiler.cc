@@ -9,7 +9,6 @@
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "core/holistic_fun.h"
-#include "core/incremental.h"
 #include "core/muds.h"
 #include "data/preprocess.h"
 #include "pli/pli_cache.h"
@@ -197,10 +196,25 @@ CsvOptions CsvOptionsForLoad(const ProfileOptions& options) {
 
 namespace {
 
-// The body of ProfileCsvString and ProfileCsvFile; `load` parses the input.
-template <typename Load>
-Result<ProfilingResult> ProfileCsv(const Load& load,
+// The body of every CSV entry point: `load` parses the input, which grows
+// in place by each of the `num_batches` batches `load_batch(i, csv)`
+// parses, and the grown relation is profiled once. AppendBatch builds
+// exactly the relation a parse of the concatenated input gives, and
+// ProfileRelation deduplicates, so the result is the concatenation's
+// profile, duplicates_removed included. `check_names` is for batches that
+// carry a header.
+template <typename Load, typename LoadBatch>
+Result<ProfilingResult> ProfileCsv(const Load& load, size_t num_batches,
+                                   const LoadBatch& load_batch,
+                                   bool check_names,
                                    const ProfileOptions& options) {
+  if (num_batches > 0 && options.csv.nulls == NullSemantics::kNullUnequal) {
+    // kNullUnequal rewrites each NULL into a per-file unique sentinel, so
+    // batches parsed on their own cannot reproduce a parse of the
+    // concatenated input. Refuse instead of silently diverging.
+    return Status::InvalidArgument(
+        "append batches cannot be combined with NULL != NULL semantics");
+  }
   // The baseline runs three independent tools, each reading the input
   // itself; the holistic algorithms read once (§3: shared I/O).
   const int num_reads = options.algorithm == Algorithm::kBaseline ? 3 : 1;
@@ -208,6 +222,7 @@ Result<ProfilingResult> ProfileCsv(const Load& load,
   // phases only; widen the delta here so ingest.* counters are included.
   const MetricsSnapshot before = MetricsRegistry::Global().Snapshot();
   const CsvOptions csv = CsvOptionsForLoad(options);
+  ThreadPool pool(num_batches > 0 ? csv.num_threads : 1);  // Column merges.
   int64_t load_micros = 0;
   std::optional<Relation> relation;
   for (int i = 0; i < num_reads; ++i) {
@@ -215,8 +230,26 @@ Result<ProfilingResult> ProfileCsv(const Load& load,
     Timer load_timer;
     Result<Relation> parsed = load(csv);
     if (!parsed.ok()) return parsed.status();
-    load_micros += load_timer.ElapsedMicros();
     relation.emplace(std::move(parsed).value());
+    for (size_t b = 0; b < num_batches; ++b) {
+      Result<Relation> batch = load_batch(b, csv);
+      if (!batch.ok()) return batch.status();
+      const int columns = batch.value().NumColumns();
+      if (columns == 0) continue;  // No records: nothing to append.
+      if (columns != relation->NumColumns()) {
+        return Status::InvalidArgument(
+            "append batch " + std::to_string(b + 1) + " has " +
+            std::to_string(columns) + " columns, base has " +
+            std::to_string(relation->NumColumns()));
+      }
+      if (check_names &&
+          batch.value().ColumnNames() != relation->ColumnNames()) {
+        return Status::InvalidArgument(
+            "append batch schema does not match the relation's column names");
+      }
+      relation->AppendBatch(batch.value(), &pool);
+    }
+    load_micros += load_timer.ElapsedMicros();
   }
 
   ProfilingResult result = ProfileRelation(*relation, options);
@@ -230,64 +263,45 @@ Result<ProfilingResult> ProfileCsv(const Load& load,
 
 Result<ProfilingResult> ProfileCsvString(std::string_view text,
                                          const ProfileOptions& options) {
-  return ProfileCsv(
-      [text](const CsvOptions& csv) {
-        return CsvReader::ReadString(text, csv);
-      },
-      options);
+  return ProfileCsvStringWithAppends(text, {}, options);
 }
 
 Result<ProfilingResult> ProfileCsvFile(const std::string& path,
                                        const ProfileOptions& options) {
-  return ProfileCsv(
-      [&path](const CsvOptions& csv) { return CsvReader::ReadFile(path, csv); },
-      options);
+  return ProfileCsvFileWithAppends(path, {}, options);
 }
 
 Result<ProfilingResult> ProfileCsvStringWithAppends(
     std::string_view base, const std::vector<std::string>& appends,
     const ProfileOptions& options) {
-  if (appends.empty()) return ProfileCsvString(base, options);
-  if (options.csv.nulls == NullSemantics::kNullUnequal) {
-    // kNullUnequal rewrites each NULL into a per-file unique sentinel, so
-    // parsing batches separately cannot reproduce a from-scratch parse of
-    // the concatenated input — the incremental == from-scratch guarantee
-    // would not hold. Refuse instead of silently diverging.
-    return Status::InvalidArgument(
-        "append batches cannot be combined with NULL != NULL semantics");
-  }
-  const CsvOptions csv = CsvOptionsForLoad(options);
-  Result<Relation> parsed = CsvReader::ReadString(base, csv);
-  if (!parsed.ok()) return parsed.status();
-  IncrementalProfiler profiler(parsed.value(), options);
-  // Append blobs are headerless row batches in the base's dialect: the
-  // result is the from-scratch profile of the byte concatenation
-  // base + appends[0] + ... (what the serving catalog keys on).
-  CsvOptions batch_csv = csv;
-  batch_csv.has_header = false;
-  for (size_t i = 0; i < appends.size(); ++i) {
-    Result<Relation> batch = CsvReader::ReadString(
-        appends[i], batch_csv, "append" + std::to_string(i + 1));
-    if (!batch.ok()) return batch.status();
-    if (batch.value().NumColumns() != parsed.value().NumColumns()) {
-      return Status::InvalidArgument(
-          "append batch " + std::to_string(i + 1) + " has " +
-          std::to_string(batch.value().NumColumns()) + " columns, base has " +
-          std::to_string(parsed.value().NumColumns()));
-    }
-    // The headerless parse synthesized positional column names; restore
-    // the base schema so the incremental schema check sees one relation.
-    std::vector<Column> columns;
-    columns.reserve(static_cast<size_t>(batch.value().NumColumns()));
-    for (int c = 0; c < batch.value().NumColumns(); ++c) {
-      columns.push_back(batch.value().GetColumn(c));
-    }
-    Relation renamed(batch.value().name(), parsed.value().ColumnNames(),
-                     std::move(columns), batch.value().NumRows());
-    const Status appended = profiler.Append(renamed);
-    if (!appended.ok()) return appended;
-  }
-  return profiler.Result();
+  return ProfileCsv(
+      [base](const CsvOptions& csv) {
+        return CsvReader::ReadString(base, csv);
+      },
+      appends.size(),
+      [&appends](size_t i, const CsvOptions& csv) -> Result<Relation> {
+        const std::string name = "append" + std::to_string(i + 1);
+        // Only line breaks: no records, so no rows and no columns.
+        if (appends[i].find_first_not_of("\r\n") == std::string::npos) {
+          return Relation(name, {}, {}, 0);
+        }
+        CsvOptions batch_csv = csv;
+        batch_csv.has_header = false;
+        return CsvReader::ReadString(appends[i], batch_csv, name);
+      },
+      /*check_names=*/false, options);
+}
+
+Result<ProfilingResult> ProfileCsvFileWithAppends(
+    const std::string& path, const std::vector<std::string>& append_paths,
+    const ProfileOptions& options) {
+  return ProfileCsv(
+      [&path](const CsvOptions& csv) { return CsvReader::ReadFile(path, csv); },
+      append_paths.size(),
+      [&append_paths](size_t i, const CsvOptions& csv) {
+        return CsvReader::ReadFile(append_paths[i], csv);
+      },
+      /*check_names=*/true, options);
 }
 
 }  // namespace muds

@@ -120,18 +120,23 @@ Result<ProfilingResult> ProfileCsvFile(const std::string& path,
 /// pinned `csv.num_threads` to something other than its default.
 CsvOptions CsvOptionsForLoad(const ProfileOptions& options);
 
-/// Profiles `base` and then applies each element of `appends` — headerless
-/// row batches in the base's dialect — as delta batches through
-/// IncrementalProfiler instead of re-profiling the concatenation: the
-/// serving layer's append fast path. The result is bit-identical to a
-/// from-scratch profile of the byte concatenation base + appends[0] + ....
-/// Rejects NullSemantics::kNullUnequal when `appends` is non-empty (its
-/// per-file NULL sentinels would break that equivalence) and batches whose
-/// column count differs from the base.
+/// The one-shot append path muds_serve runs: parses `base` and each of
+/// `appends` (headerless row batches in the base's dialect), grows the base
+/// by the batches with Relation::AppendBatch and profiles once. The result
+/// is ProfileCsvString of the concatenation base + appends[0] + ...; a blob
+/// of only line breaks adds no rows. Rejects kNullUnequal with appends
+/// (per-file NULL sentinels break that equivalence) and batches whose
+/// column count differs from the base. IncrementalProfiler is the API for
+/// callers that keep a profile alive across appends.
 Result<ProfilingResult> ProfileCsvStringWithAppends(
     std::string_view base, const std::vector<std::string>& appends,
     const ProfileOptions& options = {});
 
+/// The same for files, as muds_profile --append runs it: batches are in the
+/// full dialect, so a header must repeat the base's column names.
+Result<ProfilingResult> ProfileCsvFileWithAppends(
+    const std::string& path, const std::vector<std::string>& append_paths,
+    const ProfileOptions& options = {});
 
 }  // namespace muds
 

@@ -4,6 +4,7 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -44,21 +45,6 @@ bool ReadExact(int fd, void* buffer, size_t n) {
   return true;
 }
 
-bool WriteExact(int fd, const void* buffer, size_t n) {
-  const char* in = static_cast<const char*>(buffer);
-  while (n > 0) {
-    const ssize_t wrote = ::send(fd, in, n, MSG_NOSIGNAL);
-    if (wrote > 0) {
-      in += wrote;
-      n -= static_cast<size_t>(wrote);
-      continue;
-    }
-    if (wrote < 0 && errno == EINTR) continue;
-    return false;
-  }
-  return true;
-}
-
 // Reads one length-prefixed frame. Returns false on clean EOF, error, or
 // an oversized length (the caller closes the connection either way).
 bool ReadFrame(int fd, std::string* payload) {
@@ -70,10 +56,36 @@ bool ReadFrame(int fd, std::string* payload) {
   return length == 0 || ReadExact(fd, payload->data(), length);
 }
 
+// Sends the length prefix and the payload in one sendmsg, so a response is
+// one segment rather than a small one that Nagle's algorithm holds back
+// until the peer's delayed ACK. Loops over partial writes.
 bool WriteFrame(int fd, const std::string& payload) {
   const uint32_t length_be = htonl(static_cast<uint32_t>(payload.size()));
-  return WriteExact(fd, &length_be, sizeof(length_be)) &&
-         WriteExact(fd, payload.data(), payload.size());
+  iovec parts[2] = {
+      {const_cast<uint32_t*>(&length_be), sizeof(length_be)},
+      {const_cast<char*>(payload.data()), payload.size()},
+  };
+  msghdr message{};
+  message.msg_iov = parts;
+  message.msg_iovlen = 2;
+  while (message.msg_iovlen > 0) {
+    const ssize_t wrote = ::sendmsg(fd, &message, MSG_NOSIGNAL);
+    if (wrote < 0 && errno == EINTR) continue;
+    if (wrote <= 0) return false;
+    // Skip the fully written parts, then advance into the partial one.
+    size_t left = static_cast<size_t>(wrote);
+    while (message.msg_iovlen > 0 && left >= message.msg_iov->iov_len) {
+      left -= message.msg_iov->iov_len;
+      ++message.msg_iov;
+      --message.msg_iovlen;
+    }
+    if (message.msg_iovlen > 0) {
+      message.msg_iov->iov_base =
+          static_cast<char*>(message.msg_iov->iov_base) + left;
+      message.msg_iov->iov_len -= left;
+    }
+  }
+  return true;
 }
 
 json::Value MakeString(std::string text) {
@@ -425,9 +437,9 @@ Status Server::RunProfileJob(JobContext& context,
   if (status.ok()) {
     MUDS_TRACE_SPAN("serveProfile",
                     "{\"job\":" + std::to_string(context.id()) + "}");
-    // Append batches route through the IncrementalProfiler fast path;
-    // plain submissions profile from scratch. (Parsing happens inside —
-    // a parse error is a job failure, not a server failure.)
+    // Append batches grow the parsed base before the one profile; plain
+    // submissions profile the base alone. (Parsing happens inside — a
+    // parse error is a job failure, not a server failure.)
     profiled = ProfileCsvStringWithAppends(*csv, *appends, options);
     if (profiled.ok()) status = context.CheckAlive();
   }

@@ -36,9 +36,10 @@ namespace serve {
 ///             "seed": N}
 ///            -> {"ok": true, "job": ID, "state": "queued"} or
 ///               {"ok": false, "code": "OutOfRange"|"Unavailable", ...}
-///            An `appends` array routes the job through the incremental
-///            append fast path (IncrementalProfiler) instead of profiling
-///            the concatenation from scratch.
+///            An `appends` array holds headerless row batches in the
+///            base's dialect: the job grows the parsed base by them and
+///            profiles once, with the result of profiling the
+///            concatenation.
 ///   status   {"job": ID} -> {"ok": true, "state": ...}
 ///   result   {"job": ID, "timeout_ms": N} — blocks until terminal ->
 ///            {"ok": true, "state": "done", "catalog_hit": BOOL,
@@ -129,9 +130,9 @@ class Server {
   std::string HandleCancel(const json::Value& request);
   std::string HandleStats();
 
-  /// The job body: catalog lookup/coalesce -> parse -> profile (or append
-  /// fast path) -> serialize + publish, with JobContext::CheckAlive() at
-  /// every phase boundary.
+  /// The job body: catalog lookup/coalesce -> parse, grow by any append
+  /// batches, profile -> serialize + publish, with JobContext::CheckAlive()
+  /// at every phase boundary.
   Status RunProfileJob(JobContext& context, std::shared_ptr<std::string> csv,
                        std::shared_ptr<std::vector<std::string>> appends,
                        ProfileOptions options,

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/json.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/string_util.h"
@@ -148,6 +149,23 @@ TEST(PhaseTimingsTest, TraceSpanAdds) {
   }
   EXPECT_EQ(timings.entries().size(), 1u);
   EXPECT_GE(timings.Micros("scope"), 0);
+}
+
+TEST(JsonTest, DeepNestingIsAnErrorNotAStackOverflow) {
+  const Result<json::Value> deep = json::Parse(std::string(200000, '['));
+  ASSERT_FALSE(deep.ok());
+  EXPECT_EQ(deep.status().code(), StatusCode::kParseError);
+  EXPECT_NE(deep.status().message().find("at byte 512"), std::string::npos)
+      << deep.status().message();
+
+  // 512 levels still parse; objects count towards the same limit.
+  const Result<json::Value> at_limit =
+      json::Parse(std::string(512, '[') + std::string(512, ']'));
+  EXPECT_TRUE(at_limit.ok()) << at_limit.status().ToString();
+  std::string objects;
+  for (int i = 0; i < 513; ++i) objects += "{\"k\":";
+  objects += "1" + std::string(513, '}');
+  EXPECT_FALSE(json::Parse(objects).ok());
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // ResultCatalog: content-hash keying, hit/miss/coalesce semantics, abort
-// promotion, LRU eviction — and the append-aware fast path the server
-// routes through it (a delta submission profiled incrementally must be
-// interchangeable with the from-scratch profile of the concatenation).
+// promotion, LRU eviction — and the append path the server routes through
+// it (a submission with append batches must be interchangeable with the
+// profile of the concatenation).
 
 #include "serve/catalog.h"
 
@@ -167,10 +167,32 @@ TEST(CatalogTest, EvictsLeastRecentlyUsedReadyEntry) {
   EXPECT_EQ(catalog.FindOrBegin("a"), nullptr);
 }
 
-// The serving fast path: a submission with append batches runs through
-// IncrementalProfiler and must land on exactly the dependency sets of a
-// from-scratch profile over the concatenation — that equivalence is what
-// makes it safe for the catalog to treat (base, appends) as content.
+// Profiles `base` grown by `appends` and the byte concatenation, and
+// expects the same answer from both.
+void ExpectAppendsEqualConcatenation(const std::string& base,
+                                     const std::vector<std::string>& appends,
+                                     const ProfileOptions& options = {}) {
+  const Result<ProfilingResult> grown =
+      ProfileCsvStringWithAppends(base, appends, options);
+  ASSERT_TRUE(grown.ok()) << grown.status().ToString();
+  std::string concatenation = base;
+  for (const std::string& batch : appends) concatenation += batch;
+  const Result<ProfilingResult> scratch =
+      ProfileCsvString(concatenation, options);
+  ASSERT_TRUE(scratch.ok()) << scratch.status().ToString();
+
+  EXPECT_EQ(grown.value().inds, scratch.value().inds);
+  EXPECT_EQ(grown.value().uccs, scratch.value().uccs);
+  EXPECT_EQ(grown.value().fds, scratch.value().fds);
+  EXPECT_EQ(grown.value().column_names, scratch.value().column_names);
+  EXPECT_EQ(grown.value().duplicates_removed,
+            scratch.value().duplicates_removed);
+}
+
+// The serving append path: a submission with append batches must land on
+// exactly the dependency sets of a profile of the concatenation — that
+// equivalence is what makes it safe for the catalog to treat
+// (base, appends) as content.
 TEST(CatalogTest, AppendFastPathEqualsFromScratch) {
   const std::string base =
       "a,b,c\n"
@@ -179,20 +201,48 @@ TEST(CatalogTest, AppendFastPathEqualsFromScratch) {
       "3,z,20\n";
   const std::string delta1 = "4,x,20\n5,w,30\n";
   const std::string delta2 = "6,q,10\n1,x,10\n";  // Includes a duplicate.
+  ExpectAppendsEqualConcatenation(base, {delta1, delta2});
+}
 
-  ProfileOptions options;
-  const Result<ProfilingResult> incremental =
-      ProfileCsvStringWithAppends(base, {delta1, delta2}, options);
-  ASSERT_TRUE(incremental.ok()) << incremental.status().ToString();
+TEST(CatalogTest, AppendEdgeCasesEqualConcatenation) {
+  const std::string base = "a,b,c\n1,x,10\n2,y,10\n3,z,20\n";
+  {
+    SCOPED_TRACE("header-only base");
+    ExpectAppendsEqualConcatenation("a,b,c\n", {"1,x,10\n2,x,20\n"});
+  }
+  {
+    SCOPED_TRACE("empty batch");
+    ExpectAppendsEqualConcatenation(base, {""});
+    ExpectAppendsEqualConcatenation(base, {"4,w,30\n", "", "\r\n\n"});
+  }
+  {
+    SCOPED_TRACE("batch of base rows only");
+    ExpectAppendsEqualConcatenation(base, {"1,x,10\n3,z,20\n1,x,10\n"});
+    const Result<ProfilingResult> repeated =
+        ProfileCsvStringWithAppends(base, {"1,x,10\n3,z,20\n1,x,10\n"});
+    ASSERT_TRUE(repeated.ok());
+    EXPECT_EQ(repeated.value().duplicates_removed, 3);
+  }
+  {
+    SCOPED_TRACE("no trailing newline");
+    ExpectAppendsEqualConcatenation(base, {"4,x,20\n5,w,30"});
+  }
+  {
+    SCOPED_TRACE("three threads");
+    ProfileOptions options;
+    options.num_threads = 3;
+    ExpectAppendsEqualConcatenation(base, {"4,x,20\n5,w,30\n", "6,q,10\n"},
+                                    options);
+  }
+}
 
-  const Result<ProfilingResult> scratch =
-      ProfileCsvString(base + delta1 + delta2, options);
-  ASSERT_TRUE(scratch.ok()) << scratch.status().ToString();
-
-  EXPECT_EQ(incremental.value().inds, scratch.value().inds);
-  EXPECT_EQ(incremental.value().uccs, scratch.value().uccs);
-  EXPECT_EQ(incremental.value().fds, scratch.value().fds);
-  EXPECT_EQ(incremental.value().column_names, scratch.value().column_names);
+TEST(CatalogTest, AppendColumnCountMismatchNamesTheBatch) {
+  const Result<ProfilingResult> result = ProfileCsvStringWithAppends(
+      "a,b\n1,2\n", {"3,4\n", "5,6,7\n"});
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(result.status().message(),
+            "append batch 2 has 3 columns, base has 2");
 }
 
 TEST(CatalogTest, AppendFastPathRejectsNullUnequal) {

@@ -1,7 +1,7 @@
 // End-to-end serving test: an in-process serve::Server on an ephemeral
 // port, driven through the real socket protocol (4-byte big-endian length
 // + JSON frames). Pins the full request surface — submit, duplicate
-// submit answered from the catalog, append fast path, status, result,
+// submit answered from the catalog, append path, status, result,
 // cancel, stats, admission errors, and the protocol shutdown drain.
 
 #include <arpa/inet.h>
@@ -335,6 +335,20 @@ TEST_F(ServeE2eTest, CancelAndErrorsAndUnknownCommands) {
   // The largest exact seed is still accepted.
   json::Value max_seed = client.Rpc(submit + "\"seed\":9007199254740992}");
   EXPECT_TRUE(max_seed.Find("ok")->boolean) << json::Dump(max_seed);
+
+  // A frame nested far past the parser's depth limit is an error frame,
+  // not a stack overflow, and the server keeps serving.
+  json::Value deep = client.Rpc(std::string(200000, '['));
+  EXPECT_FALSE(deep.Find("ok")->boolean);
+  EXPECT_EQ(Text(deep, "code"), "ParseError");
+  Client fresh(server_->port());
+  json::Value after = fresh.Rpc(submit + "\"seed\":3}");
+  ASSERT_TRUE(after.Find("ok")->boolean) << json::Dump(after);
+  json::Value after_done = fresh.Rpc(
+      "{\"cmd\":\"result\",\"job\":" +
+      std::to_string(static_cast<int64_t>(Number(after, "job"))) +
+      ",\"timeout_ms\":60000}");
+  EXPECT_TRUE(after_done.Find("ok")->boolean) << json::Dump(after_done);
 }
 
 TEST_F(ServeE2eTest, ProtocolShutdownDrainsAndRejectsLateSubmits) {

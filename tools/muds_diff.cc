@@ -21,11 +21,13 @@
 // seed, the generator parameters, the failing engine + configuration, the
 // result diff, and the minimized CSV dump.
 //
-// An append axis exercises the incremental profiler: each seed's relation
-// is split into a base slice plus --append-batches row batches, every slice
-// goes through the CSV surface, and after every IncrementalProfiler::Append
-// the maintained sets must equal the oracle's from-scratch profile of the
-// row prefix — across {threads: 1,8} x {budget: unlimited, tiny+spill}.
+// An append axis exercises both append paths: each seed's relation is
+// split into a base slice plus --append-batches row batches, every slice
+// goes through the CSV surface, and for every row prefix both the one-shot
+// ProfileCsvStringWithAppends (what muds_serve runs) and the maintained
+// sets after each IncrementalProfiler::Append must equal the oracle's
+// from-scratch profile of the prefix — across {threads: 1,8} x {budget:
+// unlimited, tiny+spill} x {sampling: off, 1K pairs}.
 //
 // Usage:
 //   muds_diff [--seeds=N] [--start-seed=N] [--max-cols=N] [--max-rows=N]
@@ -448,11 +450,12 @@ std::vector<DiffConfig> AppendConfigMatrix() {
 }
 
 // Runs the append axis for one seed: split the generated relation into a
-// base slice plus `cli.append_batches` row batches, feed every slice
-// through the CSV surface into an IncrementalProfiler, and after each
-// Append diff the maintained sets against the oracle's from-scratch profile
-// of the row prefix. Returns the number of mismatching (config, batch)
-// runs; `total_runs` counts every comparison performed.
+// base slice plus `cli.append_batches` row batches and, for every row
+// prefix, diff two answers against the oracle's from-scratch profile of
+// that prefix: the one-shot ProfileCsvStringWithAppends of the base plus
+// the prefix's batches, and an IncrementalProfiler fed the batches one
+// Append at a time. Returns the number of mismatching (path, config,
+// batch) runs; `total_runs` counts every comparison performed.
 int RunAppendSeed(int seed, const CliOptions& cli,
                   const std::vector<DiffConfig>& configs, int* total_runs) {
   const AdversarialParams params =
@@ -496,7 +499,35 @@ int RunAppendSeed(int seed, const CliOptions& cli,
                  static_cast<int>(base_rows), cuts.size() - 1);
   }
 
+  // The CSV surface: the base with its header, every batch both with a
+  // header (IncrementalProfiler parses it on its own) and headerless (the
+  // blob ProfileCsvStringWithAppends takes, as muds_serve sends it). A
+  // 0-row slice serializes to exactly the header.
+  const std::string base_csv = CsvWriter::ToString(slice_rows(0, cuts[0]));
+  const size_t header_bytes = CsvWriter::ToString(slice_rows(0, 0)).size();
+  std::vector<std::string> batch_csvs;
+  std::vector<std::string> headerless_batches;
+  for (size_t batch = 1; batch < cuts.size(); ++batch) {
+    batch_csvs.push_back(
+        CsvWriter::ToString(slice_rows(cuts[batch - 1], cuts[batch])));
+    headerless_batches.push_back(batch_csvs.back().substr(header_bytes));
+  }
+
   int mismatches = 0;
+  // Reports a mismatch after `batch` of the (`path`, `config`) run.
+  const auto report = [&](const char* path, const DiffConfig& config,
+                          size_t batch, const std::string& diff) {
+    ++mismatches;
+    std::fprintf(stderr,
+                 "APPEND MISMATCH seed=%d %s %s batch=%zu/%zu (prefix %d "
+                 "rows)\n  generator: %s\n  reproduce: muds_diff "
+                 "--start-seed=%d --seeds=1 --max-cols=%d --max-rows=%lld "
+                 "--append-batches=%d --append-only\n%s",
+                 seed, path, config.Label().c_str(), batch, cuts.size() - 1,
+                 static_cast<int>(cuts[batch]), params.ToString().c_str(),
+                 seed, cli.max_cols, static_cast<long long>(cli.max_rows),
+                 cli.append_batches, diff.c_str());
+  };
   for (const DiffConfig& config : configs) {
     CsvOptions csv;
     csv.num_threads = config.threads;
@@ -512,8 +543,32 @@ int RunAppendSeed(int seed, const CliOptions& cli,
     options.sampling.seed = static_cast<uint64_t>(seed) + 17;
     options.csv = csv;
 
-    const std::string base_csv =
-        CsvWriter::ToString(slice_rows(0, cuts[0]));
+    // The one-shot path muds_serve runs: base plus every batch prefix,
+    // grown and profiled once per prefix.
+    for (size_t batch = 1; batch < cuts.size(); ++batch) {
+      ++*total_runs;
+      const std::vector<std::string> prefix(
+          headerless_batches.begin(),
+          headerless_batches.begin() + static_cast<std::ptrdiff_t>(batch));
+      const Result<ProfilingResult> grown =
+          ProfileCsvStringWithAppends(base_csv, prefix, options);
+      std::string diff;
+      if (!grown.ok()) {
+        diff = "  one-shot append failed: " + grown.status().ToString() +
+               "\n";
+      } else {
+        EngineAnswer answer;
+        answer.ok = true;
+        answer.inds = grown.value().inds;
+        answer.uccs = grown.value().uccs;
+        answer.fds = grown.value().fds;
+        diff = DiffAgainstOracle(answer, oracles[batch - 1],
+                                 relation.ColumnNames());
+      }
+      if (!diff.empty()) report("one-shot", config, batch, diff);
+    }
+
+    // The maintained state IncrementalProfiler keeps across batches.
     Result<Relation> base = CsvReader::ReadString(base_csv, csv);
     if (!base.ok()) {
       std::fprintf(stderr, "APPEND MISMATCH seed=%d %s: base parse: %s\n",
@@ -526,9 +581,8 @@ int RunAppendSeed(int seed, const CliOptions& cli,
 
     for (size_t batch = 1; batch < cuts.size(); ++batch) {
       ++*total_runs;
-      const std::string batch_csv =
-          CsvWriter::ToString(slice_rows(cuts[batch - 1], cuts[batch]));
-      Result<Relation> parsed = CsvReader::ReadString(batch_csv, csv);
+      Result<Relation> parsed =
+          CsvReader::ReadString(batch_csvs[batch - 1], csv);
       std::string diff;
       if (!parsed.ok()) {
         diff = "  batch parse failed: " + parsed.status().ToString() + "\n";
@@ -547,16 +601,7 @@ int RunAppendSeed(int seed, const CliOptions& cli,
         }
       }
       if (diff.empty()) continue;
-      ++mismatches;
-      std::fprintf(stderr,
-                   "APPEND MISMATCH seed=%d %s batch=%zu/%zu (prefix %d "
-                   "rows)\n  generator: %s\n  reproduce: muds_diff "
-                   "--start-seed=%d --seeds=1 --max-cols=%d --max-rows=%lld "
-                   "--append-batches=%d --append-only\n%s",
-                   seed, config.Label().c_str(), batch, cuts.size() - 1,
-                   static_cast<int>(cuts[batch]), params.ToString().c_str(),
-                   seed, cli.max_cols, static_cast<long long>(cli.max_rows),
-                   cli.append_batches, diff.c_str());
+      report("incremental", config, batch, diff);
       break;  // Later batches of this run inherit the corrupted state.
     }
   }

@@ -8,16 +8,16 @@
 //   --separator=C                         CSV field separator (default ,)
 //   --no-header                           first record is data, not names
 //   --max-rows=N                          profile only the first N rows
-//   --append=FILE                         profile INPUT.csv, then append
-//                                         FILE's rows (same schema, no
-//                                         header requirement beyond the
-//                                         dialect) and incrementally repair
-//                                         the dependency sets instead of
-//                                         re-profiling; repeatable, batches
-//                                         apply in order. Incompatible with
+//   --append=FILE                         grow INPUT.csv by FILE's rows
+//                                         (same schema and dialect, so a
+//                                         header when INPUT.csv has one)
+//                                         and profile the grown relation
+//                                         once; repeatable, batches apply
+//                                         in order. Incompatible with
 //                                         --null-unequal (its per-file NULL
-//                                         sentinels would make incremental
-//                                         and from-scratch runs diverge)
+//                                         sentinels would make the result
+//                                         differ from profiling the
+//                                         concatenated file)
 //   --null-token=S                        cells equal to S are NULL
 //   --null-unequal                        NULL != NULL semantics
 //   --io=buffered|stream                  ingest engine (default buffered:
@@ -86,7 +86,6 @@
 #include <vector>
 
 #include "common/trace.h"
-#include "core/incremental.h"
 #include "core/profiler.h"
 #include "core/report.h"
 #include "data/statistics.h"
@@ -322,32 +321,7 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
     std::fprintf(stderr, "missing input file\n");
     return false;
   }
-  if (!options->append_paths.empty() &&
-      options->profile.csv.nulls == NullSemantics::kNullUnequal) {
-    // kNullUnequal rewrites each NULL into a per-file unique sentinel, so
-    // parsing batches separately cannot reproduce a from-scratch parse of
-    // the concatenated input — the incremental == from-scratch guarantee
-    // would not hold. Refuse instead of silently diverging.
-    std::fprintf(stderr, "--append cannot be combined with --null-unequal\n");
-    return false;
-  }
   return true;
-}
-
-// The incremental path: profile INPUT, then feed each --append batch to the
-// IncrementalProfiler, loading with the same dialect ProfileCsvFile uses.
-Result<ProfilingResult> ProfileWithAppends(const CliOptions& options) {
-  const CsvOptions csv = CsvOptionsForLoad(options.profile);
-  Result<Relation> base = CsvReader::ReadFile(options.input, csv);
-  if (!base.ok()) return base.status();
-  IncrementalProfiler profiler(base.value(), options.profile);
-  for (const std::string& path : options.append_paths) {
-    Result<Relation> batch = CsvReader::ReadFile(path, csv);
-    if (!batch.ok()) return batch.status();
-    const Status appended = profiler.Append(batch.value());
-    if (!appended.ok()) return appended;
-  }
-  return profiler.Result();
 }
 
 }  // namespace
@@ -359,10 +333,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (!options.trace_path.empty()) TraceCollector::Global().Start();
-  Result<ProfilingResult> result =
-      options.append_paths.empty()
-          ? ProfileCsvFile(options.input, options.profile)
-          : ProfileWithAppends(options);
+  Result<ProfilingResult> result = ProfileCsvFileWithAppends(
+      options.input, options.append_paths, options.profile);
   if (!options.trace_path.empty()) {
     TraceCollector& collector = TraceCollector::Global();
     collector.Stop();
