@@ -5,6 +5,11 @@
 // the streaming reference before reporting — a perf number for a wrong
 // parse would be meaningless.
 //
+// The long_narrow/* rows repeat the comparison on a quote-free 1M x 8 CSV
+// of short low-cardinality values (v0..v8), the shape of e2ebench's
+// long_narrow workload: the buffered engine splits it without the
+// quote-aware pre-scan, at 1 and 4 threads.
+//
 // The dedup/rows=1000000 row times DeduplicateRows at one thread on the
 // 1M x 8 long-narrow shape against a node-based unordered_set reference
 // kept in this file, after checking both keep the same rows.
@@ -51,6 +56,24 @@ std::string MakeCsvText(int64_t rows, uint64_t seed) {
       text += std::to_string(rng.NextBelow(1000));
       text += '\n';
     }
+  }
+  return text;
+}
+
+// `rows` x 8, no quote byte anywhere: column c holds v0..v<k-1> for its
+// cardinality k, as in e2ebench's long_narrow table.
+std::string MakeLongNarrowCsvText(int64_t rows, uint64_t seed) {
+  constexpr uint64_t kCardinalities[] = {6, 4, 8, 3, 5, 7, 2, 9};
+  std::string text = "c0,c1,c2,c3,c4,c5,c6,c7\n";
+  text.reserve(static_cast<size_t>(rows) * 24 + text.size());
+  Rng rng(seed);
+  for (int64_t i = 0; i < rows; ++i) {
+    for (const uint64_t cardinality : kCardinalities) {
+      text += 'v';
+      text += static_cast<char>('0' + rng.NextBelow(cardinality));
+      text += ',';
+    }
+    text.back() = '\n';
   }
   return text;
 }
@@ -139,44 +162,36 @@ bool RunDedup(const bench::BenchArgs& args, int reps,
   return true;
 }
 
-int Run(int argc, char** argv) {
-  const bench::BenchArgs args = bench::ParseArgs(argc, argv);
-  const int64_t rows = args.full ? 2'000'000 : 1'000'000;
-  const int reps = 3;
+struct Config {
+  const char* name;
+  CsvIoMode io;
+  int threads;
+};
 
-  std::printf("generating %lld-row CSV...\n", static_cast<long long>(rows));
-  const std::string text = MakeCsvText(rows, args.seed);
+// Times CsvReader::ReadFile on `text` for each config, best of `reps`,
+// and adds one row per config named `prefix` + "<engine>/threads=<n>". The
+// first config must be the stream reference: every buffered relation is
+// checked against it. Returns false on an I/O error or a mismatch.
+bool RunIngest(const std::string& prefix, const std::string& text,
+               int64_t rows, const std::vector<Config>& configs, int reps,
+               bench::JsonResultWriter* writer) {
   const std::string path = "bench_ingest_input.csv";
   {
     std::FILE* f = std::fopen(path.c_str(), "wb");
     if (f == nullptr) {
       std::fprintf(stderr, "cannot create %s\n", path.c_str());
-      return 1;
+      return false;
     }
     std::fwrite(text.data(), 1, text.size(), f);
     std::fclose(f);
   }
   const double mib = static_cast<double>(text.size()) / (1 << 20);
-  std::printf("input: %.1f MiB, %lld rows\n", mib,
+  std::printf("%sinput: %.1f MiB, %lld rows\n", prefix.c_str(), mib,
               static_cast<long long>(rows));
-  bench::PrintRule();
 
-  bench::JsonResultWriter writer("ingest");
   std::optional<Relation> reference;
   double stream_ms = 0.0;
-  bool mismatch = false;
-
-  struct Config {
-    const char* name;
-    CsvIoMode io;
-    int threads;
-  };
-  const std::vector<Config> configs = {
-      {"stream", CsvIoMode::kStream, 1},
-      {"buffered", CsvIoMode::kBuffered, 1},
-      {"buffered", CsvIoMode::kBuffered, 2},
-      {"buffered", CsvIoMode::kBuffered, 8},
-  };
+  bool ok = true;
   for (const Config& config : configs) {
     CsvOptions options;
     options.io = config.io;
@@ -191,7 +206,8 @@ int Run(int argc, char** argv) {
       if (!parsed.ok()) {
         std::fprintf(stderr, "parse failed: %s\n",
                      parsed.status().ToString().c_str());
-        return 1;
+        std::remove(path.c_str());
+        return false;
       }
       if (rep == 0 || ms < best_ms) best_ms = ms;
       relation.emplace(std::move(parsed).value());
@@ -201,10 +217,10 @@ int Run(int argc, char** argv) {
       reference.emplace(std::move(*relation));
     } else if (!Identical(*relation, *reference)) {
       std::fprintf(stderr,
-                   "FAIL: buffered relation (threads=%d) differs from the "
+                   "FAIL: %sbuffered relation (threads=%d) differs from the "
                    "streaming reference\n",
-                   config.threads);
-      mismatch = true;
+                   prefix.c_str(), config.threads);
+      ok = false;
     }
 
     const double seconds = best_ms / 1e3;
@@ -213,26 +229,49 @@ int Run(int argc, char** argv) {
     const int64_t bytes_per_s = static_cast<int64_t>(
         static_cast<double>(text.size()) / seconds);
     const double speedup = stream_ms / best_ms;
-    std::printf("%-8s threads=%d  %9.1f ms  %7.2f MiB/s  %8lld rows/s  "
-                "%.2fx\n",
-                config.name, config.threads, best_ms,
+    const std::string name =
+        prefix + config.name + "/threads=" + std::to_string(config.threads);
+    std::printf("%-32s %9.1f ms  %7.2f MiB/s  %8lld rows/s  %.2fx\n",
+                name.c_str(), best_ms,
                 static_cast<double>(bytes_per_s) / (1 << 20),
                 static_cast<long long>(rows_per_s), speedup);
-    writer.Add(std::string(config.name) +
-                   "/threads=" + std::to_string(config.threads),
-               best_ms, config.threads,
-               {{"rows", rows},
-                {"bytes", static_cast<int64_t>(text.size())},
-                {"rows_per_s", rows_per_s},
-                {"bytes_per_s", bytes_per_s},
-                {"speedup_vs_stream_pct",
-                 static_cast<int64_t>(speedup * 100.0)}});
+    writer->Add(name, best_ms, config.threads,
+                {{"rows", rows},
+                 {"bytes", static_cast<int64_t>(text.size())},
+                 {"rows_per_s", rows_per_s},
+                 {"bytes_per_s", bytes_per_s},
+                 {"speedup_vs_stream_pct",
+                  static_cast<int64_t>(speedup * 100.0)}});
   }
   std::remove(path.c_str());
-  if (!RunDedup(args, reps, &writer)) mismatch = true;
+  return ok;
+}
+
+int Run(int argc, char** argv) {
+  const bench::BenchArgs args = bench::ParseArgs(argc, argv);
+  const int64_t rows = args.full ? 2'000'000 : 1'000'000;
+  const int reps = 3;
+
+  std::printf("generating %lld-row CSV...\n", static_cast<long long>(rows));
+  bench::PrintRule();
+  bench::JsonResultWriter writer("ingest");
+  bool ok = RunIngest("", MakeCsvText(rows, args.seed), rows,
+                      {{"stream", CsvIoMode::kStream, 1},
+                       {"buffered", CsvIoMode::kBuffered, 1},
+                       {"buffered", CsvIoMode::kBuffered, 2},
+                       {"buffered", CsvIoMode::kBuffered, 8}},
+                      reps, &writer);
+  const int64_t narrow_rows = 1'000'000;
+  ok &= RunIngest("long_narrow/", MakeLongNarrowCsvText(narrow_rows, args.seed),
+                  narrow_rows,
+                  {{"stream", CsvIoMode::kStream, 1},
+                   {"buffered", CsvIoMode::kBuffered, 1},
+                   {"buffered", CsvIoMode::kBuffered, 4}},
+                  reps, &writer);
+  ok &= RunDedup(args, reps, &writer);
   writer.Write();
   bench::PrintRule();
-  if (mismatch) return 1;
+  if (!ok) return 1;
   std::printf("all buffered relations bit-identical to the streaming "
               "reference; dedup keeps the reference's rows\n");
   return 0;

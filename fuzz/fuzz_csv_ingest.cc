@@ -1,8 +1,10 @@
 // Differential fuzzer for the CSV ingest engines.
 //
 // The input's first three bytes select a CsvOptions point (separator,
-// header, NULL semantics, thread count, chunk size, row cap); the rest is
-// the CSV document. The parallel zero-copy buffered engine must agree with
+// header, NULL semantics, quote character, thread count, chunk size, row
+// cap); the rest is the CSV document. With `'` as the quote, a document
+// full of `"` bytes takes the buffered engine's quote-free split and its
+// `"` bytes are literals. The parallel zero-copy buffered engine must agree with
 // the sequential streaming reference scanner on every byte sequence: same
 // ok/error verdict, same error text, and a bit-identical relation
 // (dictionaries and codes). Successful parses additionally round-trip
@@ -48,6 +50,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
                                 : NullSemantics::kNullEqual;
   if (data[0] & 8) options.null_token = "NA";
   if (data[0] & 16) options.max_rows = data[1] % 16;
+  if (data[0] & 32) options.quote = '\'';
   const int num_threads = 1 + (data[1] >> 4) % 3;
   const size_t chunk_bytes = 1 + data[2];  // tiny chunks force boundaries
 
@@ -94,12 +97,11 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   if (stream.value().NumColumns() == 0) return 0;
   CsvOptions writer_options;
   writer_options.separator = options.separator;
+  writer_options.quote = options.quote;
   const std::string rewritten =
       CsvWriter::ToString(stream.value(), writer_options);
-  CsvOptions reparse_options;
-  reparse_options.separator = options.separator;
   Result<Relation> reparsed =
-      CsvReader::ReadStringStream(rewritten, reparse_options);
+      CsvReader::ReadStringStream(rewritten, writer_options);
   FUZZ_ASSERT(reparsed.ok());
   FUZZ_ASSERT(SameRelation(stream.value(), reparsed.value()));
   return 0;

@@ -26,8 +26,24 @@ inline uint64_t HashBytes(const char* data, size_t n,
     n -= 8;
   }
   if (n > 0) {
-    uint64_t k = 0;
-    std::memcpy(&k, data, n);
+    // The 1-7 tail bytes as a zero-extended little-endian word, read with
+    // fixed-size loads: a variable-length memcpy here is a library call,
+    // which on short keys (the ingest interning probe) costs more than
+    // the rest of the hash.
+    uint64_t k;
+    if (n >= 4) {
+      uint32_t low;
+      uint32_t high;
+      std::memcpy(&low, data, 4);
+      std::memcpy(&high, data + n - 4, 4);
+      k = low | (static_cast<uint64_t>(high) << (8 * (n - 4)));
+    } else {
+      const auto byte = [data](size_t i) {
+        return static_cast<uint64_t>(static_cast<unsigned char>(data[i]))
+               << (8 * i);
+      };
+      k = byte(0) | byte(n / 2) | byte(n - 1);
+    }
     k *= 0x9DDFEA08EB382D69ull;
     k ^= k >> 32;
     h = (h ^ k) * 0xC2B2AE3D27D4EB4Full;

@@ -24,8 +24,9 @@ enum class NullSemantics {
 
 /// Which ingest engine the reader runs (muds_profile --io=stream|buffered).
 enum class CsvIoMode {
-  /// Default: one allocation for the whole file, record-aligned chunking,
-  /// parallel zero-copy parse and chunked dictionary encoding (ingest.h).
+  /// Default: one allocation for the whole file, record-aligned chunking
+  /// (no pre-scan on quote-free data), and a parallel zero-copy parse that
+  /// dictionary-encodes each chunk in the same pass (ingest.h).
   kBuffered,
   /// Escape hatch: the original streaming read + byte-at-a-time scanner.
   /// Single-threaded; kept as the reference the buffered engine must match
@@ -50,8 +51,9 @@ struct CsvOptions {
   /// Ingest engine; kBuffered honors the two knobs below.
   CsvIoMode io = CsvIoMode::kBuffered;
   /// Worker threads for the buffered engine (0 = hardware concurrency,
-  /// 1 = inline on the caller). The parsed relation is bit-identical —
-  /// same dictionaries, same codes — at every thread count.
+  /// 1 = inline on the caller; negative is an InvalidArgument error). The
+  /// parsed relation is bit-identical — same dictionaries, same codes — at
+  /// every thread count.
   int num_threads = 1;
   /// Target chunk size in bytes for the buffered engine (0 = automatic).
   /// Tests set tiny values to force chunk boundaries into quoted fields;

@@ -31,34 +31,19 @@ constexpr size_t kMinAutoChunkBytes = size_t{256} << 10;
 // between chunks balances out through the pool's dynamic claiming.
 constexpr int kChunksPerThread = 4;
 
-// SwissTable-style flat interning table for the per-chunk dictionary
+// SwissTable-style flat interning table for the chunk-local dictionary
 // encode: one control byte (7 hash bits) per slot, probed 16 slots at a
 // time with simd::MatchTag16, open addressing over groups, no deletions.
-// Replaces the previous std::unordered_map<string_view, int32_t> — the
-// hash/compare loop here is the encode hot path, and the group probe turns
-// its per-cell bucket walk into one SIMD compare plus (almost always) at
-// most one full key compare.
+// The group probe turns a per-cell bucket walk into one SIMD compare plus
+// (almost always) at most one full key compare. The table starts small
+// and doubles when 7/8 full, so a column pays only for the distinct values
+// it actually holds.
 class InternTable {
  public:
   static constexpr size_t kGroup = 16;
   static constexpr uint8_t kEmpty = 0xFF;  // Tags keep the high bit clear.
 
-  // Prepares the table for up to `expected` distinct keys; `expected` is a
-  // hard bound (one column cannot have more distinct values than rows), so
-  // the table never grows mid-encode. Reusing the instance across columns
-  // keeps the allocation and resets only the control bytes.
-  void Reset(size_t expected) {
-    size_t capacity = kGroup;
-    while (capacity < expected + expected / 4 + kGroup) capacity <<= 1;
-    if (capacity != tags_.size()) {
-      tags_.assign(capacity, kEmpty);
-      keys_.resize(capacity);
-      ids_.resize(capacity);
-    } else {
-      std::memset(tags_.data(), kEmpty, capacity);
-    }
-    group_mask_ = capacity / kGroup - 1;
-  }
+  InternTable() { Allocate(4 * kGroup); }
 
   // Returns the id of `value`, inserting it with id `next_id` when absent;
   // *inserted reports which happened.
@@ -78,15 +63,11 @@ class InternTable {
         }
         match &= match - 1;
       }
-      const uint32_t empty = simd::MatchTag16(tags, kEmpty);
-      if (empty != 0) {
+      if (simd::MatchTag16(tags, kEmpty) != 0) {
         // With no deletions, the first group holding an empty slot ends the
         // probe chain: the key cannot live further along.
-        const size_t slot =
-            group * kGroup + static_cast<size_t>(std::countr_zero(empty));
-        tags_[slot] = tag;
-        keys_[slot] = value;
-        ids_[slot] = next_id;
+        if (size_ == max_size_) Grow();
+        Place(hash, value, next_id);
         *inserted = true;
         return next_id;
       }
@@ -95,10 +76,55 @@ class InternTable {
   }
 
  private:
+  // Empties the table at `capacity` slots (a power of two >= kGroup). The
+  // 7/8 load cap keeps an empty slot in every probe chain.
+  void Allocate(size_t capacity) {
+    tags_.assign(capacity, kEmpty);
+    keys_.resize(capacity);
+    ids_.resize(capacity);
+    group_mask_ = capacity / kGroup - 1;
+    size_ = 0;
+    max_size_ = capacity - capacity / 8;
+  }
+
+  // Puts an absent key into the first empty slot of its probe chain.
+  void Place(uint64_t hash, std::string_view key, int32_t id) {
+    size_t group = (hash >> 7) & group_mask_;
+    for (;;) {
+      const uint32_t empty =
+          simd::MatchTag16(tags_.data() + group * kGroup, kEmpty);
+      if (empty != 0) {
+        const size_t slot =
+            group * kGroup + static_cast<size_t>(std::countr_zero(empty));
+        tags_[slot] = static_cast<uint8_t>(hash & 0x7F);
+        keys_[slot] = key;
+        ids_[slot] = id;
+        ++size_;
+        return;
+      }
+      group = (group + 1) & group_mask_;
+    }
+  }
+
+  void Grow() {
+    const std::vector<uint8_t> tags = std::move(tags_);
+    const std::vector<std::string_view> keys = std::move(keys_);
+    const std::vector<int32_t> ids = std::move(ids_);
+    Allocate(2 * tags.size());
+    for (size_t slot = 0; slot < tags.size(); ++slot) {
+      if (tags[slot] != kEmpty) {
+        Place(HashBytes(keys[slot].data(), keys[slot].size()), keys[slot],
+              ids[slot]);
+      }
+    }
+  }
+
   std::vector<uint8_t> tags_;
   std::vector<std::string_view> keys_;
   std::vector<int32_t> ids_;
   size_t group_mask_ = 0;
+  size_t size_ = 0;
+  size_t max_size_ = 0;
 };
 
 int ResolveThreads(int num_threads) {
@@ -155,14 +181,10 @@ class FieldBuilder {
     } else if (!empty_) {
       view = std::string_view(base_ + begin_, end_ - begin_);
     }
-    Reset();
-    return view;
-  }
-
-  void Reset() {
     materialized_ = false;
     empty_ = true;
     scratch_.clear();
+    return view;
   }
 
  private:
@@ -184,7 +206,9 @@ class FieldBuilder {
 // state machine is byte-for-byte the one in csv.cc's RecordScanner (quote
 // opens only on an empty field, doubled quote is a literal, \r\n is one
 // break, fully-blank lines are skipped) so that chunked parses agree with
-// the streaming reference on every input.
+// the streaming reference on every input. A field without a quote byte is
+// returned as a view of its bytes; only a field holding a quote byte goes
+// through the FieldBuilder.
 class ChunkParser {
  public:
   enum class Next { kRecord, kEnd, kUnterminatedQuote };
@@ -205,9 +229,57 @@ class ChunkParser {
 
   Next NextRecord(std::vector<std::string_view>* fields) {
     fields->clear();
-    field_.Reset();
-    bool in_quotes = false;
     bool saw_content = false;
+    for (;;) {
+      // pos_ is at the start of a field.
+      const size_t begin = pos_;
+      pos_ = PlainRunEnd(pos_);
+      std::string_view field(text_.data() + begin, pos_ - begin);
+      if (pos_ < end_ && text_[pos_] == options_.quote) {
+        if (!ScanQuotedField(begin, &field)) return Next::kUnterminatedQuote;
+        saw_content = true;
+      } else if (pos_ > begin) {
+        saw_content = true;
+      }
+      if (pos_ == end_) {
+        if (!saw_content) return Next::kEnd;
+        fields->push_back(field);
+        return Next::kRecord;
+      }
+      // The field ends at a separator or a line break.
+      const char c = text_[pos_++];
+      if (c == options_.separator) {
+        fields->push_back(field);
+        saw_content = true;
+        continue;
+      }
+      // Consume the line break ("\r\n" counts as one).
+      if (c == '\r' && pos_ < end_ && text_[pos_] == '\n') ++pos_;
+      if (!saw_content) continue;  // Blank line: skip, keep scanning.
+      fields->push_back(field);
+      return Next::kRecord;
+    }
+  }
+
+  size_t pos() const { return pos_; }
+
+ private:
+  // End of the run of plain bytes starting at `pos`.
+  size_t PlainRunEnd(size_t pos) const {
+    while (pos < end_ && plain_[static_cast<unsigned char>(text_[pos])]) {
+      ++pos;
+    }
+    return pos;
+  }
+
+  // Finishes a field that starts at `begin` and holds a quote byte at pos_:
+  // runs the full state machine up to the separator or line break that
+  // ends the field (left unconsumed), materializing into the arena only
+  // where the content diverges from the raw bytes. False on an
+  // unterminated quote.
+  bool ScanQuotedField(size_t begin, std::string_view* field) {
+    field_.AppendRange(begin, pos_);
+    bool in_quotes = false;
     while (pos_ < end_) {
       const char c = text_[pos_];
       if (in_quotes) {
@@ -215,12 +287,10 @@ class ChunkParser {
         const char* next = static_cast<const char*>(std::memchr(
             text_.data() + pos_, options_.quote, end_ - pos_));
         if (next == nullptr) {
-          field_.AppendRange(pos_, end_);
           pos_ = end_;
-          return Next::kUnterminatedQuote;
+          return false;
         }
-        const size_t quote_pos =
-            static_cast<size_t>(next - text_.data());
+        const size_t quote_pos = static_cast<size_t>(next - text_.data());
         field_.AppendRange(pos_, quote_pos);
         if (quote_pos + 1 < end_ && text_[quote_pos + 1] == options_.quote) {
           field_.AppendRaw(quote_pos);  // Doubled quote = literal quote.
@@ -233,43 +303,21 @@ class ChunkParser {
       }
       if (c == options_.quote && field_.empty()) {
         in_quotes = true;
-        saw_content = true;
         ++pos_;
-      } else if (c == options_.separator) {
-        fields->push_back(field_.Finish());
-        saw_content = true;
-        ++pos_;
-      } else if (c == '\n' || c == '\r') {
-        // Consume the line break ("\r\n" counts as one).
-        if (c == '\r' && pos_ + 1 < end_ && text_[pos_ + 1] == '\n') {
-          ++pos_;
-        }
-        ++pos_;
-        if (!saw_content) continue;  // Blank line: skip, keep scanning.
-        fields->push_back(field_.Finish());
-        return Next::kRecord;
+      } else if (c == options_.separator || c == '\n' || c == '\r') {
+        break;
       } else {
-        // Bulk-append the run of plain bytes starting here.
-        size_t run = pos_ + 1;
-        while (run < end_ && plain_[static_cast<unsigned char>(text_[run])]) {
-          ++run;
-        }
+        // A literal quote after content, and the plain run that follows.
+        const size_t run = PlainRunEnd(pos_ + 1);
         field_.AppendRange(pos_, run);
-        saw_content = true;
         pos_ = run;
       }
     }
-    if (in_quotes) return Next::kUnterminatedQuote;
-    if (saw_content) {
-      fields->push_back(field_.Finish());
-      return Next::kRecord;
-    }
-    return Next::kEnd;
+    if (in_quotes) return false;
+    *field = field_.Finish();
+    return true;
   }
 
-  size_t pos() const { return pos_; }
-
- private:
   std::string_view text_;
   size_t pos_;
   size_t end_;
@@ -340,14 +388,45 @@ std::vector<size_t> SplitRecordAligned(std::string_view text, size_t begin,
   return starts;
 }
 
+// Record-aligned split of data that holds no quote byte. Every '\n' then
+// ends a record (alone or as the tail of "\r\n"), so each chunk starts one
+// past the first '\n' at or after its byte target: one memchr per chunk
+// instead of a state machine over every byte.
+std::vector<size_t> SplitAtLineFeeds(std::string_view text, size_t begin,
+                                     size_t target_bytes) {
+  std::vector<size_t> starts = {begin};
+  size_t target = begin + target_bytes;
+  while (target < text.size()) {
+    const char* line_feed = static_cast<const char*>(
+        std::memchr(text.data() + target, '\n', text.size() - target));
+    if (line_feed == nullptr) break;
+    const size_t start = static_cast<size_t>(line_feed - text.data()) + 1;
+    if (start >= text.size()) break;
+    starts.push_back(start);
+    target = start + target_bytes;
+  }
+  return starts;
+}
+
+// One column of one chunk, encoded against a chunk-local dictionary.
+struct ChunkColumn {
+  std::vector<std::string_view> distinct;  // [local_id], first-seen order
+  std::vector<int32_t> codes;              // [local_row]
+};
+
 // Everything one chunk's parse produces; written by exactly one pool task.
 struct ChunkData {
-  // columns[col][local_row]: field views, valid records only.
-  std::vector<std::vector<std::string_view>> columns;
+  std::vector<ChunkColumn> encoded;  // [col], valid records only
   // Owns unescaped fields and synthesized NULL values (stable addresses).
   std::deque<std::string> arena;
-  // NULL cells (local_row, col) in row-major scan order.
-  std::vector<std::pair<int64_t, int>> null_cells;
+  // kNullUnequal: NULL cells in row-major scan order. Each took a fresh
+  // local id whose text is filled in once the global numbering is known.
+  struct NullCell {
+    int64_t row;
+    int32_t col;
+    int32_t id;
+  };
+  std::vector<NullCell> null_cells;
   int64_t num_records = 0;
   // First arity-mismatched record: its index among this chunk's data
   // records, and its field count. Parsing stops there (rows past the first
@@ -357,9 +436,15 @@ struct ChunkData {
   bool unterminated = false;
 };
 
+// Parses one chunk and dictionary-encodes each record as it is parsed:
+// every field is interned into its column's chunk-local table, one hash
+// probe per cell, while the record's bytes are still in cache.
 void ParseChunk(std::string_view text, size_t begin, size_t end,
                 const CsvOptions& options, int num_columns, ChunkData* out) {
-  out->columns.resize(static_cast<size_t>(num_columns));
+  const size_t width = static_cast<size_t>(num_columns);
+  out->encoded.resize(width);
+  std::vector<InternTable> tables(width);
+  std::vector<bool> near_unique(width, false);
   ChunkParser parser(text, begin, end, options, &out->arena);
   std::vector<std::string_view> fields;
   const bool scan_nulls = options.nulls == NullSemantics::kNullUnequal;
@@ -370,33 +455,50 @@ void ParseChunk(std::string_view text, size_t begin, size_t end,
       out->unterminated = true;
       return;
     }
-    if (fields.size() != static_cast<size_t>(num_columns)) {
+    if (fields.size() != width) {
       out->bad_local = out->num_records;
       out->bad_fields = fields.size();
       return;
     }
-    for (int c = 0; c < num_columns; ++c) {
-      if (scan_nulls && fields[static_cast<size_t>(c)] == options.null_token) {
-        out->null_cells.emplace_back(out->num_records, c);
+    const int64_t row = out->num_records;
+    for (size_t c = 0; c < width; ++c) {
+      ChunkColumn& column = out->encoded[c];
+      const std::string_view value = fields[c];
+      const int32_t fresh = static_cast<int32_t>(column.distinct.size());
+      int32_t id = fresh;
+      if (scan_nulls && value == options.null_token) {
+        out->null_cells.push_back({row, static_cast<int32_t>(c), fresh});
+        column.distinct.emplace_back();
+      } else if (near_unique[c]) {
+        column.distinct.push_back(value);
+      } else {
+        bool inserted = false;
+        id = tables[c].Intern(value, fresh, &inserted);
+        if (inserted) {
+          column.distinct.push_back(value);
+          // Near-unique column (a key, say): deduplicating here buys
+          // nothing — the merge sort deduplicates anyway, and duplicate
+          // entries in `distinct` are harmless (each gets the same rank).
+          // Stop paying a hash probe per cell once that's clear.
+          near_unique[c] = column.distinct.size() >= 4096 &&
+                           column.distinct.size() * 4 >=
+                               static_cast<size_t>(row + 1) * 3;
+        }
       }
-      out->columns[static_cast<size_t>(c)].push_back(
-          fields[static_cast<size_t>(c)]);
+      column.codes.push_back(id);
     }
     ++out->num_records;
   }
 }
 
-// Per-chunk, per-column thread-local dictionaries: distinct values in
-// first-seen order plus provisional codes into that order.
-struct ChunkDicts {
-  std::vector<std::vector<std::string_view>> distinct;  // [col][local_id]
-  std::vector<std::vector<int32_t>> codes;              // [col][local_row]
-};
-
 }  // namespace
 
 Result<Relation> IngestCsv(std::string_view text, const CsvOptions& options,
                            std::string name) {
+  if (options.num_threads < 0) {
+    return Status::InvalidArgument("num_threads must be >= 0, got " +
+                                   std::to_string(options.num_threads));
+  }
   // Schema: the first record names the columns (or sizes col0..colN-1).
   std::vector<std::string> column_names;
   size_t data_begin = 0;
@@ -449,6 +551,10 @@ Result<Relation> IngestCsv(std::string_view text, const CsvOptions& options,
     }
     if (target >= data_size) {
       starts = {data_begin};
+    } else if (options.separator != '\n' &&
+               std::memchr(text.data() + data_begin, options.quote,
+                           data_size) == nullptr) {
+      starts = SplitAtLineFeeds(text, data_begin, target);
     } else {
       starts = SplitRecordAligned(text, data_begin, options, target);
     }
@@ -517,8 +623,25 @@ Result<Relation> IngestCsv(std::string_view text, const CsvOptions& options,
     }
   }
 
-  // NULL != NULL: rewrite each null cell into a per-cell unique value,
-  // numbered in global row-major order (chunks know their prefix offsets).
+  // Rows past the max_rows cut: drop the local ids only they use. Ids are
+  // numbered in first-seen order, so the kept rows use exactly the ids up
+  // to their largest code.
+  for (int i = 0; i < num_chunks; ++i) {
+    ChunkData& chunk = chunks[static_cast<size_t>(i)];
+    const int64_t kept = keep[static_cast<size_t>(i)];
+    if (kept == chunk.num_records) continue;
+    for (ChunkColumn& column : chunk.encoded) {
+      const auto kept_end = column.codes.begin() + kept;
+      column.distinct.resize(
+          kept == 0 ? 0
+                    : static_cast<size_t>(*std::max_element(
+                          column.codes.begin(), kept_end)) + 1);
+    }
+  }
+
+  // NULL != NULL: each null cell holds its own local id; its text is the
+  // per-cell unique value, numbered in global row-major order (chunks know
+  // their prefix offsets).
   if (options.nulls == NullSemantics::kNullUnequal) {
     std::vector<int64_t> null_kept(static_cast<size_t>(num_chunks), 0);
     std::vector<int64_t> null_offset(static_cast<size_t>(num_chunks), 0);
@@ -527,8 +650,8 @@ Result<Relation> IngestCsv(std::string_view text, const CsvOptions& options,
       const ChunkData& chunk = chunks[static_cast<size_t>(i)];
       const auto first_cut = std::partition_point(
           chunk.null_cells.begin(), chunk.null_cells.end(),
-          [&](const std::pair<int64_t, int>& cell) {
-            return cell.first < keep[static_cast<size_t>(i)];
+          [&](const ChunkData::NullCell& cell) {
+            return cell.row < keep[static_cast<size_t>(i)];
           });
       null_kept[static_cast<size_t>(i)] =
           first_cut - chunk.null_cells.begin();
@@ -538,55 +661,13 @@ Result<Relation> IngestCsv(std::string_view text, const CsvOptions& options,
     pool.ParallelFor(0, num_chunks, [&](int64_t i) {
       ChunkData& chunk = chunks[static_cast<size_t>(i)];
       for (int64_t j = 0; j < null_kept[static_cast<size_t>(i)]; ++j) {
-        const auto [row, col] = chunk.null_cells[static_cast<size_t>(j)];
+        const ChunkData::NullCell& cell =
+            chunk.null_cells[static_cast<size_t>(j)];
         chunk.arena.push_back(
             std::string("\x01null#") +
             std::to_string(null_offset[static_cast<size_t>(i)] + j));
-        chunk.columns[static_cast<size_t>(col)][static_cast<size_t>(row)] =
-            chunk.arena.back();
-      }
-    });
-  }
-
-  // Thread-local dictionary encoding: one hash probe per cell.
-  std::vector<ChunkDicts> dicts(static_cast<size_t>(num_chunks));
-  {
-    MUDS_TRACE_SPAN("ingest.encode");
-    pool.ParallelFor(0, num_chunks, [&](int64_t i) {
-      const ChunkData& chunk = chunks[static_cast<size_t>(i)];
-      const int64_t rows = keep[static_cast<size_t>(i)];
-      ChunkDicts& dict = dicts[static_cast<size_t>(i)];
-      dict.distinct.resize(static_cast<size_t>(num_columns));
-      dict.codes.resize(static_cast<size_t>(num_columns));
-      InternTable id_of;
-      for (int c = 0; c < num_columns; ++c) {
-        const auto& values = chunk.columns[static_cast<size_t>(c)];
-        auto& distinct = dict.distinct[static_cast<size_t>(c)];
-        auto& codes = dict.codes[static_cast<size_t>(c)];
-        codes.reserve(static_cast<size_t>(rows));
-        // One allocation for the whole chunk: later Resets at the same size
-        // only clear the control bytes.
-        id_of.Reset(static_cast<size_t>(rows));
-        for (int64_t row = 0; row < rows; ++row) {
-          const std::string_view value = values[static_cast<size_t>(row)];
-          bool inserted;
-          const int32_t id = id_of.Intern(
-              value, static_cast<int32_t>(distinct.size()), &inserted);
-          if (inserted) distinct.push_back(value);
-          codes.push_back(id);
-          // Near-unique column (a key, say): deduplicating here buys
-          // nothing — the merge sort deduplicates anyway, and duplicate
-          // entries in `distinct` are harmless (each gets the same rank).
-          // Stop paying a hash probe per cell once that's clear.
-          if (inserted && distinct.size() >= 4096 &&
-              distinct.size() * 4 >= static_cast<size_t>(row + 1) * 3) {
-            for (int64_t r = row + 1; r < rows; ++r) {
-              codes.push_back(static_cast<int32_t>(distinct.size()));
-              distinct.push_back(values[static_cast<size_t>(r)]);
-            }
-            break;
-          }
-        }
+        chunk.encoded[static_cast<size_t>(cell.col)]
+            .distinct[static_cast<size_t>(cell.id)] = chunk.arena.back();
       }
     });
   }
@@ -619,8 +700,9 @@ Result<Relation> IngestCsv(std::string_view text, const CsvOptions& options,
         return key;
       };
       size_t total_distinct = 0;
-      for (const ChunkDicts& dict : dicts) {
-        total_distinct += dict.distinct[static_cast<size_t>(c)].size();
+      for (const ChunkData& chunk : chunks) {
+        total_distinct +=
+            chunk.encoded[static_cast<size_t>(c)].distinct.size();
       }
       std::vector<Entry> entries;
       entries.reserve(total_distinct);
@@ -628,7 +710,8 @@ Result<Relation> IngestCsv(std::string_view text, const CsvOptions& options,
           static_cast<size_t>(num_chunks));
       for (int i = 0; i < num_chunks; ++i) {
         const auto& distinct =
-            dicts[static_cast<size_t>(i)].distinct[static_cast<size_t>(c)];
+            chunks[static_cast<size_t>(i)].encoded[static_cast<size_t>(c)]
+                .distinct;
         remap[static_cast<size_t>(i)].resize(distinct.size());
         for (size_t id = 0; id < distinct.size(); ++id) {
           entries.push_back(Entry{prefix_key(distinct[id]), distinct[id], i,
@@ -657,7 +740,8 @@ Result<Relation> IngestCsv(std::string_view text, const CsvOptions& options,
       column.codes.resize(static_cast<size_t>(total_rows));
       for (int i = 0; i < num_chunks; ++i) {
         const auto& local_codes =
-            dicts[static_cast<size_t>(i)].codes[static_cast<size_t>(c)];
+            chunks[static_cast<size_t>(i)].encoded[static_cast<size_t>(c)]
+                .codes;
         const auto& chunk_remap = remap[static_cast<size_t>(i)];
         int32_t* out =
             column.codes.data() + row_offset[static_cast<size_t>(i)];

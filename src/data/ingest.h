@@ -13,12 +13,14 @@ namespace muds {
 /// Parallel, (near) zero-copy CSV ingest — the buffered engine behind
 /// CsvReader (see DESIGN.md, "Ingest pipeline").
 ///
-/// The text is split into record-aligned chunks by a quote-aware pre-scan,
-/// each chunk is parsed concurrently into string_view fields backed by the
-/// input buffer (fields that need unescaping or NULL rewriting are the only
-/// copies, into a per-chunk arena), dictionary-encoded against thread-local
-/// per-chunk dictionaries, and merged into the global sorted dictionary with
-/// a code-remap pass.
+/// The text is split into record-aligned chunks: at line feeds when the
+/// data holds no quote byte, by a quote-aware pre-scan otherwise. Each
+/// chunk is parsed and dictionary-encoded concurrently in one pass: every
+/// field, a string_view of the input buffer (fields that need unescaping or
+/// NULL rewriting are the only copies, into a per-chunk arena), is interned
+/// into a per-chunk, per-column table as its record is parsed. The chunk
+/// dictionaries are merged into the global sorted dictionary with a
+/// code-remap pass.
 ///
 /// Determinism contract: the resulting Relation is bit-identical — same
 /// dictionaries, same codes, same errors — to CsvReader::ReadStringStream
@@ -27,12 +29,12 @@ namespace muds {
 /// it, so the merge is independent of how the input was chunked; rows keep
 /// file order through per-chunk row offsets.
 ///
-/// Honors `options.num_threads` (0 = hardware concurrency) and
-/// `options.chunk_bytes` (0 = automatic sizing; tests set tiny values to
-/// force record boundaries into quoted fields). Counts `ingest.bytes`,
-/// `ingest.records`, and `ingest.chunks` in the metrics registry and emits
-/// `ingest.scan` / `ingest.parse` / `ingest.encode` / `ingest.merge` trace
-/// spans.
+/// Honors `options.num_threads` (0 = hardware concurrency; negative is an
+/// InvalidArgument error) and `options.chunk_bytes` (0 = automatic sizing;
+/// tests set tiny values to force record boundaries into quoted fields).
+/// Counts `ingest.bytes`, `ingest.records`, and `ingest.chunks` in the
+/// metrics registry and emits `ingest.scan` / `ingest.parse` (parse and
+/// encode) / `ingest.merge` trace spans.
 Result<Relation> IngestCsv(std::string_view text, const CsvOptions& options,
                            std::string name = "relation");
 

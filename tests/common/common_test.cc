@@ -1,5 +1,10 @@
+#include <algorithm>
+#include <cstring>
+#include <string>
+
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
 #include "common/json.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -166,6 +171,39 @@ TEST(JsonTest, DeepNestingIsAnErrorNotAStackOverflow) {
   for (int i = 0; i < 513; ++i) objects += "{\"k\":";
   objects += "1" + std::string(513, '}');
   EXPECT_FALSE(json::Parse(objects).ok());
+}
+
+TEST(HashBytesTest, TailLoadEqualsZeroExtendedMemcpy) {
+  // HashBytes reads the 1-7 tail bytes with fixed-size loads. The value
+  // must stay the one a memcpy into a zeroed word gives, since result
+  // digests and catalog keys are built from it.
+  const auto reference = [](const char* data, size_t n, uint64_t seed) {
+    uint64_t h = seed ^ (n * 0xA0761D6478BD642Full);
+    for (; n > 0; data += 8, n -= std::min<size_t>(n, 8)) {
+      uint64_t k = 0;
+      std::memcpy(&k, data, std::min<size_t>(n, 8));
+      k *= 0x9DDFEA08EB382D69ull;
+      k ^= k >> 32;
+      h = (h ^ k) * 0xC2B2AE3D27D4EB4Full;
+    }
+    h ^= h >> 29;
+    h *= 0xBF58476D1CE4E5B9ull;
+    h ^= h >> 32;
+    return h;
+  };
+  Rng rng(7);
+  std::string bytes;
+  for (int i = 0; i < 64; ++i) bytes += static_cast<char>(rng.NextBelow(256));
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t n = 0; n <= 24; ++n) {
+      const char* data = bytes.data() + offset;
+      EXPECT_EQ(HashBytes(data, n), reference(data, n, 0x9E3779B97F4A7C15ull))
+          << "offset " << offset << " length " << n;
+      EXPECT_EQ(HashBytes(data, n, 0xE7037ED1A0B428DBull),
+                reference(data, n, 0xE7037ED1A0B428DBull))
+          << "offset " << offset << " length " << n;
+    }
+  }
 }
 
 }  // namespace

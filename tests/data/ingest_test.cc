@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "data/csv.h"
 #include "data/ingest.h"
@@ -37,16 +38,22 @@ void ExpectIdentical(const Relation& got, const Relation& want,
 
 // Parses `text` with both engines under `options` and demands the same
 // outcome: identical relations or identical error messages. The buffered
-// parse is repeated for every chunk size in [1, text.size()] and for
-// 1/2/8 threads at automatic chunking.
-void ExpectParityAtAllChunkings(const std::string& text, CsvOptions options) {
-  options.io = CsvIoMode::kStream;
-  const Result<Relation> want = CsvReader::ReadString(text, options);
+// parse is repeated at 1, 2 and 4 threads for every chunk size in
+// `chunk_sizes` (empty = every size in [1, text.size()]), and at 1/2/8
+// threads with automatic chunking.
+void ExpectParityAtAllChunkings(const std::string& text, CsvOptions options,
+                                std::vector<size_t> chunk_sizes = {}) {
+  const Result<Relation> want = CsvReader::ReadStringStream(text, options);
 
   options.io = CsvIoMode::kBuffered;
+  if (chunk_sizes.empty()) {
+    for (size_t bytes = 1; bytes <= text.size(); ++bytes) {
+      chunk_sizes.push_back(bytes);
+    }
+  }
   std::vector<std::pair<int, size_t>> configs;  // (threads, chunk_bytes)
-  for (size_t bytes = 1; bytes <= text.size(); ++bytes) {
-    configs.emplace_back(2, bytes);
+  for (const size_t bytes : chunk_sizes) {
+    for (int threads : {1, 2, 4}) configs.emplace_back(threads, bytes);
   }
   for (int threads : {1, 2, 8}) configs.emplace_back(threads, 0);
   for (const auto& [threads, bytes] : configs) {
@@ -65,6 +72,17 @@ void ExpectParityAtAllChunkings(const std::string& text, CsvOptions options) {
       ExpectIdentical(got.value(), want.value(), context);
     }
   }
+}
+
+// Chunks the buffered engine splits `text` into at `chunk_bytes`.
+int64_t ChunkCount(const std::string& text, const CsvOptions& options,
+                   size_t chunk_bytes) {
+  Counter* chunks = MetricsRegistry::Global().GetCounter("ingest.chunks");
+  const int64_t before = chunks->Value();
+  CsvOptions buffered = options;
+  buffered.chunk_bytes = chunk_bytes;
+  EXPECT_TRUE(CsvReader::ReadString(text, buffered).ok());
+  return chunks->Value() - before;
 }
 
 TEST(IngestChunkBoundaryTest, QuotedNewlinesSpanningEverySplit) {
@@ -143,6 +161,26 @@ TEST(IngestErrorParityTest, ErrorsBeyondMaxRowsCutAreIgnored) {
   ExpectParityAtAllChunkings("A,B\n1,2\n", options);
 }
 
+TEST(IngestErrorParityTest, NegativeThreadCountIsInvalidArgument) {
+  const std::string text = "A,B\n1,2\n3,4\n";
+  CsvOptions options;
+  options.num_threads = -2;
+  const Result<Relation> parsed = CsvReader::ReadString(text, options);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(parsed.status().message(), "num_threads must be >= 0, got -2");
+
+  const std::string path = ::testing::TempDir() + "/ingest_threads_test.csv";
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(text.data(), 1, text.size(), f), text.size());
+  std::fclose(f);
+  const Result<Relation> read = CsvReader::ReadFile(path, options);
+  std::remove(path.c_str());
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(IngestMaxRowsTest, PrefixCutsAcrossChunks) {
   CsvOptions options;
   for (int64_t cut : {0, 1, 2, 3, 4, 9}) {
@@ -161,6 +199,107 @@ TEST(IngestNullSemanticsTest, NullUnequalNumbersCellsInRowMajorOrder) {
   ExpectParityAtAllChunkings("A,B\nNA,1\n2,NA\nNA,NA\n", options);
   options.max_rows = 2;
   ExpectParityAtAllChunkings("A,B\nNA,1\n2,NA\nNA,NA\n", options);
+}
+
+// Data without a quote byte is split one past the first '\n' at or after
+// each byte target, with no pre-scan; any quote byte in the data falls
+// back to the quote-aware split.
+TEST(IngestQuoteFreeSplitTest, CarriageReturnOnlyBreaksAreOneChunk) {
+  const std::string text = "A,B\r1,2\r3,4\r\r5,6\r";
+  ExpectParityAtAllChunkings(text, {});
+  EXPECT_EQ(ChunkCount(text, {}, 1), 1);
+}
+
+TEST(IngestQuoteFreeSplitTest, CrLfStraddlingTargets) {
+  const std::string text = "A,B\r\n1,2\r\n3,4\r\n\r\n5,6\r\n7,8";
+  ExpectParityAtAllChunkings(text, {});
+  // The data's first chunk, then one past each of its four line feeds.
+  EXPECT_EQ(ChunkCount(text, {}, 1), 5);
+}
+
+TEST(IngestQuoteFreeSplitTest, BlankLinesAtTargets) {
+  ExpectParityAtAllChunkings("A,B\n1,2\n\n\n3,4\n\n5,6\n\n", {});
+  ExpectParityAtAllChunkings("\n\nA,B\n\n1,\n\n,2\n", {});
+}
+
+TEST(IngestQuoteFreeSplitTest, QuoteOnlyInHeader) {
+  const std::string text = "\"A\",\"B,\nC\"\n1,2\n3,4\n5,6\n";
+  ExpectParityAtAllChunkings(text, {});
+  EXPECT_EQ(ChunkCount(text, {}, 1), 3);
+}
+
+TEST(IngestQuoteFreeSplitTest, QuotedFieldOnlyInLastRecordForcesGeneralSplit) {
+  ExpectParityAtAllChunkings("A,B\n1,2\n3,4\n5,\"x\ny,\"\"z\"\n", {});
+  ExpectParityAtAllChunkings("A,B\n1,2\n3,4\n5,\"x\n6", {});
+}
+
+TEST(IngestQuoteFreeSplitTest, CustomQuoteLeavesDoubleQuotesLiteral) {
+  CsvOptions options;
+  options.quote = '\'';
+  ExpectParityAtAllChunkings("A,B\n\"x,1\n2,y\"\"\n\"\",\"\n\"\n", options);
+  ExpectParityAtAllChunkings("'A,B',C\n\"1,\"\n\"\"\",2\n", options);
+  ExpectParityAtAllChunkings("A,B\n\"1,2\n'3\n4',\"\n", options);
+}
+
+TEST(IngestQuoteFreeSplitTest, LineFeedSeparatorKeepsGeneralSplit) {
+  // With '\n' as the separator only '\r' ends a record, so a line feed is
+  // no record boundary and quote-free data must not be split at one.
+  CsvOptions options;
+  options.separator = '\n';
+  ExpectParityAtAllChunkings("A\nB\r1\n2\r3\n4\r\n5\r", options);
+}
+
+// Each record is interned as it is parsed, so max_rows cuts, NULL != NULL
+// ids and the near-unique bail-out are all settled in the parse pass.
+TEST(IngestSinglePassTest, MaxRowsCutDropsValuesOnlyCutRowsHold) {
+  const std::string text = "A,B\n1,a\n2,b\n1,a\n9,z\n8,y\n2,x\n";
+  CsvOptions options;
+  for (int64_t cut : {0, 1, 2, 3, 4, 5}) {
+    options.max_rows = cut;
+    ExpectParityAtAllChunkings(text, options);
+  }
+  options.max_rows = 3;
+  const Result<Relation> got = CsvReader::ReadString(text, options);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got.value().GetColumn(0).dictionary,
+            (std::vector<std::string>{"1", "2"}));
+  EXPECT_EQ(got.value().GetColumn(1).dictionary,
+            (std::vector<std::string>{"a", "b"}));
+}
+
+TEST(IngestSinglePassTest, NullUnequalAcrossChunks) {
+  CsvOptions options;
+  options.nulls = NullSemantics::kNullUnequal;
+  const std::string text = "A,B\n,x\ny,\n,\nz,w\n,x\n";
+  ExpectParityAtAllChunkings(text, options);
+  options.max_rows = 3;
+  ExpectParityAtAllChunkings(text, options);
+  // A cell whose text equals a rewritten NULL shares its dictionary entry.
+  options.max_rows = -1;
+  ExpectParityAtAllChunkings("A,B\n,1\n\x01null#0,2\n\x01null#3,\n", options);
+}
+
+TEST(IngestSinglePassTest, NearUniqueBailOutMidChunk) {
+  // Column `key` holds 5000 distinct values, then repeats them: a chunk
+  // that sees its first 4096 keys stops deduplicating mid-chunk. Column
+  // `group` never bails out. Chunk sizes put the bail-out in the middle of
+  // the single chunk, of some chunks, and of none.
+  std::string text = "key,group\n";
+  for (int i = 0; i < 7000; ++i) {
+    text += 'k';
+    text += std::to_string(i % 5000);
+    text += ",g";
+    text += std::to_string(i % 7);
+    text += '\n';
+  }
+  CsvOptions options;
+  ExpectParityAtAllChunkings(text, options,
+                             {text.size(), text.size() / 2, text.size() / 3,
+                              40000, 4096, 1000});
+  options.nulls = NullSemantics::kNullUnequal;
+  options.null_token = "g3";
+  options.max_rows = 6000;
+  ExpectParityAtAllChunkings(text, options, {text.size(), 40000, 4096});
 }
 
 TEST(IngestDeterminismTest, BitIdenticalAcrossThreadCounts) {
