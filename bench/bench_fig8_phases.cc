@@ -7,6 +7,7 @@
 // else), with the PLI-intersect-backed FD checks as the main cost.
 
 #include <cstdio>
+#include <thread>
 
 #include "bench_util.h"
 #include "core/muds.h"
@@ -27,8 +28,15 @@ int main(int argc, char** argv) {
   config.seed = args.seed;
   config.num_threads = args.threads;
   MudsResult result;
-  const double wall_ms =
-      bench::WallMs([&] { result = Muds::Run(deduped, config); });
+  MetricsSnapshot run_metrics;
+  const double wall_ms = bench::WallMs([&] {
+    const MetricsScope scope;
+    result = Muds::Run(deduped, config);
+    run_metrics = scope.run()->Snapshot();
+  });
+  const auto count = [&run_metrics](const char* name) {
+    return static_cast<long long>(metrics::ValueOf(run_metrics, name));
+  };
 
   std::printf("Figure 8: runtime of MUDS' phases "
               "(ncvoter-like, %lld rows, %d columns)\n",
@@ -48,25 +56,18 @@ int main(int argc, char** argv) {
               result.inds.size(), result.uccs.size(), result.fds.size());
   std::printf("FD checks: minimize=%lld rz=%lld shadowed=%lld; "
               "PLI intersects=%lld; shadowed tasks=%lld (%lld rounds)\n",
-              static_cast<long long>(result.stats.fd_checks_minimize),
-              static_cast<long long>(result.stats.fd_checks_rz),
-              static_cast<long long>(result.stats.fd_checks_shadowed),
-              static_cast<long long>(result.stats.pli_intersects),
-              static_cast<long long>(result.stats.shadowed_tasks),
-              static_cast<long long>(result.stats.shadowed_rounds));
+              count("muds.fd_checks.minimize"), count("muds.fd_checks.rz"),
+              count("muds.fd_checks.shadowed"), count("pli_cache.intersects"),
+              count("muds.shadowed_tasks"), count("muds.shadowed_rounds"));
 
   bench::JsonResultWriter json("fig8_phases");
-  std::vector<std::pair<std::string, int64_t>> counters = {
-      {"fd_checks_minimize", result.stats.fd_checks_minimize},
-      {"fd_checks_rz", result.stats.fd_checks_rz},
-      {"fd_checks_shadowed", result.stats.fd_checks_shadowed},
-      {"pli_intersects", result.stats.pli_intersects},
-      {"shadowed_tasks", result.stats.shadowed_tasks},
-      {"parallel_tasks", result.stats.parallel_tasks},
-  };
+  std::vector<std::pair<std::string, int64_t>> counters;
   for (const auto& [name, micros] : result.timings.entries()) {
     counters.emplace_back("micros/" + name, micros);
   }
-  json.Add("muds/phases", wall_ms, result.stats.num_threads_used, counters);
+  const int threads =
+      args.threads > 0 ? args.threads
+                       : static_cast<int>(std::thread::hardware_concurrency());
+  json.Add("muds/phases", wall_ms, threads, counters, run_metrics);
   return 0;
 }

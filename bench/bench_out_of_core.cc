@@ -80,10 +80,7 @@ bool SameSets(const ProfilingResult& a, const ProfilingResult& b) {
 }
 
 int64_t Counter(const ProfilingResult& result, const char* name) {
-  for (const auto& [key, value] : result.counters) {
-    if (key == name) return value;
-  }
-  return 0;
+  return metrics::ValueOf(result.metrics, name);
 }
 
 std::vector<ColumnSet> AllPairsAndTriples(int n) {
@@ -167,17 +164,17 @@ int Run(int argc, char** argv) {
     std::printf("%-26s %9.1f ms  spill writes %lld, reloads %lld\n",
                 config.name, best_ms,
                 static_cast<long long>(
-                    Counter(result, "pli_cache_spill_writes")),
+                    Counter(result, "pli_cache.spill_writes")),
                 static_cast<long long>(
-                    Counter(result, "pli_cache_spill_reloads")));
+                    Counter(result, "pli_cache.spill_reloads")));
     writer.Add(config.name, best_ms, args.threads,
                {{"rows", rows},
                 {"pli_cache_spill_writes",
-                 Counter(result, "pli_cache_spill_writes")},
+                 Counter(result, "pli_cache.spill_writes")},
                 {"pli_cache_spill_reloads",
-                 Counter(result, "pli_cache_spill_reloads")},
+                 Counter(result, "pli_cache.spill_reloads")},
                 {"pli_cache_evictions",
-                 Counter(result, "pli_cache_evictions")}});
+                 Counter(result, "pli_cache.evictions")}});
   }
   for (size_t i = 1; i < results.size(); ++i) {
     if (!SameSets(results[0], results[i])) {

@@ -83,14 +83,12 @@ int main(int argc, char** argv) {
                result.fds != reference.fds) {
       all_identical = false;
     }
-    int64_t parallel_tasks = 0;
-    int64_t cache_hits = 0;
-    int64_t cache_misses = 0;
-    for (const auto& [counter, value] : result.counters) {
-      if (counter == "parallel_tasks") parallel_tasks = value;
-      if (counter == "pli_cache_hits") cache_hits = value;
-      if (counter == "pli_cache_misses") cache_misses = value;
-    }
+    const int64_t parallel_tasks =
+        metrics::ValueOf(result.metrics, "muds.parallel_tasks");
+    const int64_t cache_hits =
+        metrics::ValueOf(result.metrics, "pli_cache.hits");
+    const int64_t cache_misses =
+        metrics::ValueOf(result.metrics, "pli_cache.misses");
     // PLI-cache hit rate over all Get probes (§6.4: intersect work saved).
     const int64_t probes = cache_hits + cache_misses;
     const double hit_rate =

@@ -39,13 +39,6 @@ int64_t LatticeMicros(const ProfilingResult& result) {
   return total;
 }
 
-int64_t CounterValue(const ProfilingResult& result, const std::string& name) {
-  for (const auto& [counter, value] : result.counters) {
-    if (counter == name) return value;
-  }
-  return 0;
-}
-
 int Run(int argc, char** argv) {
   const bench::BenchArgs args = bench::ParseArgs(argc, argv);
   const int64_t rows = args.full ? 200'000 : 60'000;
@@ -109,9 +102,13 @@ int Run(int argc, char** argv) {
     sampled_result = std::move(sampled);
   }
 
-  const int64_t refuted = CounterValue(sampled_result, "sampling_refuted");
-  const int64_t fd_checks_base = CounterValue(base_result, "fd_checks");
-  const int64_t fd_checks_sampled = CounterValue(sampled_result, "fd_checks");
+  const MetricsSnapshot& base_metrics = base_result.metrics;
+  const MetricsSnapshot& sampled_metrics = sampled_result.metrics;
+  const int64_t refuted = metrics::ValueOf(sampled_metrics, "sampling.refuted");
+  const int64_t fd_checks_base =
+      metrics::ValueOf(base_metrics, "muds.fd_checks");
+  const int64_t fd_checks_sampled =
+      metrics::ValueOf(sampled_metrics, "muds.fd_checks");
   const double lattice_speedup = base_lattice_ms / sampled_lattice_ms;
   const double total_speedup = base_ms / sampled_ms;
   std::printf("%-28s %9.1f ms total, %9.1f ms lattice (%lld fd checks)\n",
@@ -139,10 +136,10 @@ int Run(int argc, char** argv) {
               {"sample_pairs", sample_pairs},
               {"fd_checks", fd_checks_sampled},
               {"sampling_pairs",
-               CounterValue(sampled_result, "sampling_pairs")},
+               metrics::ValueOf(sampled_metrics, "sampling.pairs")},
               {"sampling_refuted", refuted},
               {"sampling_fed_back",
-               CounterValue(sampled_result, "sampling_fed_back")},
+               metrics::ValueOf(sampled_metrics, "sampling.fed_back")},
               {"lattice_ms_x1000",
                static_cast<int64_t>(sampled_lattice_ms * 1000)},
               {"sampling_speedup_x100",

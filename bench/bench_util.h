@@ -112,12 +112,13 @@ inline MachineInfo DetectMachine() {
 ///    "machine": {"cpu": "...", "simd": "avx2", "hardware_threads": 8},
 ///    "results": [
 ///     {"name": "muds/rows=10000", "wall_ms": 12.3, "threads": 1,
-///      "counters": {"fd_checks": 456, ...},
-///      "metrics": {"pli_cache.hits": 789, ...}}, ...]}
+///      "counters": {"speedup_x100": 456, ...},
+///      "metrics": {"muds.fd_checks": 789, ...}}, ...]}
 ///
-/// The "metrics" object is the run's metrics-registry delta
-/// (ProfilingResult::metrics); rows added without a metrics snapshot emit
-/// an empty object.
+/// "counters" are the bench's own derived figures (ratios, sizes; what the
+/// floors in bench/baselines/ gate). The "metrics" object is the run's
+/// registry metrics (ProfilingResult::metrics); rows added without a
+/// metrics snapshot emit an empty object.
 class JsonResultWriter {
  public:
   explicit JsonResultWriter(std::string bench_name)
@@ -168,11 +169,7 @@ class JsonResultWriter {
   /// counts overlapping parallel phases twice.
   void Add(const std::string& name, double wall_ms,
            const ProfilingResult& result) {
-    int threads = 1;
-    for (const auto& [counter, value] : result.counters) {
-      if (counter == "num_threads") threads = static_cast<int>(value);
-    }
-    Add(name, wall_ms, threads, result.counters, result.metrics);
+    Add(name, wall_ms, result.num_threads_used, {}, result.metrics);
   }
 
   void Write() {

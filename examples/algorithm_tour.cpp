@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/metrics.h"
 #include "common/timer.h"
 #include "core/profiler.h"
 #include "data/csv.h"
@@ -40,15 +41,18 @@ int main(int argc, char** argv) {
       return 1;
     }
     const ProfilingResult& r = result.value();
-    std::string notes;
-    for (const auto& [counter, value] : r.counters) {
-      if (counter == "fd_checks" || counter == "pli_intersects") {
-        notes += counter + "=" + std::to_string(value) + " ";
-      }
-    }
-    std::printf("%-10s %10.3f %8zu %8zu %8zu   %s\n",
+    // The run's registry metrics: MUDS counts its FD checks under muds.*,
+    // FUN (inside HFUN and the baseline) under fun.*; PLI-cache intersects
+    // are MUDS' and the baseline DUCC's.
+    const auto count = [&r](const char* name) {
+      return static_cast<long long>(metrics::ValueOf(r.metrics, name));
+    };
+    std::printf("%-10s %10.3f %8zu %8zu %8zu   fd_checks=%lld "
+                "pli_intersects=%lld\n",
                 AlgorithmName(algorithm), r.TotalSeconds(), r.inds.size(),
-                r.uccs.size(), r.fds.size(), notes.c_str());
+                r.uccs.size(), r.fds.size(),
+                count("muds.fd_checks") + count("fun.fd_checks"),
+                count("pli_cache.intersects") + count("fun.pli_intersects"));
     if (algorithm == Algorithm::kBaseline) {
       reference = r;
     } else if (r.fds != reference.fds || r.uccs != reference.uccs ||
@@ -61,10 +65,13 @@ int main(int argc, char** argv) {
   Timer timer;
   Relation parsed = CsvReader::ReadString(csv).value();
   Relation deduped = DeduplicateRows(parsed).relation;
+  const MetricsScope tane_scope;
   FdDiscoveryResult tane = Tane::Discover(deduped);
   std::printf("%-10s %10.3f %8s %8zu %8zu   fd_checks=%lld (FDs only)\n",
               "TANE", timer.ElapsedSeconds(), "-", tane.uccs.size(),
-              tane.fds.size(), static_cast<long long>(tane.fd_checks));
+              tane.fds.size(),
+              static_cast<long long>(metrics::ValueOf(
+                  tane_scope.run()->Snapshot(), "tane.fd_checks")));
   if (tane.fds != reference.fds) {
     std::printf("  ^^ DISAGREES with the baseline!\n");
   }

@@ -1,6 +1,44 @@
 #include "common/metrics.h"
 
+#include <algorithm>
+
+#include "common/check.h"
+
 namespace muds {
+
+namespace {
+
+// The calling thread's current run. A raw pointer keeps Credit() cheap; the
+// MetricsScope that installed the run owns a reference for as long as it
+// is current.
+thread_local RunMetrics* current_run = nullptr;
+
+}  // namespace
+
+std::shared_ptr<RunMetrics> RunMetrics::Current() {
+  return current_run != nullptr ? current_run->shared_from_this() : nullptr;
+}
+
+void RunMetrics::Credit(size_t id, int64_t delta) {
+  for (RunMetrics* run = current_run; run != nullptr;
+       run = run->parent_.get()) {
+    run->cells_[id].fetch_add(delta, std::memory_order_relaxed);
+  }
+}
+
+MetricsSnapshot RunMetrics::Snapshot() const {
+  return MetricsRegistry::Global().Collect(this);
+}
+
+MetricsScope::MetricsScope()
+    : MetricsScope(std::make_shared<RunMetrics>(RunMetrics::Current())) {}
+
+MetricsScope::MetricsScope(std::shared_ptr<RunMetrics> run)
+    : run_(std::move(run)), previous_(current_run) {
+  current_run = run_.get();
+}
+
+MetricsScope::~MetricsScope() { current_run = previous_; }
 
 size_t Counter::CellIndex() {
   static std::atomic<size_t> next_thread_id{0};
@@ -14,21 +52,34 @@ MetricsRegistry& MetricsRegistry::Global() {
   return *registry;
 }
 
+size_t MetricsRegistry::NextId() {
+  MUDS_CHECK_MSG(num_instruments_ < RunMetrics::kMaxInstruments,
+                 "too many registered metrics");
+  return num_instruments_++;
+}
+
 Counter* MetricsRegistry::GetCounter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
   std::unique_ptr<Counter>& slot = counters_[name];
-  if (slot == nullptr) slot = std::make_unique<Counter>(name);
+  if (slot == nullptr) slot.reset(new Counter(name, NextId()));
   return slot.get();
 }
 
 Gauge* MetricsRegistry::GetGauge(const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
   std::unique_ptr<Gauge>& slot = gauges_[name];
-  if (slot == nullptr) slot = std::make_unique<Gauge>(name);
+  if (slot == nullptr) slot.reset(new Gauge(name, NextId()));
   return slot.get();
 }
 
-MetricsSnapshot MetricsRegistry::Snapshot() const {
+MetricsSnapshot MetricsRegistry::Snapshot() const { return Collect(nullptr); }
+
+MetricsSnapshot MetricsRegistry::Collect(const RunMetrics* run) const {
+  const auto value = [run](const auto& instrument) {
+    return run != nullptr
+               ? run->cells_[instrument.id_].load(std::memory_order_relaxed)
+               : instrument.Value();
+  };
   std::lock_guard<std::mutex> lock(mutex_);
   MetricsSnapshot snapshot;
   snapshot.reserve(counters_.size() + gauges_.size());
@@ -41,10 +92,10 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
         g == gauges_.end() ||
         (c != counters_.end() && c->first < g->first);
     if (take_counter) {
-      snapshot.emplace_back(c->first, c->second->Value());
+      snapshot.emplace_back(c->first, value(*c->second));
       ++c;
     } else {
-      snapshot.emplace_back(g->first, g->second->Value());
+      snapshot.emplace_back(g->first, value(*g->second));
       ++g;
     }
   }
@@ -64,5 +115,18 @@ MetricsSnapshot MetricsRegistry::Delta(const MetricsSnapshot& before,
   }
   return delta;
 }
+
+namespace metrics {
+
+int64_t ValueOf(const MetricsSnapshot& snapshot, std::string_view name) {
+  const auto it =
+      std::lower_bound(snapshot.begin(), snapshot.end(), name,
+                       [](const auto& entry, std::string_view key) {
+                         return entry.first < key;
+                       });
+  return it != snapshot.end() && it->first == name ? it->second : 0;
+}
+
+}  // namespace metrics
 
 }  // namespace muds

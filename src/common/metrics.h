@@ -8,6 +8,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -17,6 +18,58 @@ namespace muds {
 /// returns and what reports/benches serialize.
 using MetricsSnapshot = std::vector<std::pair<std::string, int64_t>>;
 
+/// One run's view of the registry: a cell per instrument. While a
+/// MetricsScope makes the run current on a thread, Counter::Add and
+/// Gauge::Add there (and in the ThreadPool tasks the thread submits) also
+/// credit the run and each run it nests in — the run that was current
+/// where it was created. Other runs' work never reaches it. Shared-owned,
+/// so a pool task that outlives its submitter's scope still credits live
+/// memory.
+class RunMetrics : public std::enable_shared_from_this<RunMetrics> {
+ public:
+  /// The registry refuses to register more instruments than this.
+  static constexpr size_t kMaxInstruments = 1024;
+
+  explicit RunMetrics(std::shared_ptr<RunMetrics> parent)
+      : parent_(std::move(parent)) {}
+
+  /// Every registered instrument, sorted by name, even at zero (as Delta
+  /// does). Gauge::Set is process-only, so a Set-only gauge reads 0.
+  MetricsSnapshot Snapshot() const;
+
+  /// The calling thread's current run, or null.
+  static std::shared_ptr<RunMetrics> Current();
+
+  /// Lock-free; a no-op without a current run.
+  static void Credit(size_t id, int64_t delta);
+
+ private:
+  friend class MetricsRegistry;
+
+  const std::shared_ptr<RunMetrics> parent_;
+  std::array<std::atomic<int64_t>, kMaxInstruments> cells_{};
+};
+
+/// RAII: makes a run the calling thread's current run, and restores the
+/// previous one at the end. The default constructor starts a fresh run
+/// nested in the current one; the other re-enters `run` (null: none), as
+/// pool workers and objects that count several calls as one run do.
+class MetricsScope {
+ public:
+  MetricsScope();
+  explicit MetricsScope(std::shared_ptr<RunMetrics> run);
+  ~MetricsScope();
+
+  MetricsScope(const MetricsScope&) = delete;
+  MetricsScope& operator=(const MetricsScope&) = delete;
+
+  const std::shared_ptr<RunMetrics>& run() const { return run_; }
+
+ private:
+  std::shared_ptr<RunMetrics> run_;
+  RunMetrics* previous_;
+};
+
 /// Process-wide monotonic counter with per-thread striping: Add() touches
 /// one cache-line-private atomic cell chosen by the calling thread, so
 /// concurrent increments from the pool workers never contend on one line.
@@ -25,8 +78,6 @@ using MetricsSnapshot = std::vector<std::pair<std::string, int64_t>>;
 /// the usual trade of a striped counter.
 class Counter {
  public:
-  explicit Counter(std::string name) : name_(std::move(name)) {}
-
   Counter(const Counter&) = delete;
   Counter& operator=(const Counter&) = delete;
 
@@ -34,6 +85,7 @@ class Counter {
   /// monotonic; use a Gauge for values that go down).
   void Add(int64_t delta) {
     cells_[CellIndex()].value.fetch_add(delta, std::memory_order_relaxed);
+    RunMetrics::Credit(id_, delta);
   }
   void Increment() { Add(1); }
 
@@ -49,6 +101,11 @@ class Counter {
   const std::string& name() const { return name_; }
 
  private:
+  friend class MetricsRegistry;
+
+  /// `id` (< RunMetrics::kMaxInstruments) indexes a run's cells.
+  Counter(std::string name, size_t id) : name_(std::move(name)), id_(id) {}
+
   /// Enough stripes that a machine-sized pool rarely collides; each cell
   /// occupies its own cache line.
   static constexpr size_t kNumCells = 32;
@@ -61,6 +118,7 @@ class Counter {
   static size_t CellIndex();
 
   std::string name_;
+  size_t id_;
   std::array<Cell, kNumCells> cells_;
 };
 
@@ -68,25 +126,32 @@ class Counter {
 /// A single atomic: gauges are written at coarse points, not on hot paths.
 class Gauge {
  public:
-  explicit Gauge(std::string name) : name_(std::move(name)) {}
-
   Gauge(const Gauge&) = delete;
   Gauge& operator=(const Gauge&) = delete;
 
   void Set(int64_t value) { value_.store(value, std::memory_order_relaxed); }
-  void Add(int64_t delta) { value_.fetch_add(delta, std::memory_order_relaxed); }
+  void Add(int64_t delta) {
+    value_.fetch_add(delta, std::memory_order_relaxed);
+    RunMetrics::Credit(id_, delta);
+  }
   int64_t Value() const { return value_.load(std::memory_order_relaxed); }
 
   const std::string& name() const { return name_; }
 
  private:
+  friend class MetricsRegistry;
+
+  Gauge(std::string name, size_t id) : name_(std::move(name)), id_(id) {}
+
   std::string name_;
+  size_t id_;
   std::atomic<int64_t> value_{0};
 };
 
-/// Process-wide registry of named counters and gauges — the single substrate
-/// every subsystem (PLI cache, thread pool, SPIDER, DUCC, MUDS lattice
-/// phases) reports through. Handles returned by GetCounter/GetGauge are
+/// Process-wide registry of named counters and gauges — the single counter
+/// channel every subsystem (ingest, dedup, PLI cache, thread pool, SPIDER,
+/// DUCC, the MUDS, FUN and TANE lattices) reports through. A run's view of
+/// it is a RunMetrics. Handles returned by GetCounter/GetGauge are
 /// stable for the process lifetime, so call sites resolve a metric once and
 /// increment through the pointer on the hot path.
 ///
@@ -117,9 +182,16 @@ class MetricsRegistry {
                                const MetricsSnapshot& after);
 
  private:
+  friend class RunMetrics;
+
   MetricsRegistry() = default;
 
+  /// Snapshot() of the global cells (run == null) or of a run's.
+  MetricsSnapshot Collect(const RunMetrics* run) const;
+  size_t NextId();  // Caller holds mutex_.
+
   mutable std::mutex mutex_;
+  size_t num_instruments_ = 0;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
 };
@@ -135,6 +207,9 @@ inline void Add(const std::string& name, int64_t delta) {
 inline void SetGauge(const std::string& name, int64_t value) {
   MetricsRegistry::Global().GetGauge(name)->Set(value);
 }
+
+/// The value `snapshot` (sorted by name) holds for `name`; 0 if absent.
+int64_t ValueOf(const MetricsSnapshot& snapshot, std::string_view name);
 
 }  // namespace metrics
 

@@ -70,7 +70,8 @@ void ThreadPool::Enqueue(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     MUDS_CHECK_MSG(!stop_, "Submit after ThreadPool destruction began");
-    queue_.push_back(QueuedTask{std::move(task), SteadyMicros()});
+    queue_.push_back(
+        QueuedTask{std::move(task), SteadyMicros(), RunMetrics::Current()});
     PoolCounters::Get().queue_depth->Set(
         static_cast<int64_t>(queue_.size()));
   }
@@ -93,6 +94,7 @@ void ThreadPool::WorkerLoop() {
       PoolCounters::Get().queue_depth->Set(
           static_cast<int64_t>(queue_.size()));
     }
+    const MetricsScope scope(std::move(task.run));
     const PoolCounters& counters = PoolCounters::Get();
     counters.task_wait_us->Add(SteadyMicros() - task.enqueue_us);
     counters.tasks_executed->Increment();

@@ -14,6 +14,8 @@
 
 namespace muds {
 
+class RunMetrics;
+
 /// Fixed-size work-queue thread pool — the parallel execution substrate for
 /// the profiling engine (the paper attributes the dominant cost to PLI
 /// intersects and FD checks, §6.4; the per-right-hand-side sub-lattice
@@ -28,6 +30,10 @@ namespace muds {
 /// ParallelFor lets the calling thread participate in the loop, so it makes
 /// progress even when every worker is busy (and may therefore be nested
 /// inside pool tasks without deadlock).
+///
+/// Work a task does is counted in its submitter's metrics run: Submit and
+/// ParallelFor capture the calling thread's current RunMetrics, and the
+/// worker re-enters it around the task (common/metrics.h).
 class ThreadPool {
  public:
   explicit ThreadPool(int num_threads = 0);
@@ -71,11 +77,13 @@ class ThreadPool {
                    const std::function<void(int64_t)>& body);
 
  private:
-  // A queued task remembers when it entered the queue so the pool can
-  // account the enqueue-to-start wait in thread_pool.task_wait_us.
+  // A queued task remembers when it entered the queue, so the pool can
+  // account the enqueue-to-start wait in thread_pool.task_wait_us, and the
+  // submitter's metrics run, which the worker credits while it runs it.
   struct QueuedTask {
     std::function<void()> fn;
     int64_t enqueue_us = 0;
+    std::shared_ptr<RunMetrics> run;
   };
 
   void Enqueue(std::function<void()> task);

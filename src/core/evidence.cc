@@ -11,8 +11,6 @@ namespace muds {
 namespace {
 
 // Registry handles for the sampling.* counters, resolved once per process.
-// The per-store Stats stay the exact per-run record; these feed the
-// process-wide registry the observability layer reports through.
 struct SamplingMetrics {
   Counter* pairs;
   Counter* refuted;

@@ -14,32 +14,16 @@
 
 namespace muds {
 
-namespace {
-
-void AccumulateSampling(const FdDiscoveryResult& fd_result,
-                        HolisticResult* result) {
-  result->sampling_pairs += fd_result.sampling_pairs;
-  result->sampling_refuted += fd_result.sampling_refuted;
-  result->sampling_fed_back += fd_result.sampling_fed_back;
-  result->sampling_probe_ns += fd_result.sampling_probe_ns;
-}
-
-}  // namespace
-
 HolisticResult HolisticFun::Run(const Relation& relation,
                                 const EngineConfig& config) {
   HolisticResult result;
   ThreadPool pool(config.num_threads);
-  result.num_threads_used = pool.NumThreads();
   const auto run_fun = [&relation, &config, &result] {
     MUDS_TRACE_SPAN(&result.timings, "FUN");
     FdDiscoveryResult fd_result =
         Fun::Discover(relation, config.pli_impl, config.sampling);
     result.fds = std::move(fd_result.fds);
     result.uccs = std::move(fd_result.uccs);
-    result.fd_checks = fd_result.fd_checks;
-    result.pli_intersects = fd_result.pli_intersects;
-    AccumulateSampling(fd_result, &result);
   };
   if (pool.NumThreads() > 1) {
     // SPIDER (dictionary merge) and FUN (PLI lattice) read disjoint state:
@@ -76,7 +60,6 @@ HolisticResult Baseline::Run(const Relation& relation,
                              const EngineConfig& config) {
   HolisticResult result;
   ThreadPool pool(config.num_threads);
-  result.num_threads_used = pool.NumThreads();
   {
     MUDS_TRACE_SPAN(&result.timings, "SPIDER");
     result.inds = Spider::Discover(relation, config.spill);
@@ -97,29 +80,12 @@ HolisticResult Baseline::Run(const Relation& relation,
     options.seed = config.seed;
     result.uccs = Ducc::Discover(relation, &cache, options, nullptr,
                                  evidence.get());
-    result.pli_intersects += cache.NumIntersects();
-    const PliCache::Stats stats = cache.GetStats();
-    result.pli_cache_hits = stats.hits;
-    result.pli_cache_misses = stats.misses;
-    result.pli_cache_evictions = stats.evictions;
-    result.pli_cache_spill_writes = stats.spill_writes;
-    result.pli_cache_spill_reloads = stats.spill_reloads;
-    if (evidence) {
-      const EvidenceStore::Stats evidence_stats = evidence->GetStats();
-      result.sampling_pairs += evidence_stats.pairs;
-      result.sampling_refuted += evidence_stats.refuted;
-      result.sampling_fed_back += evidence_stats.fed_back;
-      result.sampling_probe_ns += evidence_stats.probe_ns;
-    }
   }
   {
     MUDS_TRACE_SPAN(&result.timings, "FUN");
     FdDiscoveryResult fd_result =
         Fun::Discover(relation, config.pli_impl, config.sampling);
     result.fds = std::move(fd_result.fds);
-    result.fd_checks = fd_result.fd_checks;
-    result.pli_intersects += fd_result.pli_intersects;
-    AccumulateSampling(fd_result, &result);
   }
   return result;
 }

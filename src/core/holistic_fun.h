@@ -1,37 +1,16 @@
 #ifndef MUDS_CORE_HOLISTIC_FUN_H_
 #define MUDS_CORE_HOLISTIC_FUN_H_
 
-#include "common/timer.h"
 #include "core/engine_config.h"
-#include "data/metadata.h"
+#include "core/muds.h"
 #include "data/relation.h"
 
 namespace muds {
 
-/// Result of a Holistic FUN run (shape shared with the baseline).
-struct HolisticResult {
-  std::vector<Ind> inds;
-  std::vector<ColumnSet> uccs;
-  std::vector<Fd> fds;
-  PhaseTimings timings;
-  int64_t fd_checks = 0;
-  int64_t pli_intersects = 0;
-  /// PLI-cache probe/eviction counters (baseline DUCC only; Holistic FUN
-  /// materializes its lattice PLIs outside the cache).
-  int64_t pli_cache_hits = 0;
-  int64_t pli_cache_misses = 0;
-  int64_t pli_cache_evictions = 0;
-  int64_t pli_cache_spill_writes = 0;
-  int64_t pli_cache_spill_reloads = 0;
-  /// Threads the run actually used (0 in `num_threads` resolves to the
-  /// hardware concurrency).
-  int num_threads_used = 1;
-  /// Sampling-first pre-validation counters (0 with sampling disabled).
-  int64_t sampling_pairs = 0;
-  int64_t sampling_refuted = 0;
-  int64_t sampling_fed_back = 0;
-  int64_t sampling_probe_ns = 0;
-};
+/// Result of a Holistic FUN or baseline run: the same shape as MUDS'. What
+/// the run did is counted in the metrics registry (fun.*, and for the
+/// baseline's DUCC pli_cache.* and ducc.*).
+using HolisticResult = MudsResult;
 
 /// Holistic FUN (§3.2): the "FDs and UCCs simultaneously" holistic
 /// algorithm. SPIDER runs on the shared load (one scan feeds the IND task

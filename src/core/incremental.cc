@@ -88,8 +88,9 @@ bool IncrementalProfiler::EqualRows(const Relation& a, RowId row_a,
 IncrementalProfiler::IncrementalProfiler(const Relation& base,
                                          const ProfileOptions& options)
     : options_(options),
-      before_(MetricsRegistry::Global().Snapshot()),
+      run_(std::make_shared<RunMetrics>(RunMetrics::Current())),
       pool_(std::make_unique<ThreadPool>(options.num_threads)) {
+  const MetricsScope scope(run_);
   IncMetrics::Get();
 
   {
@@ -113,7 +114,6 @@ IncrementalProfiler::IncrementalProfiler(const Relation& base,
   for (const auto& entry : base_result.timings.entries()) {
     timings_.Add(entry.first, entry.second);
   }
-  base_counters_ = std::move(base_result.counters);
   algorithm_used_ = base_result.algorithm_used;
 
   cache_ = std::make_unique<PliCache>(*relation_, options_.pli_budget_bytes,
@@ -136,6 +136,7 @@ IncrementalProfiler::IncrementalProfiler(const Relation& base,
 }
 
 Status IncrementalProfiler::Append(const Relation& batch) {
+  const MetricsScope scope(run_);
   if (batch.NumColumns() != relation_->NumColumns()) {
     return Status::InvalidArgument(
         "append batch has " + std::to_string(batch.NumColumns()) +
@@ -546,39 +547,8 @@ ProfilingResult IncrementalProfiler::Result() const {
   result.duplicates_removed = duplicates_removed_;
   result.algorithm_used = algorithm_used_;
   result.column_names = relation_->ColumnNames();
-
-  result.counters = base_counters_;
-  result.counters.emplace_back("incremental_batches", stats_.batches);
-  result.counters.emplace_back("incremental_appended_rows",
-                               stats_.appended_rows);
-  result.counters.emplace_back("incremental_duplicates_dropped",
-                               stats_.duplicates_dropped);
-  result.counters.emplace_back("incremental_revalidated", stats_.revalidated);
-  result.counters.emplace_back("incremental_screened_out",
-                               stats_.screened_out);
-  result.counters.emplace_back("incremental_broken", stats_.broken);
-  result.counters.emplace_back("incremental_rediscovered",
-                               stats_.rediscovered);
-  result.counters.emplace_back("incremental_explored_nodes",
-                               stats_.explored_nodes);
-  result.counters.emplace_back("incremental_evidence_hits",
-                               stats_.evidence_hits);
-  if (cache_) {
-    const PliCache::Stats cache_stats = cache_->GetStats();
-    result.counters.emplace_back("incremental_pli_cache_hits",
-                                 cache_stats.hits);
-    result.counters.emplace_back("incremental_pli_cache_misses",
-                                 cache_stats.misses);
-    result.counters.emplace_back("incremental_pli_cache_evictions",
-                                 cache_stats.evictions);
-    result.counters.emplace_back("incremental_pli_cache_spill_writes",
-                                 cache_stats.spill_writes);
-    result.counters.emplace_back("incremental_pli_cache_spill_reloads",
-                                 cache_stats.spill_reloads);
-  }
-
-  result.metrics =
-      MetricsRegistry::Delta(before_, MetricsRegistry::Global().Snapshot());
+  result.num_threads_used = pool_->NumThreads();
+  result.metrics = run_->Snapshot();
   return result;
 }
 

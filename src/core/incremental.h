@@ -99,8 +99,9 @@ class IncrementalProfiler {
   const Stats& stats() const { return stats_; }
 
   /// Assembles a ProfilingResult over the current state: the three sets,
-  /// the base-run counters plus the `incremental.*` counters, accumulated
-  /// phase timings, and the metrics delta since construction.
+  /// accumulated phase timings, and the metrics of the profiler's run,
+  /// which the constructor and every Append credit (the base profile's
+  /// counters plus the `incremental.*` ones).
   ProfilingResult Result() const;
 
  private:
@@ -116,7 +117,9 @@ class IncrementalProfiler {
   void MaintainFds(const class SetTrie& witness);
 
   ProfileOptions options_;
-  MetricsSnapshot before_;                 // Registry snapshot at ctor.
+  // The run the constructor and every Append credit; nested in the run
+  // that was current where the profiler was constructed.
+  const std::shared_ptr<RunMetrics> run_;
   std::unique_ptr<ThreadPool> pool_;
   std::optional<Relation> relation_;       // Stable address; mutated in place.
   std::unique_ptr<PliCache> cache_;
@@ -135,7 +138,6 @@ class IncrementalProfiler {
 
   Stats stats_;
   PhaseTimings timings_;
-  std::vector<std::pair<std::string, int64_t>> base_counters_;
   int64_t duplicates_removed_ = 0;
   Algorithm algorithm_used_ = Algorithm::kMuds;
 };

@@ -19,6 +19,7 @@
 #include "setops/antichain.h"
 #include "setops/hitting_set.h"
 #include "setops/set_trie.h"
+#include "ucc/ducc.h"
 #include "ucc/lattice_traversal.h"
 
 namespace muds {
@@ -160,11 +161,13 @@ class FdStore {
   std::map<int, MinimalSetCollection> minimal_;
 };
 
-// Registry handles for MUDS' hot counters, resolved once per process. The
-// per-run MudsStats fields stay the exact per-run record; these feed the
-// process-wide registry the observability layer reports through.
+// Registry handles for MUDS' counters, resolved once per process. A run's
+// own counts are its RunMetrics view of them (common/metrics.h).
 struct MudsCounters {
-  Counter* fd_checks;
+  Counter* fd_checks;           // Total; the next three split it per phase.
+  Counter* fd_checks_minimize;  // "minimizeFDs" (§5.1).
+  Counter* fd_checks_rz;        // "calculateRZ" (§5.2).
+  Counter* fd_checks_shadowed;  // §5.3 and the exhaustive completion.
   Counter* refines_all_batches;
   Counter* refines_all_candidates;
   Counter* rz_nodes_visited;
@@ -172,6 +175,7 @@ struct MudsCounters {
   Counter* completion_nodes_visited;
   Counter* completion_walk_steps;
   Counter* shadowed_tasks;
+  Counter* shadowed_rounds;
   Counter* connector_lookups;
   Counter* parallel_tasks;
 
@@ -180,6 +184,9 @@ struct MudsCounters {
       MetricsRegistry& registry = MetricsRegistry::Global();
       MudsCounters c;
       c.fd_checks = registry.GetCounter("muds.fd_checks");
+      c.fd_checks_minimize = registry.GetCounter("muds.fd_checks.minimize");
+      c.fd_checks_rz = registry.GetCounter("muds.fd_checks.rz");
+      c.fd_checks_shadowed = registry.GetCounter("muds.fd_checks.shadowed");
       c.refines_all_batches = registry.GetCounter("muds.refines_all.batches");
       c.refines_all_candidates =
           registry.GetCounter("muds.refines_all.candidates");
@@ -190,6 +197,7 @@ struct MudsCounters {
       c.completion_walk_steps =
           registry.GetCounter("muds.completion.walk_steps");
       c.shadowed_tasks = registry.GetCounter("muds.shadowed_tasks");
+      c.shadowed_rounds = registry.GetCounter("muds.shadowed_rounds");
       c.connector_lookups = registry.GetCounter("muds.connector_lookups");
       c.parallel_tasks = registry.GetCounter("muds.parallel_tasks");
       return c;
@@ -266,10 +274,10 @@ class MudsRunner {
   // revisit the same candidates from different directions, so repeat
   // queries cost one hash look-up plus bit algebra. (An antichain-based
   // inference cache was tried and lost: superset queries on dense tries
-  // cost more than the PLI checks they saved.) Counters count actual data
-  // validations.
+  // cost more than the PLI checks they saved.) muds.fd_checks and the
+  // phase's `phase_checks` count actual data validations.
   ColumnSet CheckFds(const ColumnSet& lhs, const ColumnSet& candidates,
-                     int64_t* counter) {
+                     Counter* phase_checks) {
     RhsKnowledge& knowledge = check_memo_[lhs];
     ColumnSet unchecked = candidates.Difference(knowledge.checked);
     // Sampling-first: one batched evidence probe refutes every recorded
@@ -294,8 +302,8 @@ class MudsRunner {
         batch_columns_.push_back(&relation_.GetColumn(a));
         batch_indices_.push_back(a);
       }
-      *counter += static_cast<int64_t>(batch_indices_.size());
       const MudsCounters& counters = MudsCounters::Get();
+      phase_checks->Add(static_cast<int64_t>(batch_indices_.size()));
       counters.fd_checks->Add(static_cast<int64_t>(batch_indices_.size()));
       counters.refines_all_batches->Increment();
       counters.refines_all_candidates->Add(
@@ -316,8 +324,8 @@ class MudsRunner {
     return candidates.Intersect(knowledge.valid);
   }
 
-  bool CheckFd(const ColumnSet& lhs, int rhs, int64_t* counter) {
-    return !CheckFds(lhs, ColumnSet::Single(rhs), counter).Empty();
+  bool CheckFd(const ColumnSet& lhs, int rhs, Counter* phase_checks) {
+    return !CheckFds(lhs, ColumnSet::Single(rhs), phase_checks).Empty();
   }
 
   // §4.1: right-hand sides that can never form an FD with `lhs` because
@@ -336,7 +344,6 @@ class MudsRunner {
 
   // Memoized connector look-up (§5.1, Table 2).
   ColumnSet LookupConnector(const ColumnSet& connector) {
-    ++result_.stats.connector_lookups;
     MudsCounters::Get().connector_lookups->Increment();
     auto it = connector_memo_.find(connector);
     if (it != connector_memo_.end()) return it->second;
@@ -352,26 +359,24 @@ class MudsRunner {
     ColumnSet valid;
   };
 
-  // Validation state owned by one parallel traversal task. Workers never
+  // Validation memo owned by one parallel traversal task. Workers never
   // touch the shared `check_memo_` (writes would race); they memoize into
   // their own map and the results are merged after the pool drains.
-  struct TaskCheckState {
-    std::unordered_map<ColumnSet, RhsKnowledge, ColumnSetHash> memo;
-    int64_t checks = 0;
-  };
+  using TaskMemo = std::unordered_map<ColumnSet, RhsKnowledge, ColumnSetHash>;
 
   // Thread-safe FD check for the parallel phases: consults the shared memo
   // read-only (no other thread mutates it while a parallel phase runs),
   // then the task-local memo, and only then validates against the data
   // through the (thread-safe) PliCache. Validity is a property of the data,
   // so racing tasks that both validate the same pair agree on the answer —
-  // only the check counter can differ across schedules.
-  bool CheckFdParallel(const ColumnSet& lhs, int rhs, TaskCheckState* state) {
+  // only the check counters can differ across schedules.
+  bool CheckFdParallel(const ColumnSet& lhs, int rhs, Counter* phase_checks,
+                       TaskMemo* memo) {
     auto shared = check_memo_.find(lhs);
     if (shared != check_memo_.end() && shared->second.checked.Contains(rhs)) {
       return shared->second.valid.Contains(rhs);
     }
-    RhsKnowledge& local = state->memo[lhs];
+    RhsKnowledge& local = (*memo)[lhs];
     if (local.checked.Contains(rhs)) return local.valid.Contains(rhs);
     // Sampling-first: probe the (thread-safe) evidence store before
     // touching the PLI. A hit is a definite non-FD.
@@ -379,7 +384,7 @@ class MudsRunner {
       local.checked.Add(rhs);
       return false;
     }
-    ++state->checks;
+    phase_checks->Increment();
     MudsCounters::Get().fd_checks->Increment();
     const std::shared_ptr<const Pli> pli = cache_->Get(lhs);
     const bool holds = pli->Refines(relation_.GetColumn(rhs));
@@ -392,12 +397,10 @@ class MudsRunner {
   }
 
   // Folds the task-local validation knowledge back into the shared memo
-  // (so later sequential phases keep benefiting) and the check counter.
-  void MergeCheckStates(std::vector<TaskCheckState>* states,
-                        int64_t* counter) {
-    for (TaskCheckState& state : *states) {
-      *counter += state.checks;
-      for (auto& [lhs, local] : state.memo) {
+  // (so later sequential phases keep benefiting).
+  void MergeTaskMemos(const std::vector<TaskMemo>& memos) {
+    for (const TaskMemo& memo : memos) {
+      for (const auto& [lhs, local] : memo) {
         RhsKnowledge& knowledge = check_memo_[lhs];
         knowledge.checked = knowledge.checked.Union(local.checked);
         knowledge.valid = knowledge.valid.Union(local.valid);
@@ -410,7 +413,7 @@ class MudsRunner {
 
   // Algorithm 4 on merged task levels. Returns true if new minimal FDs
   // were recorded.
-  bool MinimizeTasks(TaskLevels* tasks, int64_t* check_counter);
+  bool MinimizeTasks(TaskLevels* tasks, Counter* phase_checks);
 
   const Relation& relation_;
   const EngineConfig config_;
@@ -448,8 +451,8 @@ class MudsRunner {
 };
 
 MudsResult MudsRunner::Run() {
+  MudsCounters::Get();  // Register the muds.* metrics.
   pool_.emplace(config_.num_threads);
-  result_.stats.num_threads_used = pool_->NumThreads();
   RunSpider();
   // Eager registration: the sampling.* registry counters must exist (at
   // zero) even on runs with sampling disabled, so observability tooling
@@ -492,23 +495,6 @@ MudsResult MudsRunner::Run() {
   Canonicalize(&result_.fds);
   result_.uccs = uccs_;
   Canonicalize(&result_.uccs);
-  result_.stats.pli_intersects = cache_->NumIntersects();
-  const PliCache::Stats cache_stats = cache_->GetStats();
-  result_.stats.pli_cache_hits = cache_stats.hits;
-  result_.stats.pli_cache_misses = cache_stats.misses;
-  result_.stats.pli_cache_evictions = cache_stats.evictions;
-  result_.stats.pli_cache_bytes = cache_stats.bytes_cached;
-  result_.stats.pli_cache_pinned_bytes = cache_stats.pinned_bytes;
-  result_.stats.pli_cache_spill_writes = cache_stats.spill_writes;
-  result_.stats.pli_cache_spill_reloads = cache_stats.spill_reloads;
-  result_.stats.pli_cache_spill_bytes = cache_stats.spill_bytes;
-  if (evidence_) {
-    const EvidenceStore::Stats evidence_stats = evidence_->GetStats();
-    result_.stats.sampling_pairs = evidence_stats.pairs;
-    result_.stats.sampling_refuted = evidence_stats.refuted;
-    result_.stats.sampling_fed_back = evidence_stats.fed_back;
-    result_.stats.sampling_probe_ns = evidence_stats.probe_ns;
-  }
   return result_;
 }
 
@@ -540,8 +526,7 @@ void MudsRunner::RunDucc() {
   MUDS_TRACE_SPAN(&result_.timings, "DUCC");
   Ducc::Options ducc_options;
   ducc_options.seed = config_.seed;
-  uccs_ = Ducc::Discover(relation_, &*cache_, ducc_options,
-                         &result_.stats.ducc,
+  uccs_ = Ducc::Discover(relation_, &*cache_, ducc_options, nullptr,
                          evidence_.get());
   ucc_store_.emplace(uccs_, options_.use_prefix_tree);
   z_ = ColumnSet();
@@ -568,7 +553,8 @@ void MudsRunner::MinimizeFdsFromUccs() {
         ColumnSet potential = LookupConnector(connector);
         potential = potential.Difference(ImpossibleColumns(subset));
         const ColumnSet valid_rhs =
-            CheckFds(subset, potential, &result_.stats.fd_checks_minimize);
+            CheckFds(subset, potential,
+                     MudsCounters::Get().fd_checks_minimize);
         current_rhs = current_rhs.Difference(valid_rhs);
         if (!valid_rhs.Empty()) tasks.Add(m_ucc, subset, valid_rhs);
       }
@@ -594,8 +580,8 @@ void MudsRunner::CalculateRz() {
       traversal_options.known_positive = uccs_;
       LatticeTraversal traversal(
           active_.Without(a),
-          [this, a](const ColumnSet& lhs) {
-            return CheckFd(lhs, a, &result_.stats.fd_checks_rz);
+          [this, a, &counters](const ColumnSet& lhs) {
+            return CheckFd(lhs, a, counters.fd_checks_rz);
           },
           traversal_options);
       for (const ColumnSet& lhs : traversal.Run()) fd_store_.Add(lhs, a);
@@ -612,8 +598,7 @@ void MudsRunner::CalculateRz() {
   // set independent of scheduling.
   const std::vector<int> targets = rz.ToIndices();
   std::vector<std::vector<ColumnSet>> found(targets.size());
-  std::vector<TaskCheckState> states(targets.size());
-  result_.stats.parallel_tasks += static_cast<int64_t>(targets.size());
+  std::vector<TaskMemo> memos(targets.size());
   counters.parallel_tasks->Add(static_cast<int64_t>(targets.size()));
   pool_->ParallelFor(0, static_cast<int64_t>(targets.size()), [&](int64_t i) {
     const int a = targets[static_cast<size_t>(i)];
@@ -621,11 +606,11 @@ void MudsRunner::CalculateRz() {
     LatticeTraversal::Options traversal_options;
     traversal_options.seed = config_.seed * 7919 + static_cast<uint64_t>(a);
     traversal_options.known_positive = uccs_;
-    TaskCheckState* state = &states[static_cast<size_t>(i)];
+    TaskMemo* memo = &memos[static_cast<size_t>(i)];
     LatticeTraversal traversal(
         active_.Without(a),
-        [this, a, state](const ColumnSet& lhs) {
-          return CheckFdParallel(lhs, a, state);
+        [this, a, &counters, memo](const ColumnSet& lhs) {
+          return CheckFdParallel(lhs, a, counters.fd_checks_rz, memo);
         },
         traversal_options);
     found[static_cast<size_t>(i)] = traversal.Run();
@@ -635,7 +620,7 @@ void MudsRunner::CalculateRz() {
   for (size_t i = 0; i < targets.size(); ++i) {
     for (const ColumnSet& lhs : found[i]) fd_store_.Add(lhs, targets[i]);
   }
-  MergeCheckStates(&states, &result_.stats.fd_checks_rz);
+  MergeTaskMemos(memos);
 }
 
 std::vector<ColumnSet> MudsRunner::RemoveUccs(const ColumnSet& lhs) {
@@ -671,7 +656,7 @@ std::vector<ColumnSet> MudsRunner::RemoveUccs(const ColumnSet& lhs) {
   return results;
 }
 
-bool MudsRunner::MinimizeTasks(TaskLevels* tasks, int64_t* check_counter) {
+bool MudsRunner::MinimizeTasks(TaskLevels* tasks, Counter* phase_checks) {
   bool found_new = false;
   const ColumnSet no_context;  // Algorithm 4 tasks carry no mUCC context.
   for (int size = tasks->MaxSize(); size >= 1; --size) {
@@ -705,7 +690,7 @@ bool MudsRunner::MinimizeTasks(TaskLevels* tasks, int64_t* check_counter) {
             }
           }
         }
-        const ColumnSet valid_rhs = CheckFds(subset, candidates, check_counter);
+        const ColumnSet valid_rhs = CheckFds(subset, candidates, phase_checks);
         current_rhs = current_rhs.Difference(valid_rhs);
         if (!valid_rhs.Empty()) tasks->Add(no_context, subset, valid_rhs);
       }
@@ -719,8 +704,9 @@ bool MudsRunner::MinimizeTasks(TaskLevels* tasks, int64_t* check_counter) {
 }
 
 void MudsRunner::DiscoverShadowedFds() {
+  const MudsCounters& counters = MudsCounters::Get();
   for (;;) {
-    ++result_.stats.shadowed_rounds;
+    counters.shadowed_rounds->Increment();
     TaskLevels tasks;
     bool generated = false;
     {
@@ -767,12 +753,11 @@ void MudsRunner::DiscoverShadowedFds() {
               if (fd_store_.Covers(reduced, a)) candidates.Remove(a);
             }
           }
-          const ColumnSet valid = CheckFds(
-              reduced, candidates, &result_.stats.fd_checks_shadowed);
+          const ColumnSet valid =
+              CheckFds(reduced, candidates, counters.fd_checks_shadowed);
           if (valid.Empty()) continue;
           tasks.Add(ColumnSet(), reduced, valid);
-          ++result_.stats.shadowed_tasks;
-          MudsCounters::Get().shadowed_tasks->Increment();
+          counters.shadowed_tasks->Increment();
           generated = true;
         }
       }
@@ -781,8 +766,7 @@ void MudsRunner::DiscoverShadowedFds() {
     bool found_new;
     {
       MUDS_TRACE_SPAN(&result_.timings, "minimizeShadowedTasks");
-      found_new =
-          MinimizeTasks(&tasks, &result_.stats.fd_checks_shadowed);
+      found_new = MinimizeTasks(&tasks, counters.fd_checks_shadowed);
     }
     // Fixpoint iteration (DESIGN.md): new FDs can expose new shadowed
     // columns, so repeat until the store stops growing.
@@ -823,8 +807,8 @@ void MudsRunner::ExhaustiveCompletion() {
       }
       LatticeTraversal traversal(
           active_.Without(a),
-          [this, a](const ColumnSet& lhs) {
-            return CheckFd(lhs, a, &result_.stats.fd_checks_shadowed);
+          [this, a, &counters](const ColumnSet& lhs) {
+            return CheckFd(lhs, a, counters.fd_checks_shadowed);
           },
           traversal_options);
       fd_store_.ReplaceMinimal(a, traversal.Run());
@@ -858,17 +842,16 @@ void MudsRunner::ExhaustiveCompletion() {
     }
   }
   std::vector<std::vector<ColumnSet>> minimal(targets.size());
-  std::vector<TaskCheckState> states(targets.size());
-  result_.stats.parallel_tasks += static_cast<int64_t>(targets.size());
+  std::vector<TaskMemo> memos(targets.size());
   counters.parallel_tasks->Add(static_cast<int64_t>(targets.size()));
   pool_->ParallelFor(0, static_cast<int64_t>(targets.size()), [&](int64_t i) {
     const int a = targets[static_cast<size_t>(i)];
     MUDS_TRACE_SPAN("completionTraversal", RhsArgs(a));
-    TaskCheckState* state = &states[static_cast<size_t>(i)];
+    TaskMemo* memo = &memos[static_cast<size_t>(i)];
     LatticeTraversal traversal(
         active_.Without(a),
-        [this, a, state](const ColumnSet& lhs) {
-          return CheckFdParallel(lhs, a, state);
+        [this, a, &counters, memo](const ColumnSet& lhs) {
+          return CheckFdParallel(lhs, a, counters.fd_checks_shadowed, memo);
         },
         std::move(per_rhs_options[static_cast<size_t>(i)]));
     minimal[static_cast<size_t>(i)] = traversal.Run();
@@ -879,7 +862,7 @@ void MudsRunner::ExhaustiveCompletion() {
   for (size_t i = 0; i < targets.size(); ++i) {
     fd_store_.ReplaceMinimal(targets[i], minimal[i]);
   }
-  MergeCheckStates(&states, &result_.stats.fd_checks_shadowed);
+  MergeTaskMemos(memos);
 }
 
 }  // namespace

@@ -1,14 +1,12 @@
 #ifndef MUDS_CORE_MUDS_H_
 #define MUDS_CORE_MUDS_H_
 
-#include <cstdint>
 #include <vector>
 
 #include "common/timer.h"
 #include "core/engine_config.h"
 #include "data/metadata.h"
 #include "data/relation.h"
-#include "ucc/ducc.h"
 
 namespace muds {
 
@@ -52,54 +50,17 @@ struct MudsOptions {
   bool run_paper_shadowed_phase = true;
 };
 
-/// Counters describing what MUDS did; benches report these alongside
-/// runtimes (§6.4 attributes the cost to FD checks and PLI intersects).
-struct MudsStats {
-  int64_t fd_checks_minimize = 0;        // Phase "minimizeFDs" (§5.1).
-  int64_t fd_checks_rz = 0;              // Phase "calculate R\Z" (§5.2).
-  int64_t fd_checks_shadowed = 0;        // Phases of §5.3.
-  int64_t connector_lookups = 0;
-  int64_t shadowed_tasks = 0;
-  int64_t shadowed_rounds = 0;
-  int64_t pli_intersects = 0;
-  /// Shared PLI cache effectiveness (§2.2-§2.3: one PLI store serves the
-  /// UCC and FD tasks): probe outcomes, second-chance evictions under the
-  /// byte budget, and the bytes cached when the run finished.
-  int64_t pli_cache_hits = 0;
-  int64_t pli_cache_misses = 0;
-  int64_t pli_cache_evictions = 0;
-  int64_t pli_cache_bytes = 0;
-  /// Bytes pinned by the single-column/∅ working set, and the cold-tier
-  /// traffic when a spill directory is configured (0 otherwise).
-  int64_t pli_cache_pinned_bytes = 0;
-  int64_t pli_cache_spill_writes = 0;
-  int64_t pli_cache_spill_reloads = 0;
-  int64_t pli_cache_spill_bytes = 0;
-  /// Threads the run actually used (EngineConfig::num_threads resolved, so
-  /// 0 shows up as the hardware concurrency).
-  int num_threads_used = 1;
-  /// Sub-lattice traversal tasks dispatched to the pool by the parallel
-  /// phases (calculateRZ + exhaustiveCompletion) — the achieved task-level
-  /// parallelism; 0 on the sequential path.
-  int64_t parallel_tasks = 0;
-  /// Sampling-first pre-validation: pairs sampled (plus fed back by failed
-  /// full validations), candidates refuted by an evidence probe instead of
-  /// a PLI check, and total probe time. All 0 when sampling is disabled.
-  int64_t sampling_pairs = 0;
-  int64_t sampling_refuted = 0;
-  int64_t sampling_fed_back = 0;
-  int64_t sampling_probe_ns = 0;
-  Ducc::Stats ducc;
-};
-
-/// Full output of a MUDS run: the three metadata types plus the per-phase
-/// wall-clock breakdown that drives the Figure 8 experiment.
+/// Full output of a MUDS run (and, as HolisticResult, of Holistic FUN and
+/// the baseline): the three metadata types plus the per-phase wall-clock
+/// breakdown that drives the Figure 8 experiment. What the run
+/// did is counted in the metrics registry (muds.*; §6.4 attributes the cost
+/// to FD checks, split per phase as muds.fd_checks.{minimize,rz,shadowed},
+/// and PLI intersects, pli_cache.intersects).
 struct MudsResult {
   std::vector<Ind> inds;
   std::vector<ColumnSet> uccs;
   std::vector<Fd> fds;
   PhaseTimings timings;
-  MudsStats stats;
 };
 
 /// MUDS (§5): the holistic profiling algorithm. One pass over the input

@@ -75,72 +75,25 @@ ProfilingResult RunOnDeduped(const Relation& relation,
   ProfilingResult result;
   result.column_names = relation.ColumnNames();
   result.algorithm_used = options.algorithm;
+  MudsResult run;
   switch (options.algorithm) {
-    case Algorithm::kMuds: {
-      MudsResult muds = Muds::Run(relation, options);
-      result.inds = std::move(muds.inds);
-      result.uccs = std::move(muds.uccs);
-      result.fds = std::move(muds.fds);
-      MergeTimings(muds.timings, &result.timings);
-      result.counters = {
-          {"fd_checks", muds.stats.fd_checks_minimize +
-                            muds.stats.fd_checks_rz +
-                            muds.stats.fd_checks_shadowed},
-          {"fd_checks_minimize", muds.stats.fd_checks_minimize},
-          {"fd_checks_rz", muds.stats.fd_checks_rz},
-          {"fd_checks_shadowed", muds.stats.fd_checks_shadowed},
-          {"pli_intersects", muds.stats.pli_intersects},
-          {"pli_cache_hits", muds.stats.pli_cache_hits},
-          {"pli_cache_misses", muds.stats.pli_cache_misses},
-          {"pli_cache_evictions", muds.stats.pli_cache_evictions},
-          {"pli_cache_bytes", muds.stats.pli_cache_bytes},
-          {"pli_cache_pinned_bytes", muds.stats.pli_cache_pinned_bytes},
-          {"pli_cache_spill_writes", muds.stats.pli_cache_spill_writes},
-          {"pli_cache_spill_reloads", muds.stats.pli_cache_spill_reloads},
-          {"pli_cache_spill_bytes", muds.stats.pli_cache_spill_bytes},
-          {"connector_lookups", muds.stats.connector_lookups},
-          {"shadowed_tasks", muds.stats.shadowed_tasks},
-          {"shadowed_rounds", muds.stats.shadowed_rounds},
-          {"ducc_uniqueness_checks", muds.stats.ducc.uniqueness_checks},
-          {"num_threads", muds.stats.num_threads_used},
-          {"parallel_tasks", muds.stats.parallel_tasks},
-          {"sampling_pairs", muds.stats.sampling_pairs},
-          {"sampling_refuted", muds.stats.sampling_refuted},
-          {"sampling_fed_back", muds.stats.sampling_fed_back},
-          {"sampling_probe_ns", muds.stats.sampling_probe_ns},
-      };
+    case Algorithm::kMuds:
+      run = Muds::Run(relation, options);
       break;
-    }
     case Algorithm::kHolisticFun:
-    case Algorithm::kBaseline: {
-      HolisticResult holistic =
-          options.algorithm == Algorithm::kHolisticFun
-              ? HolisticFun::Run(relation, options)
-              : Baseline::Run(relation, options);
-      result.inds = std::move(holistic.inds);
-      result.uccs = std::move(holistic.uccs);
-      result.fds = std::move(holistic.fds);
-      MergeTimings(holistic.timings, &result.timings);
-      result.counters = {
-          {"fd_checks", holistic.fd_checks},
-          {"pli_intersects", holistic.pli_intersects},
-          {"pli_cache_hits", holistic.pli_cache_hits},
-          {"pli_cache_misses", holistic.pli_cache_misses},
-          {"pli_cache_evictions", holistic.pli_cache_evictions},
-          {"pli_cache_spill_writes", holistic.pli_cache_spill_writes},
-          {"pli_cache_spill_reloads", holistic.pli_cache_spill_reloads},
-          {"num_threads", holistic.num_threads_used},
-          {"sampling_pairs", holistic.sampling_pairs},
-          {"sampling_refuted", holistic.sampling_refuted},
-          {"sampling_fed_back", holistic.sampling_fed_back},
-          {"sampling_probe_ns", holistic.sampling_probe_ns},
-      };
+      run = HolisticFun::Run(relation, options);
       break;
-    }
+    case Algorithm::kBaseline:
+      run = Baseline::Run(relation, options);
+      break;
     case Algorithm::kAuto:
       MUDS_CHECK_MSG(false, "kAuto is resolved before dispatch");
       break;
   }
+  result.inds = std::move(run.inds);
+  result.uccs = std::move(run.uccs);
+  result.fds = std::move(run.fds);
+  MergeTimings(run.timings, &result.timings);
   return result;
 }
 
@@ -162,15 +115,17 @@ const char* AlgorithmName(Algorithm algorithm) {
 
 ProfilingResult ProfileRelation(const Relation& relation,
                                 const ProfileOptions& options) {
-  const MetricsSnapshot before = MetricsRegistry::Global().Snapshot();
+  const MetricsScope scope;
 
   // A relation without duplicates is profiled in place, not copied.
   PhaseTimings dedup_timings;
   std::optional<Relation> deduped;
   int64_t duplicates_removed = 0;
+  int num_threads_used = 1;
   {
     MUDS_TRACE_SPAN(&dedup_timings, "dedup");
     ThreadPool pool(options.num_threads);
+    num_threads_used = pool.NumThreads();
     const std::vector<RowId> distinct = DistinctRowIds(relation, &pool);
     duplicates_removed = static_cast<int64_t>(relation.NumRows()) -
                          static_cast<int64_t>(distinct.size());
@@ -183,8 +138,8 @@ ProfilingResult ProfileRelation(const Relation& relation,
       RunOnDeduped(deduped ? *deduped : relation, options);
   MergeTimings(dedup_timings, &result.timings);
   result.duplicates_removed = duplicates_removed;
-  result.metrics = MetricsRegistry::Delta(
-      before, MetricsRegistry::Global().Snapshot());
+  result.num_threads_used = num_threads_used;
+  result.metrics = scope.run()->Snapshot();
   return result;
 }
 
@@ -215,13 +170,19 @@ Result<ProfilingResult> ProfileCsv(const Load& load, size_t num_batches,
     return Status::InvalidArgument(
         "append batches cannot be combined with NULL != NULL semantics");
   }
+  const CsvOptions csv = CsvOptionsForLoad(options);
+  for (const int threads : {options.num_threads, csv.num_threads}) {
+    if (threads < 0) {
+      return Status::InvalidArgument("num_threads must be >= 0, got " +
+                                     std::to_string(threads));
+    }
+  }
   // The baseline runs three independent tools, each reading the input
   // itself; the holistic algorithms read once (§3: shared I/O).
   const int num_reads = options.algorithm == Algorithm::kBaseline ? 3 : 1;
-  // ProfileRelation snapshots the metrics registry around the discovery
-  // phases only; widen the delta here so ingest.* counters are included.
-  const MetricsSnapshot before = MetricsRegistry::Global().Snapshot();
-  const CsvOptions csv = CsvOptionsForLoad(options);
+  // ProfileRelation's run nests in this one, so the result's metrics hold
+  // the ingest.* counters as well as the discovery work.
+  const MetricsScope scope;
   ThreadPool pool(num_batches > 0 ? csv.num_threads : 1);  // Column merges.
   int64_t load_micros = 0;
   std::optional<Relation> relation;
@@ -254,8 +215,7 @@ Result<ProfilingResult> ProfileCsv(const Load& load, size_t num_batches,
 
   ProfilingResult result = ProfileRelation(*relation, options);
   result.timings.Add("load", load_micros);
-  result.metrics = MetricsRegistry::Delta(
-      before, MetricsRegistry::Global().Snapshot());
+  result.metrics = scope.run()->Snapshot();
   return result;
 }
 

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "common/metrics.h"
@@ -66,7 +65,7 @@ struct ProfileOptions : EngineConfig {
 };
 
 /// The holistic profiling answer: all three metadata types for one
-/// relation, plus per-phase timings and work counters.
+/// relation, plus per-phase timings and the run's metrics.
 struct ProfilingResult {
   std::vector<Ind> inds;
   std::vector<ColumnSet> uccs;
@@ -76,14 +75,14 @@ struct ProfilingResult {
   /// paper ("SPIDER", "DUCC", "minimizeFDs", ...; plus "load" and "dedup").
   PhaseTimings timings;
 
-  /// Work counters ("fd_checks", "pli_intersects", ...).
-  std::vector<std::pair<std::string, int64_t>> counters;
-
-  /// Delta of the process-wide metrics registry (common/metrics.h) over
-  /// this profiling run: every registered counter/gauge, sorted by name.
-  /// Names a metric even when its delta is zero, so consumers can rely on
-  /// the full instrument set being present.
+  /// The run's metrics (RunMetrics::Snapshot, common/metrics.h): every
+  /// registered counter and gauge, sorted by name, even at zero, counting
+  /// this run's work only — not that of runs beside it in the process.
   MetricsSnapshot metrics;
+
+  /// Threads the run used: ProfileOptions::num_threads resolved, so 0
+  /// shows up as the hardware concurrency.
+  int num_threads_used = 1;
 
   /// Duplicate rows dropped by preprocessing (§3).
   int64_t duplicates_removed = 0;

@@ -51,6 +51,8 @@ std::string ProfilingResultToJson(const ProfilingResult& result) {
   }
   out += "],\n  \"duplicates_removed\": " +
          std::to_string(result.duplicates_removed);
+  out += ",\n  \"num_threads_used\": " +
+         std::to_string(result.num_threads_used);
   out += ",\n  \"inds\": [";
   for (size_t i = 0; i < result.inds.size(); ++i) {
     if (i > 0) out += ',';
@@ -73,15 +75,8 @@ std::string ProfilingResultToJson(const ProfilingResult& result) {
     out += JsonQuote(names[static_cast<size_t>(result.fds[i].rhs)]);
     out += "}";
   }
-  out += "\n  ],\n  \"counters\": {";
+  out += "\n  ],\n  \"metrics\": {";
   bool first = true;
-  for (const auto& [counter, value] : result.counters) {
-    if (!first) out += ',';
-    out += "\n    " + JsonQuote(counter) + ": " + std::to_string(value);
-    first = false;
-  }
-  out += "\n  },\n  \"metrics\": {";
-  first = true;
   for (const auto& [metric, value] : result.metrics) {
     if (!first) out += ',';
     out += "\n    " + JsonQuote(metric) + ": " + std::to_string(value);

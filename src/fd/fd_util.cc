@@ -13,6 +13,17 @@ std::vector<Fd> ConstantColumnFds(const Relation& relation) {
   return fds;
 }
 
+FdWorkCounts::FdWorkCounts(const std::string& algorithm)
+    : fd_checks_counter_(
+          MetricsRegistry::Global().GetCounter(algorithm + ".fd_checks")),
+      pli_intersects_counter_(MetricsRegistry::Global().GetCounter(
+          algorithm + ".pli_intersects")) {}
+
+FdWorkCounts::~FdWorkCounts() {
+  fd_checks_counter_->Add(checks);
+  pli_intersects_counter_->Add(intersects);
+}
+
 bool CheckFd(PliCache* cache, const ColumnSet& lhs, int rhs) {
   return cache->Get(lhs)->Refines(cache->relation().GetColumn(rhs));
 }

@@ -1,8 +1,11 @@
 #ifndef MUDS_FD_FD_UTIL_H_
 #define MUDS_FD_FD_UTIL_H_
 
+#include <cstdint>
+#include <string>
 #include <vector>
 
+#include "common/metrics.h"
 #include "data/metadata.h"
 #include "data/relation.h"
 #include "pli/pli_cache.h"
@@ -15,16 +18,26 @@ namespace muds {
 struct FdDiscoveryResult {
   std::vector<Fd> fds;
   std::vector<ColumnSet> uccs;
-  /// Number of partition-based FD validity tests performed.
-  int64_t fd_checks = 0;
-  /// Number of PLI intersect operations performed.
-  int64_t pli_intersects = 0;
-  /// Sampling-first pre-validation counters (0 unless the algorithm
-  /// supports --sample-pairs and it was enabled).
-  int64_t sampling_pairs = 0;
-  int64_t sampling_refuted = 0;
-  int64_t sampling_fed_back = 0;
-  int64_t sampling_probe_ns = 0;
+};
+
+/// The work counts of one TANE or FUN run: plain integers on the hot path,
+/// credited to `<algorithm>.fd_checks` (FD validity tests) and
+/// `<algorithm>.pli_intersects` when the run ends, on every return path.
+/// Constructing it registers both counters.
+class FdWorkCounts {
+ public:
+  explicit FdWorkCounts(const std::string& algorithm);
+  ~FdWorkCounts();
+
+  FdWorkCounts(const FdWorkCounts&) = delete;
+  FdWorkCounts& operator=(const FdWorkCounts&) = delete;
+
+  int64_t checks = 0;
+  int64_t intersects = 0;
+
+ private:
+  Counter* const fd_checks_counter_;
+  Counter* const pli_intersects_counter_;
 };
 
 /// The minimal FDs contributed by constant columns: ∅ → A for every column

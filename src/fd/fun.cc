@@ -53,6 +53,7 @@ int64_t InferCardinality(const ColumnSet& set, CardMap* cards) {
 
 FdDiscoveryResult Fun::Discover(const Relation& relation, PliImpl impl,
                                 const SamplingConfig& sampling) {
+  FdWorkCounts work("fun");
   FdDiscoveryResult result;
   result.fds = ConstantColumnFds(relation);
   if (relation.NumRows() <= 1) {
@@ -141,7 +142,7 @@ FdDiscoveryResult Fun::Discover(const Relation& relation, PliImpl impl,
           if (!viable) continue;
           Node node;
           node.set = candidate;
-          ++result.pli_intersects;
+          ++work.intersects;
           node.pli = std::make_shared<Pli>(left.pli->Intersect(*right.pli));
           node.cardinality = node.pli->DistinctCount();
           cards.emplace(node.set, node.cardinality);
@@ -179,7 +180,7 @@ FdDiscoveryResult Fun::Discover(const Relation& relation, PliImpl impl,
       if (evidence) refuted = evidence->RefutedRhs(node.set);
       for (int a = others.First(); a >= 0; a = others.NextAtLeast(a + 1)) {
         if (refuted.Contains(a)) continue;
-        ++result.fd_checks;
+        ++work.checks;
         if (InferCardinality(node.set.With(a), &cards) == node.cardinality) {
           candidate_fds.push_back(Fd{node.set, a});
         }
@@ -203,13 +204,6 @@ FdDiscoveryResult Fun::Discover(const Relation& relation, PliImpl impl,
     }
   }
 
-  if (evidence) {
-    const EvidenceStore::Stats stats = evidence->GetStats();
-    result.sampling_pairs = stats.pairs;
-    result.sampling_refuted = stats.refuted;
-    result.sampling_fed_back = stats.fed_back;
-    result.sampling_probe_ns = stats.probe_ns;
-  }
   Canonicalize(&result.fds);
   Canonicalize(&result.uccs);
   return result;

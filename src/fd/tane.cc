@@ -28,6 +28,7 @@ using LevelMap = std::unordered_map<ColumnSet, size_t, ColumnSetHash>;
 }  // namespace
 
 FdDiscoveryResult Tane::Discover(const Relation& relation) {
+  FdWorkCounts work("tane");
   FdDiscoveryResult result;
   result.fds = ConstantColumnFds(relation);
   if (relation.NumRows() <= 1) {
@@ -85,7 +86,7 @@ FdDiscoveryResult Tane::Discover(const Relation& relation) {
         const ColumnSet check = node.set.Intersect(cplus);
         for (int a = check.First(); a >= 0; a = check.NextAtLeast(a + 1)) {
           const Node& subset = prev_node(node.set.Without(a));
-          ++result.fd_checks;
+          ++work.checks;
           if (subset.pli->DistinctCount() == node.pli->DistinctCount()) {
             result.fds.push_back(Fd{node.set.Without(a), a});
             cplus.Remove(a);
@@ -122,7 +123,7 @@ FdDiscoveryResult Tane::Discover(const Relation& relation) {
             batch_columns.push_back(&relation.GetColumn(a));
             batch_indices.push_back(a);
           }
-          result.fd_checks += static_cast<int64_t>(batch_indices.size());
+          work.checks += static_cast<int64_t>(batch_indices.size());
           prev_node(sub).pli->RefinesAll(batch_columns, &batch_valid);
           for (size_t i = 0; i < batch_indices.size(); ++i) {
             if (batch_valid[i]) remaining.Remove(batch_indices[i]);
@@ -173,7 +174,7 @@ FdDiscoveryResult Tane::Discover(const Relation& relation) {
           if (!viable) continue;
           Node node;
           node.set = candidate;
-          ++result.pli_intersects;
+          ++work.intersects;
           node.pli = std::make_shared<Pli>(left.pli->Intersect(*right.pli));
           next_index.emplace(node.set, next.size());
           next.push_back(std::move(node));

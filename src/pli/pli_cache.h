@@ -131,7 +131,8 @@ class PliCache {
     return num_intersects_.load(std::memory_order_relaxed);
   }
 
-  /// Cache effectiveness counters; benches and MudsStats surface these.
+  /// Cache effectiveness counters of this cache (the pli_cache.* registry
+  /// counters carry the same events for the run).
   /// hits + misses equals the number of Get/GetIfCached probes (internal
   /// prefix look-ups during a build are not counted — a Get that has to
   /// build counts as exactly one miss). A Get satisfied by a spill reload

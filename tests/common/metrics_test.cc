@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "common/thread_pool.h"
 
 namespace muds {
 namespace {
@@ -131,6 +134,75 @@ TEST(MetricsConcurrencyTest, DeltaCountsMetricsBornMidRun) {
     if (name == "test.born_mid_run") born_delta = value;
   }
   EXPECT_EQ(born_delta, 3);
+}
+
+TEST(MetricsConcurrencyTest, RunScopesFollowTheirTasksThroughThePool) {
+  // Two runs on two threads each drive their own 4-thread pool through
+  // Submit and ParallelFor; run r adds r + 1 per unit of work.
+  Counter* counter = MetricsRegistry::Global().GetCounter("test.run_scoped");
+  const int64_t global_before = counter->Value();
+  constexpr int64_t kUnits = 2000;
+  int64_t seen[2] = {-1, -1};
+  std::vector<std::thread> threads;
+  for (int r = 0; r < 2; ++r) {
+    threads.emplace_back([r, counter, &seen] {
+      const MetricsScope scope;
+      const int64_t step = r + 1;
+      ThreadPool pool(4);
+      pool.ParallelFor(0, kUnits, [&](int64_t) { counter->Add(step); });
+      std::vector<std::future<void>> done;
+      for (int64_t i = 0; i < kUnits; ++i) {
+        done.push_back(pool.Submit([&] { counter->Add(step); }));
+      }
+      for (std::future<void>& future : done) future.get();
+      seen[r] = metrics::ValueOf(scope.run()->Snapshot(), "test.run_scoped");
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(seen[0], 2 * kUnits);
+  EXPECT_EQ(seen[1], 2 * 2 * kUnits);
+  EXPECT_EQ(counter->Value() - global_before, 6 * kUnits);
+}
+
+TEST(MetricsConcurrencyTest, NestedRunsCreditTheRunTheyNestIn) {
+  Counter* counter = MetricsRegistry::Global().GetCounter("test.nested_run");
+  const MetricsScope outer;
+  counter->Add(1);
+  {
+    const MetricsScope inner;
+    counter->Add(10);
+    EXPECT_EQ(metrics::ValueOf(inner.run()->Snapshot(), "test.nested_run"),
+              10);
+  }
+  counter->Add(100);
+  EXPECT_EQ(metrics::ValueOf(outer.run()->Snapshot(), "test.nested_run"),
+            111);
+}
+
+TEST(MetricsConcurrencyTest, RunSnapshotNamesEveryInstrument) {
+  MetricsRegistry::Global().GetCounter("test.run_untouched");
+  Gauge* gauge = MetricsRegistry::Global().GetGauge("test.run_gauge");
+  const MetricsScope scope;
+  gauge->Set(50);  // Process-only.
+  gauge->Add(2);
+  const MetricsSnapshot run = scope.run()->Snapshot();
+  const MetricsSnapshot global = MetricsRegistry::Global().Snapshot();
+  ASSERT_EQ(run.size(), global.size());
+  for (size_t i = 0; i < run.size(); ++i) {
+    EXPECT_EQ(run[i].first, global[i].first);
+  }
+  EXPECT_EQ(metrics::ValueOf(run, "test.run_untouched"), 0);
+  EXPECT_EQ(metrics::ValueOf(run, "test.run_gauge"), 2);
+  EXPECT_EQ(gauge->Value(), 52);
+}
+
+TEST(MetricsConcurrencyTest, WorkOutsideAnyRunReachesOnlyTheGlobalCell) {
+  Counter* counter = MetricsRegistry::Global().GetCounter("test.no_run");
+  const MetricsScope scope;
+  std::thread outside([counter] { counter->Add(7); });
+  outside.join();
+  EXPECT_EQ(metrics::ValueOf(scope.run()->Snapshot(), "test.no_run"), 0);
+  EXPECT_EQ(counter->Value(), 7);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "data/preprocess.h"
 #include "fd/brute_force_fd.h"
 #include "test_util.h"
@@ -141,9 +142,11 @@ TEST(MudsTest, RzPhaseFindsFdsOutsideEveryMinimalUcc) {
                     "c" + std::to_string((i * 7) % 5)});
   }
   Relation r = Relation::FromRows({"K", "A", "B", "C"}, rows);
+  const MetricsScope scope;
   MudsResult result = Muds::Run(r);
   EXPECT_EQ(result.uccs, (std::vector<ColumnSet>{ColumnSet::Single(0)}));
-  ASSERT_GT(result.stats.fd_checks_rz, 0)
+  ASSERT_GT(metrics::ValueOf(scope.run()->Snapshot(), "muds.fd_checks.rz"),
+            0)
       << "the R\\Z phase never ran a check";
   // Minimal FDs: K -> everything, A <-> B.
   EXPECT_EQ(result.fds, BruteForceFd::Discover(r));
@@ -164,8 +167,10 @@ TEST(MudsTest, ConnectedUccPhaseMinimizesAcrossOverlappingKeys) {
   }
   Relation r = DeduplicateRows(Relation::FromRows({"A", "B", "C"}, rows))
                    .relation;
+  const MetricsScope scope;
   MudsResult result = Muds::Run(r);
-  EXPECT_GT(result.stats.connector_lookups, 0);
+  EXPECT_GT(
+      metrics::ValueOf(scope.run()->Snapshot(), "muds.connector_lookups"), 0);
   EXPECT_EQ(result.fds, BruteForceFd::Discover(r));
   EXPECT_EQ(result.uccs, BruteForceUcc::Discover(r));
 }

@@ -5,6 +5,7 @@
 #include <string>
 #include <utility>
 
+#include "common/metrics.h"
 #include "test_util.h"
 
 namespace muds {
@@ -71,19 +72,25 @@ TEST(ProfilerTest, DedupCountersReachTheResultMetrics) {
 }
 
 TEST(ProfilerTest, AllAlgorithmsExposeCounters) {
-  for (Algorithm algorithm : {Algorithm::kMuds, Algorithm::kHolisticFun,
-                              Algorithm::kBaseline}) {
+  // Every engine counts its FD checks in the registry: MUDS under muds.*,
+  // Holistic FUN and the baseline (both end in FUN) under fun.*.
+  const std::pair<Algorithm, const char*> engines[] = {
+      {Algorithm::kMuds, "muds.fd_checks"},
+      {Algorithm::kHolisticFun, "fun.fd_checks"},
+      {Algorithm::kBaseline, "fun.fd_checks"}};
+  for (const auto& [algorithm, fd_checks] : engines) {
     ProfileOptions options;
     options.algorithm = algorithm;
     auto result = ProfileCsvString(kCsv, options);
     ASSERT_TRUE(result.ok()) << AlgorithmName(algorithm);
-    EXPECT_FALSE(result.value().counters.empty());
+    EXPECT_GT(metrics::ValueOf(result.value().metrics, fd_checks), 0)
+        << AlgorithmName(algorithm);
   }
 }
 
 TEST(ProfilerTest, BaselineModelsUnsharedReads) {
-  // The baseline parses once per profiling task; its load phase must cost
-  // roughly three times the holistic load on the same input.
+  // The baseline parses once per profiling task: its run reads the input
+  // three times where the holistic algorithms read it once.
   ProfileOptions options;
   options.algorithm = Algorithm::kMuds;
   std::string text = "a,b,c,d,e,f\n";
@@ -97,8 +104,36 @@ TEST(ProfilerTest, BaselineModelsUnsharedReads) {
   auto baseline = ProfileCsvString(text, options);
   ASSERT_TRUE(holistic.ok());
   ASSERT_TRUE(baseline.ok());
-  EXPECT_GT(baseline.value().timings.Micros("load"),
-            holistic.value().timings.Micros("load"));
+  const MetricsSnapshot& once = holistic.value().metrics;
+  const MetricsSnapshot& thrice = baseline.value().metrics;
+  EXPECT_EQ(metrics::ValueOf(once, "ingest.bytes"),
+            static_cast<int64_t>(text.size()));
+  EXPECT_EQ(metrics::ValueOf(once, "ingest.records"), 5000);
+  for (const char* name : {"ingest.bytes", "ingest.records"}) {
+    EXPECT_EQ(metrics::ValueOf(thrice, name),
+              3 * metrics::ValueOf(once, name))
+        << name;
+  }
+}
+
+TEST(ProfilerTest, NegativeThreadCountsAreInvalidArguments) {
+  // Rejected before any pool is built: the append path builds its merge
+  // pool before the parse, and ProfileRelation's pools come after it.
+  ProfileOptions csv_threads;
+  csv_threads.csv.num_threads = -2;
+  auto appended =
+      ProfileCsvStringWithAppends("a,b\n1,2\n", {"3,4\n"}, csv_threads);
+  ASSERT_FALSE(appended.ok());
+  EXPECT_EQ(appended.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(appended.status().message(), "num_threads must be >= 0, got -2");
+
+  ProfileOptions engine_threads;
+  engine_threads.num_threads = -2;
+  engine_threads.csv.num_threads = 2;
+  auto profiled = ProfileCsvString("a,b\n1,2\n", engine_threads);
+  ASSERT_FALSE(profiled.ok());
+  EXPECT_EQ(profiled.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(profiled.status().message(), "num_threads must be >= 0, got -2");
 }
 
 TEST(ProfilerTest, ProfileCsvFileRoundTrip) {

@@ -13,7 +13,8 @@ ProfilingResult SampleResult() {
   result.uccs = {ColumnSet::Single(0)};
   result.fds = {{ColumnSet(), 2}, {ColumnSet::FromIndices({0, 1}), 2}};
   result.duplicates_removed = 3;
-  result.counters = {{"fd_checks", 42}};
+  result.metrics = {{"muds.fd_checks", 42}};
+  result.num_threads_used = 3;
   result.timings.Add("SPIDER", 1500);
   result.timings.Add("DUCC", 2500);
   return result;
@@ -33,7 +34,10 @@ TEST(ReportJsonTest, ContainsAllSections) {
   EXPECT_NE(json.find("\"duplicates_removed\": 3"), std::string::npos);
   EXPECT_NE(json.find("\"dependent\": \"zip\""), std::string::npos);
   EXPECT_NE(json.find("\"referenced\": \"id\""), std::string::npos);
-  EXPECT_NE(json.find("\"fd_checks\": 42"), std::string::npos);
+  EXPECT_NE(json.find("\"num_threads_used\": 3"), std::string::npos);
+  EXPECT_NE(json.find("\"muds.fd_checks\": 42"), std::string::npos);
+  // The registry metrics are the report's only counter channel.
+  EXPECT_EQ(json.find("\"counters\""), std::string::npos);
   EXPECT_NE(json.find("\"SPIDER\": 1500"), std::string::npos);
   // The empty-lhs FD serializes as an empty array.
   EXPECT_NE(json.find("{\"lhs\": [], \"rhs\": \"zip\"}"),

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "data/preprocess.h"
 #include "fd/brute_force_fd.h"
 #include "test_util.h"
@@ -96,9 +97,11 @@ TEST(TaneTest, EmptyRelation) {
 
 TEST(TaneTest, ReportsWorkCounters) {
   Relation r = DeduplicateRows(RandomRelation(5, 6, 50, 4)).relation;
-  FdDiscoveryResult result = Tane::Discover(r);
-  EXPECT_GT(result.fd_checks, 0);
-  EXPECT_GT(result.pli_intersects, 0);
+  const MetricsScope scope;
+  Tane::Discover(r);
+  const MetricsSnapshot run = scope.run()->Snapshot();
+  EXPECT_GT(metrics::ValueOf(run, "tane.fd_checks"), 0);
+  EXPECT_GT(metrics::ValueOf(run, "tane.pli_intersects"), 0);
 }
 
 TEST(TaneTest, UccsMatchDucc) {

@@ -1,12 +1,14 @@
 // End-to-end checks of the observability layer at the library level: one
-// profiling run produces (a) a metrics delta naming every instrumented
-// subsystem and (b) a loadable Chrome trace whose span aggregation matches
-// the phase timings that shipped with the result.
+// profiling run produces (a) run-scoped metrics naming every instrumented
+// subsystem, exact even while other runs share the process, and (b) a
+// loadable Chrome trace whose span aggregation matches the phase timings
+// that shipped with the result.
 
 #include <gtest/gtest.h>
 
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/json.h"
@@ -14,6 +16,7 @@
 #include "common/trace.h"
 #include "core/profiler.h"
 #include "core/report.h"
+#include "test_util.h"
 #include "workload/generators.h"
 
 namespace muds {
@@ -49,20 +52,34 @@ TEST(ObservabilityTest, ProfilingResultCarriesSubsystemMetrics) {
   EXPECT_GT(metrics.at("ducc.uniqueness_checks"), 0);
 }
 
-TEST(ObservabilityTest, MetricsDeltaMatchesLegacyCounters) {
-  Result<ProfilingResult> one = ProfileCsvString(TestCsv());
-  ASSERT_TRUE(one.ok());
-  const std::map<std::string, int64_t> metrics = AsMap(one.value().metrics);
-  std::map<std::string, int64_t> counters(one.value().counters.begin(),
-                                          one.value().counters.end());
-  // The registry path counts the same events as the per-run stats structs.
-  EXPECT_EQ(metrics.at("muds.fd_checks"), counters.at("fd_checks"));
-  EXPECT_EQ(metrics.at("ducc.uniqueness_checks"),
-            counters.at("ducc_uniqueness_checks"));
-  EXPECT_EQ(metrics.at("muds.shadowed_tasks"),
-            counters.at("shadowed_tasks"));
-  EXPECT_EQ(metrics.at("muds.connector_lookups"),
-            counters.at("connector_lookups"));
+TEST(ObservabilityTest, ConcurrentRunsReportTheirSoloMetrics) {
+  // Two different inputs, profiled alone and then at the same time: each
+  // run's metrics are its own work only, so they match its solo run.
+  const std::vector<std::string> inputs = {
+      CsvWriter::ToString(MakeUniprotLike(3000, 8, /*seed=*/1)),
+      CsvWriter::ToString(MakeNcvoterLike(3000, 12, /*seed=*/2))};
+  ProfileOptions options;
+  options.num_threads = 1;
+  const auto profile = [&options](const std::string& csv) {
+    Result<ProfilingResult> result = ProfileCsvString(csv, options);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return result.ok() ? result.value().metrics : MetricsSnapshot();
+  };
+  std::vector<MetricsSnapshot> solo;
+  for (const std::string& csv : inputs) solo.push_back(profile(csv));
+
+  std::vector<MetricsSnapshot> concurrent(inputs.size());
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    threads.emplace_back([&, i] { concurrent[i] = profile(inputs[i]); });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    EXPECT_GT(metrics::ValueOf(solo[i], "muds.fd_checks"), 0) << i;
+    EXPECT_EQ(ScheduleFreeMetrics(concurrent[i]), ScheduleFreeMetrics(solo[i]))
+        << "input " << i;
+  }
 }
 
 TEST(ObservabilityTest, JsonReportAlwaysIncludesMetrics) {

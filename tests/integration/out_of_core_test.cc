@@ -24,7 +24,7 @@ SpillConfig TempSpill() {
 }
 
 int64_t Counter(const ProfilingResult& result, const std::string& name) {
-  for (const auto& [key, value] : result.counters) {
+  for (const auto& [key, value] : result.metrics) {
     if (key == name) return value;
   }
   return -1;
@@ -62,9 +62,9 @@ TEST(OutOfCoreTest, SpilledRunMatchesInMemoryRunOnOversizedInput) {
     // (MUDS and the baseline own a PLI cache; Holistic FUN only reroutes
     // SPIDER, whose external path is asserted separately below).
     if (algorithm != Algorithm::kHolisticFun) {
-      EXPECT_GT(Counter(spilled, "pli_cache_spill_writes"), 0)
+      EXPECT_GT(Counter(spilled, "pli_cache.spill_writes"), 0)
           << AlgorithmName(algorithm);
-      EXPECT_GT(Counter(spilled, "pli_cache_spill_reloads"), 0)
+      EXPECT_GT(Counter(spilled, "pli_cache.spill_reloads"), 0)
           << AlgorithmName(algorithm);
     }
   }

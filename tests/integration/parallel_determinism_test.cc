@@ -87,11 +87,7 @@ TEST(ParallelDeterminismTest, ZeroThreadsMatchesSequentialResult) {
 TEST(ParallelDeterminismTest, ReportsThreadCountCounter) {
   const Relation relation = MakeUniprotLike(200, 6, 1);
   const ProfilingResult result = Profile(relation, Algorithm::kMuds, 4, 1);
-  int64_t reported = 0;
-  for (const auto& [name, value] : result.counters) {
-    if (name == "num_threads") reported = value;
-  }
-  EXPECT_EQ(reported, 4);
+  EXPECT_EQ(result.num_threads_used, 4);
 }
 
 }  // namespace

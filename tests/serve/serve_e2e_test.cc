@@ -13,6 +13,7 @@
 #include <cerrno>
 #include <cstdint>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -24,6 +25,8 @@
 #include "core/report.h"
 #include "gtest/gtest.h"
 #include "serve/server.h"
+#include "test_util.h"
+#include "workload/generators.h"
 
 namespace muds {
 namespace serve {
@@ -125,7 +128,10 @@ class ServeE2eTest : public ::testing::Test {
   void SetUp() override {
     Server::Options options;
     options.port = 0;          // Ephemeral.
-    options.num_threads = 2;   // Real worker pool: jobs run concurrently.
+    // Two dedicated workers (the pool counts its caller as one of its
+    // threads, and jobs are never run by the caller): jobs run
+    // concurrently.
+    options.num_threads = 3;
     options.max_jobs = 8;
     server_ = std::make_unique<Server>(options);
     ASSERT_TRUE(server_->Start().ok());
@@ -266,6 +272,47 @@ TEST_F(ServeE2eTest, ConcurrentDuplicateClientsAllSucceed) {
   // One computes, every duplicate is served from the catalog (ready hit
   // or coalesced wait — both set catalog_hit).
   EXPECT_EQ(hits.load(), kClients - 1);
+}
+
+TEST_F(ServeE2eTest, ConcurrentJobsReportTheirSoloMetrics) {
+  // Two different relations submitted at once to the 2-worker server: each
+  // result's metrics hold that job's work only, as its solo profile does.
+  const std::vector<std::string> inputs = {
+      CsvWriter::ToString(MakeUniprotLike(3000, 8, /*seed=*/1)),
+      CsvWriter::ToString(MakeNcvoterLike(3000, 12, /*seed=*/2))};
+  std::vector<std::map<std::string, int64_t>> served(inputs.size());
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    threads.emplace_back([this, &inputs, &served, i] {
+      Client client(server_->port());
+      json::Value submitted = client.Rpc(
+          "{\"cmd\":\"submit\",\"csv\":\"" + Escape(inputs[i]) + "\"}");
+      ASSERT_TRUE(submitted.Find("ok")->boolean) << json::Dump(submitted);
+      json::Value done = client.Rpc(
+          "{\"cmd\":\"result\",\"job\":" +
+          std::to_string(static_cast<int64_t>(Number(submitted, "job"))) +
+          ",\"timeout_ms\":60000}");
+      ASSERT_TRUE(done.Find("ok")->boolean) << json::Dump(done);
+      MetricsSnapshot job_metrics;
+      for (const auto& [name, value] :
+           done.Find("result")->Find("metrics")->object) {
+        job_metrics.emplace_back(name, static_cast<int64_t>(value.number));
+      }
+      served[i] = ScheduleFreeMetrics(job_metrics);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  ProfileOptions options;
+  options.num_threads = 1;
+  options.csv.num_threads = 1;
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    const Result<ProfilingResult> solo = ProfileCsvString(inputs[i], options);
+    ASSERT_TRUE(solo.ok());
+    EXPECT_GT(served[i].count("muds.fd_checks"), 0u) << "input " << i;
+    EXPECT_EQ(served[i], ScheduleFreeMetrics(solo.value().metrics))
+        << "input " << i;
+  }
 }
 
 TEST_F(ServeE2eTest, CancelAndErrorsAndUnknownCommands) {

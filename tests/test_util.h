@@ -1,9 +1,12 @@
 #ifndef MUDS_TESTS_TEST_UTIL_H_
 #define MUDS_TESTS_TEST_UTIL_H_
 
+#include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "data/relation.h"
 
@@ -33,6 +36,25 @@ inline Relation RandomRelation(uint64_t seed, int cols, int rows,
     data.push_back(std::move(row));
   }
   return Relation::FromRows(names, data, "random");
+}
+
+/// The part of a run's metrics that does not depend on scheduling, so it
+/// must read the same whether the run was alone in the process or next to
+/// others: every instrument except the clock-valued
+/// thread_pool.task_wait_us and sampling.probe_ns and the Set-only gauge
+/// thread_pool.queue_depth. Zero entries are dropped, because a name
+/// registered between two runs is missing from the earlier snapshot.
+inline std::map<std::string, int64_t> ScheduleFreeMetrics(
+    const MetricsSnapshot& snapshot) {
+  std::map<std::string, int64_t> kept;
+  for (const auto& [name, value] : snapshot) {
+    if (value == 0 || name == "thread_pool.task_wait_us" ||
+        name == "sampling.probe_ns" || name == "thread_pool.queue_depth") {
+      continue;
+    }
+    kept.emplace(name, value);
+  }
+  return kept;
 }
 
 }  // namespace muds
