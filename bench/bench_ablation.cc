@@ -17,7 +17,7 @@
 #include "core/holistic_fun.h"
 #include "core/muds.h"
 #include "data/preprocess.h"
-#include "fd/ucc_inference.h"
+#include "research/ucc_inference.h"
 #include "workload/generators.h"
 
 namespace {

@@ -1,5 +1,6 @@
 // Ingest bench: load + dictionary-encode throughput of the parallel
-// buffered engine versus the seed streaming parser, on a ~1M-row CSV file
+// buffered engine versus the seed streaming parser (ReferenceCsvReader,
+// read through an ostringstream as the seed did), on a ~1M-row CSV file
 // (~2M with --full). Writes BENCH_ingest.json with rows/s and bytes/s per
 // configuration, and verifies the buffered relations are bit-identical to
 // the streaming reference before reporting — a perf number for a wrong
@@ -27,6 +28,7 @@
 #include "common/timer.h"
 #include "data/csv.h"
 #include "data/preprocess.h"
+#include "testing/reference_csv.h"
 #include "workload/generators.h"
 
 namespace muds {
@@ -164,14 +166,17 @@ bool RunDedup(const bench::BenchArgs& args, int reps,
 
 struct Config {
   const char* name;
-  CsvIoMode io;
+  Result<Relation> (*read_file)(const std::string&, const CsvOptions&);
   int threads;
 };
 
-// Times CsvReader::ReadFile on `text` for each config, best of `reps`,
-// and adds one row per config named `prefix` + "<engine>/threads=<n>". The
-// first config must be the stream reference: every buffered relation is
-// checked against it. Returns false on an I/O error or a mismatch.
+constexpr auto kStream = &ReferenceCsvReader::ReadFile;
+constexpr auto kBuffered = &CsvReader::ReadFile;
+
+// Times `read_file` on `text` for each config, best of `reps`, and adds one
+// row per config named `prefix` + "<engine>/threads=<n>". The first config
+// must be the stream reference: every buffered relation is checked against
+// it. Returns false on an I/O error or a mismatch.
 bool RunIngest(const std::string& prefix, const std::string& text,
                int64_t rows, const std::vector<Config>& configs, int reps,
                bench::JsonResultWriter* writer) {
@@ -194,13 +199,12 @@ bool RunIngest(const std::string& prefix, const std::string& text,
   bool ok = true;
   for (const Config& config : configs) {
     CsvOptions options;
-    options.io = config.io;
     options.num_threads = config.threads;
     double best_ms = 0.0;
     std::optional<Relation> relation;
     for (int rep = 0; rep < reps; ++rep) {
       Timer timer;
-      Result<Relation> parsed = CsvReader::ReadFile(path, options);
+      Result<Relation> parsed = config.read_file(path, options);
       const double ms =
           static_cast<double>(timer.ElapsedMicros()) / 1e3;
       if (!parsed.ok()) {
@@ -212,7 +216,7 @@ bool RunIngest(const std::string& prefix, const std::string& text,
       if (rep == 0 || ms < best_ms) best_ms = ms;
       relation.emplace(std::move(parsed).value());
     }
-    if (config.io == CsvIoMode::kStream) {
+    if (config.read_file == kStream) {
       stream_ms = best_ms;
       reference.emplace(std::move(*relation));
     } else if (!Identical(*relation, *reference)) {
@@ -256,17 +260,17 @@ int Run(int argc, char** argv) {
   bench::PrintRule();
   bench::JsonResultWriter writer("ingest");
   bool ok = RunIngest("", MakeCsvText(rows, args.seed), rows,
-                      {{"stream", CsvIoMode::kStream, 1},
-                       {"buffered", CsvIoMode::kBuffered, 1},
-                       {"buffered", CsvIoMode::kBuffered, 2},
-                       {"buffered", CsvIoMode::kBuffered, 8}},
+                      {{"stream", kStream, 1},
+                       {"buffered", kBuffered, 1},
+                       {"buffered", kBuffered, 2},
+                       {"buffered", kBuffered, 8}},
                       reps, &writer);
   const int64_t narrow_rows = 1'000'000;
   ok &= RunIngest("long_narrow/", MakeLongNarrowCsvText(narrow_rows, args.seed),
                   narrow_rows,
-                  {{"stream", CsvIoMode::kStream, 1},
-                   {"buffered", CsvIoMode::kBuffered, 1},
-                   {"buffered", CsvIoMode::kBuffered, 4}},
+                  {{"stream", kStream, 1},
+                   {"buffered", kBuffered, 1},
+                   {"buffered", kBuffered, 4}},
                   reps, &writer);
   ok &= RunDedup(args, reps, &writer);
   writer.Write();

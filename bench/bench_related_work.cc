@@ -14,11 +14,11 @@
 #include "bench_util.h"
 #include "common/timer.h"
 #include "data/preprocess.h"
-#include "ind/demarchi.h"
 #include "ind/spider.h"
 #include "pli/pli_cache.h"
+#include "research/demarchi.h"
+#include "research/related_work.h"
 #include "ucc/ducc.h"
-#include "ucc/related_work.h"
 #include "workload/generators.h"
 
 namespace {

@@ -4,12 +4,13 @@
 // header, NULL semantics, quote character, thread count, chunk size, row
 // cap); the rest is the CSV document. With `'` as the quote, a document
 // full of `"` bytes takes the buffered engine's quote-free split and its
-// `"` bytes are literals. The parallel zero-copy buffered engine must agree with
-// the sequential streaming reference scanner on every byte sequence: same
-// ok/error verdict, same error text, and a bit-identical relation
-// (dictionaries and codes). Successful parses additionally round-trip
-// through CsvWriter, and go through duplicate-row removal, which must
-// agree across thread counts and with a naive string-row set.
+// `"` bytes are literals. The parallel zero-copy buffered engine must agree
+// with the sequential reference reader (testing/reference_csv.h) on every
+// byte sequence: same ok/error verdict, same error text, and a
+// bit-identical relation (dictionaries and codes). Successful parses
+// additionally round-trip through CsvWriter, and go through duplicate-row
+// removal, which must agree across thread counts and with a naive
+// string-row set.
 
 #include <cstdint>
 #include <set>
@@ -21,6 +22,7 @@
 #include "data/csv.h"
 #include "data/preprocess.h"
 #include "data/relation.h"
+#include "testing/reference_csv.h"
 #include "fuzz_util.h"
 
 namespace {
@@ -57,27 +59,26 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   const std::string_view text(reinterpret_cast<const char*>(data + 3),
                               size - 3);
 
-  // The streaming scanner is the oracle; it ignores io/threads/chunking.
-  Result<Relation> stream = CsvReader::ReadStringStream(text, options);
+  // The reference reader is the oracle; it ignores threads/chunking.
+  Result<Relation> reference = ReferenceCsvReader::ReadString(text, options);
 
   CsvOptions buffered_options = options;
-  buffered_options.io = CsvIoMode::kBuffered;
   buffered_options.num_threads = num_threads;
   buffered_options.chunk_bytes = chunk_bytes;
   Result<Relation> buffered = CsvReader::ReadString(text, buffered_options);
 
-  FUZZ_ASSERT(stream.ok() == buffered.ok());
-  if (!stream.ok()) {
-    FUZZ_ASSERT(stream.status().code() == buffered.status().code());
-    FUZZ_ASSERT(stream.status().message() == buffered.status().message());
+  FUZZ_ASSERT(reference.ok() == buffered.ok());
+  if (!reference.ok()) {
+    FUZZ_ASSERT(reference.status().code() == buffered.status().code());
+    FUZZ_ASSERT(reference.status().message() == buffered.status().message());
     return 0;
   }
-  FUZZ_ASSERT(SameRelation(stream.value(), buffered.value()));
+  FUZZ_ASSERT(SameRelation(reference.value(), buffered.value()));
 
   // Dedup: the same relation at 1 and 4 threads, the naive duplicate
   // count, and nothing left to remove on a second pass.
   static ThreadPool four_threads(4);
-  const Relation& relation = stream.value();
+  const Relation& relation = reference.value();
   const DeduplicateResult serial = DeduplicateRows(relation);
   const DeduplicateResult parallel = DeduplicateRows(relation, &four_threads);
   FUZZ_ASSERT(serial.duplicates_removed == parallel.duplicates_removed);
@@ -94,15 +95,15 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   // Round trip: writing the parsed relation and re-reading it must
   // reproduce it exactly (the writer quotes everything that needs it). A
   // zero-column relation has no CSV surface to round-trip through.
-  if (stream.value().NumColumns() == 0) return 0;
+  if (reference.value().NumColumns() == 0) return 0;
   CsvOptions writer_options;
   writer_options.separator = options.separator;
   writer_options.quote = options.quote;
   const std::string rewritten =
-      CsvWriter::ToString(stream.value(), writer_options);
+      CsvWriter::ToString(reference.value(), writer_options);
   Result<Relation> reparsed =
-      CsvReader::ReadStringStream(rewritten, writer_options);
+      ReferenceCsvReader::ReadString(rewritten, writer_options);
   FUZZ_ASSERT(reparsed.ok());
-  FUZZ_ASSERT(SameRelation(stream.value(), reparsed.value()));
+  FUZZ_ASSERT(SameRelation(reference.value(), reparsed.value()));
   return 0;
 }

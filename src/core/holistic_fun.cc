@@ -78,8 +78,7 @@ HolisticResult Baseline::Run(const Relation& relation,
     }
     Ducc::Options options;
     options.seed = config.seed;
-    result.uccs = Ducc::Discover(relation, &cache, options, nullptr,
-                                 evidence.get());
+    result.uccs = Ducc::Discover(relation, &cache, options, evidence.get());
   }
   {
     MUDS_TRACE_SPAN(&result.timings, "FUN");

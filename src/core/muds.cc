@@ -526,8 +526,7 @@ void MudsRunner::RunDucc() {
   MUDS_TRACE_SPAN(&result_.timings, "DUCC");
   Ducc::Options ducc_options;
   ducc_options.seed = config_.seed;
-  uccs_ = Ducc::Discover(relation_, &*cache_, ducc_options, nullptr,
-                         evidence_.get());
+  uccs_ = Ducc::Discover(relation_, &*cache_, ducc_options, evidence_.get());
   ucc_store_.emplace(uccs_, options_.use_prefix_tree);
   z_ = ColumnSet();
   for (const ColumnSet& ucc : uccs_) z_ = z_.Union(ucc);

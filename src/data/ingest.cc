@@ -527,9 +527,9 @@ Result<Relation> IngestCsv(std::string_view text, const CsvOptions& options,
       }
     }
     if (static_cast<int>(column_names.size()) > ColumnSet::kMaxColumns) {
-      // Rare and terminal: delegate to the streaming reference, which knows
-      // the exact error shapes for over-wide inputs.
-      return CsvReader::ReadStringStream(text, options, std::move(name));
+      return Status::InvalidArgument(
+          "too many columns: " + std::to_string(column_names.size()) + " > " +
+          std::to_string(ColumnSet::kMaxColumns));
     }
   }
   const int num_columns = static_cast<int>(column_names.size());

@@ -23,8 +23,9 @@ namespace muds {
 /// code-remap pass.
 ///
 /// Determinism contract: the resulting Relation is bit-identical — same
-/// dictionaries, same codes, same errors — to CsvReader::ReadStringStream
-/// for every thread count and every chunk size. The global dictionary is the
+/// dictionaries, same codes, same errors — to the single-threaded reference
+/// reader (testing/reference_csv.h) for every thread count and every chunk
+/// size. The global dictionary is the
 /// sorted union of the chunk dictionaries and a code is the value's rank in
 /// it, so the merge is independent of how the input was chunked; rows keep
 /// file order through per-chunk row offsets.

@@ -260,35 +260,4 @@ std::vector<Ind> Spider::DiscoverExternal(const Relation& relation,
   return inds;
 }
 
-std::vector<Ind> BruteForceInd::Discover(const Relation& relation) {
-  const int n = relation.NumColumns();
-  std::vector<Ind> inds;
-  for (int a = 0; a < n; ++a) {
-    const auto& da = relation.GetColumn(a).dictionary;
-    for (int b = 0; b < n; ++b) {
-      if (a == b) continue;
-      const auto& db = relation.GetColumn(b).dictionary;
-      // Both dictionaries are sorted: check inclusion by merging.
-      size_t i = 0;
-      size_t j = 0;
-      bool included = true;
-      while (i < da.size()) {
-        if (j == db.size() || da[i] < db[j]) {
-          included = false;
-          break;
-        }
-        if (da[i] == db[j]) {
-          ++i;
-          ++j;
-        } else {
-          ++j;
-        }
-      }
-      if (included) inds.push_back(Ind{a, b});
-    }
-  }
-  Canonicalize(&inds);
-  return inds;
-}
-
 }  // namespace muds

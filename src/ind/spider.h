@@ -55,13 +55,6 @@ class Spider {
                                            const SpiderExternalOptions& options);
 };
 
-/// Quadratic reference implementation used as a correctness oracle in tests:
-/// checks each ordered column pair by merging sorted dictionaries.
-class BruteForceInd {
- public:
-  static std::vector<Ind> Discover(const Relation& relation);
-};
-
 }  // namespace muds
 
 #endif  // MUDS_IND_SPIDER_H_

@@ -3,14 +3,12 @@
 #include "common/check.h"
 #include "common/metrics.h"
 #include "core/evidence.h"
-#include "data/metadata.h"
-#include "setops/antichain.h"
 
 namespace muds {
 
 std::vector<ColumnSet> Ducc::Discover(const Relation& relation,
                                       PliCache* cache, const Options& options,
-                                      Stats* stats, EvidenceStore* evidence) {
+                                      EvidenceStore* evidence) {
   MUDS_CHECK(cache != nullptr);
   if (relation.NumRows() <= 1) {
     // Every projection (including the empty one) is duplicate-free.
@@ -41,48 +39,7 @@ std::vector<ColumnSet> Ducc::Discover(const Relation& relation,
   metrics::Add("ducc.uniqueness_checks", traversal.stats().predicate_calls);
   metrics::Add("ducc.walk_steps", traversal.stats().walk_steps);
   metrics::Add("ducc.holes_checked", traversal.stats().holes_checked);
-  if (stats != nullptr) {
-    stats->uniqueness_checks = traversal.stats().predicate_calls;
-    stats->walk_steps = traversal.stats().walk_steps;
-    stats->holes_checked = traversal.stats().holes_checked;
-  }
   return uccs;
-}
-
-std::vector<ColumnSet> BruteForceUcc::Discover(const Relation& relation) {
-  if (relation.NumRows() <= 1) return {ColumnSet()};
-
-  PliCache cache(relation);
-  const std::vector<int> active = relation.ActiveColumns().ToIndices();
-  const int n = static_cast<int>(active.size());
-  MUDS_CHECK_MSG(n <= 24, "BruteForceUcc is for small test relations only");
-
-  MinimalSetCollection minimal;
-  // Level-wise enumeration of all subsets of the active columns, smallest
-  // first, skipping supersets of found UCCs.
-  std::vector<std::vector<int>> level = {{}};
-  for (int size = 1; size <= n; ++size) {
-    std::vector<std::vector<int>> next;
-    for (const std::vector<int>& base : level) {
-      const int first = base.empty() ? 0 : base.back() + 1;
-      for (int i = first; i < n; ++i) {
-        std::vector<int> candidate = base;
-        candidate.push_back(i);
-        ColumnSet set;
-        for (int j : candidate) set.Add(active[static_cast<size_t>(j)]);
-        if (minimal.ContainsSubsetOf(set)) continue;
-        if (cache.Get(set)->IsUnique()) {
-          minimal.Insert(set);
-        } else {
-          next.push_back(std::move(candidate));
-        }
-      }
-    }
-    level = std::move(next);
-  }
-  std::vector<ColumnSet> result = minimal.CollectAll();
-  Canonicalize(&result);
-  return result;
 }
 
 }  // namespace muds

@@ -30,14 +30,9 @@ class Ducc {
     uint64_t seed;
   };
 
-  struct Stats {
-    int64_t uniqueness_checks = 0;
-    int64_t walk_steps = 0;
-    int64_t holes_checked = 0;
-  };
-
   /// Discovers all minimal UCCs of `relation`, using (and filling) `cache`.
-  /// If `stats` is non-null, traversal counters are written there.
+  /// Counts `ducc.uniqueness_checks`, `ducc.walk_steps` and
+  /// `ducc.holes_checked` in the metrics registry.
   /// With a non-null `evidence` store, each candidate is probed against the
   /// recorded violating pairs first — a probe hit refutes it with zero PLI
   /// work, and a full check that fails anyway feeds its duplicate pair back
@@ -46,15 +41,7 @@ class Ducc {
   static std::vector<ColumnSet> Discover(const Relation& relation,
                                          PliCache* cache,
                                          const Options& options = Options(),
-                                         Stats* stats = nullptr,
                                          EvidenceStore* evidence = nullptr);
-};
-
-/// Exhaustive reference implementation (level-wise over all candidate sets,
-/// minimality by subset pruning). Exponential; only for tests.
-class BruteForceUcc {
- public:
-  static std::vector<ColumnSet> Discover(const Relation& relation);
 };
 
 }  // namespace muds

@@ -4,8 +4,8 @@
 
 #include "common/metrics.h"
 #include "data/preprocess.h"
-#include "fd/brute_force_fd.h"
 #include "test_util.h"
+#include "testing/reference.h"
 #include "ucc/ducc.h"
 #include "workload/generators.h"
 
@@ -116,7 +116,7 @@ TEST(MudsTest, PaperShadowedReconstructionIsIncomplete) {
     const int card = 2 + static_cast<int>(seed % 3);
     Relation r =
         DeduplicateRows(RandomRelation(seed, cols, rows, card)).relation;
-    const std::vector<Fd> expected = BruteForceFd::Discover(r);
+    const std::vector<Fd> expected = ReferenceProfiler::DiscoverFds(r);
 
     MudsOptions fixpoint;
     fixpoint.completion = MudsOptions::Completion::kFixpoint;
@@ -149,7 +149,7 @@ TEST(MudsTest, RzPhaseFindsFdsOutsideEveryMinimalUcc) {
             0)
       << "the R\\Z phase never ran a check";
   // Minimal FDs: K -> everything, A <-> B.
-  EXPECT_EQ(result.fds, BruteForceFd::Discover(r));
+  EXPECT_EQ(result.fds, ReferenceProfiler::DiscoverFds(r));
   const Fd a_to_b{ColumnSet::Single(1), 2};
   EXPECT_NE(std::find(result.fds.begin(), result.fds.end(), a_to_b),
             result.fds.end());
@@ -171,8 +171,8 @@ TEST(MudsTest, ConnectedUccPhaseMinimizesAcrossOverlappingKeys) {
   MudsResult result = Muds::Run(r);
   EXPECT_GT(
       metrics::ValueOf(scope.run()->Snapshot(), "muds.connector_lookups"), 0);
-  EXPECT_EQ(result.fds, BruteForceFd::Discover(r));
-  EXPECT_EQ(result.uccs, BruteForceUcc::Discover(r));
+  EXPECT_EQ(result.fds, ReferenceProfiler::DiscoverFds(r));
+  EXPECT_EQ(result.uccs, ReferenceProfiler::DiscoverUccs(r));
 }
 
 TEST(MudsTest, UccsMatchDuccByConstruction) {
@@ -186,8 +186,8 @@ TEST(MudsTest, WorkloadGeneratorRelationIsProfiledCorrectly) {
   Relation r = MakeNcvoterLike(400, 12, 7);
   Relation deduped = DeduplicateRows(r).relation;
   MudsResult muds = Muds::Run(deduped);
-  EXPECT_EQ(muds.fds, BruteForceFd::Discover(deduped));
-  EXPECT_EQ(muds.uccs, BruteForceUcc::Discover(deduped));
+  EXPECT_EQ(muds.fds, ReferenceProfiler::DiscoverFds(deduped));
+  EXPECT_EQ(muds.uccs, ReferenceProfiler::DiscoverUccs(deduped));
 }
 
 TEST(ConnectorLookupTest, PaperTable2Example) {

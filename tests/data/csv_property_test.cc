@@ -76,7 +76,6 @@ TEST_P(CsvRoundTripTest, WriteReadIdentityUnderParallelChunkedIngest) {
   const std::string text = CsvWriter::ToString(original);
 
   CsvOptions options;
-  options.io = CsvIoMode::kBuffered;
   options.num_threads = 1 + static_cast<int>(rng.NextBelow(8));
   options.chunk_bytes = 1 + rng.NextBelow(text.size());
   auto parsed = CsvReader::ReadString(text, options);

@@ -1,5 +1,5 @@
 // Differential tests for the parallel buffered ingest engine (data/ingest.h)
-// against the streaming reference parser (CsvReader::ReadStringStream).
+// against the reference reader (ReferenceCsvReader, testing/reference_csv.h).
 //
 // The engine's contract is bit-identity: same dictionaries, same codes, same
 // error messages — for every chunking and every thread count. The tests force
@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include "common/rng.h"
 #include "data/csv.h"
 #include "data/ingest.h"
+#include "testing/reference_csv.h"
 
 namespace muds {
 namespace {
@@ -43,9 +45,8 @@ void ExpectIdentical(const Relation& got, const Relation& want,
 // threads with automatic chunking.
 void ExpectParityAtAllChunkings(const std::string& text, CsvOptions options,
                                 std::vector<size_t> chunk_sizes = {}) {
-  const Result<Relation> want = CsvReader::ReadStringStream(text, options);
+  const Result<Relation> want = ReferenceCsvReader::ReadString(text, options);
 
-  options.io = CsvIoMode::kBuffered;
   if (chunk_sizes.empty()) {
     for (size_t bytes = 1; bytes <= text.size(); ++bytes) {
       chunk_sizes.push_back(bytes);
@@ -148,17 +149,55 @@ TEST(IngestErrorParityTest, ArityMismatchReportsGlobalDataRow) {
 }
 
 TEST(IngestErrorParityTest, ErrorsBeyondMaxRowsCutAreIgnored) {
-  // The streaming parser stops scanning at the cut, so a bad record past it
+  // The reference reader stops scanning at the cut, so a bad record past it
   // is never seen; the parallel engine must reproduce that.
   CsvOptions options;
   options.max_rows = 2;
   ExpectParityAtAllChunkings("A,B\n1,2\n3,4\n5\n", options);
   ExpectParityAtAllChunkings("A,B\n1,2\n3,4\n5,\"6\n", options);
-  // At the boundary the stream parser does read (and reject) the record.
+  // At the boundary the reference reader does read (and reject) the record.
   options.max_rows = 1;
   ExpectParityAtAllChunkings("A,B\n1,2\n3\n", options);
   options.max_rows = 0;
   ExpectParityAtAllChunkings("A,B\n1,2\n", options);
+}
+
+TEST(IngestErrorParityTest, OverWideSchemaIsRefusedAtTheSchemaRecord) {
+  // One field more than a ColumnSet addresses. The schema record alone
+  // decides: no data record is read, so neither a following row, a
+  // malformed one, nor a row cap changes the error.
+  std::string record;
+  for (int c = 0; c <= ColumnSet::kMaxColumns; ++c) {
+    if (c > 0) record += ',';
+    record += "c" + std::to_string(c);
+  }
+  CsvOptions header;
+  CsvOptions no_header;
+  no_header.has_header = false;
+  CsvOptions header_capped;
+  header_capped.max_rows = 0;
+  CsvOptions no_header_capped = no_header;
+  no_header_capped.max_rows = 0;
+  const std::vector<std::pair<std::string, CsvOptions>> cases = {
+      {record + "\n", header},
+      {record, header},
+      {record + "\n" + record + "\n", header},
+      {record + "\n1,\"2\n", header},
+      {record + "\n", no_header},
+      {record + "\n" + record + "\n", no_header},
+      {record + "\n" + record + "\n", header_capped},
+      {record + "\n", no_header_capped},
+  };
+  for (const auto& [text, options] : cases) {
+    SCOPED_TRACE("has_header=" + std::to_string(options.has_header) +
+                 " max_rows=" + std::to_string(options.max_rows) +
+                 " bytes=" + std::to_string(text.size()));
+    const Result<Relation> want = ReferenceCsvReader::ReadString(text, options);
+    ASSERT_FALSE(want.ok());
+    EXPECT_EQ(want.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(want.status().message(), "too many columns: 257 > 256");
+    ExpectParityAtAllChunkings(text, options, {text.size(), 64, 7});
+  }
 }
 
 TEST(IngestErrorParityTest, NegativeThreadCountIsInvalidArgument) {
@@ -313,11 +352,9 @@ TEST(IngestDeterminismTest, BitIdenticalAcrossThreadCounts) {
             ",g" + std::to_string(rng.NextBelow(7)) + "\n";
   }
   CsvOptions options;
-  options.io = CsvIoMode::kStream;
-  const Result<Relation> want = CsvReader::ReadString(text, options);
+  const Result<Relation> want = ReferenceCsvReader::ReadString(text, options);
   ASSERT_TRUE(want.ok());
 
-  options.io = CsvIoMode::kBuffered;
   options.chunk_bytes = 512;  // Force many chunks even on this small input.
   for (int threads : {1, 2, 8}) {
     options.num_threads = threads;
@@ -335,7 +372,7 @@ TEST(IngestDirectApiTest, IngestCsvMatchesReaderDispatch) {
   options.chunk_bytes = 4;
   const Result<Relation> direct = IngestCsv(text, options, "rel");
   const Result<Relation> reference =
-      CsvReader::ReadStringStream(text, options, "rel");
+      ReferenceCsvReader::ReadString(text, options, "rel");
   ASSERT_TRUE(direct.ok());
   ASSERT_TRUE(reference.ok());
   ExpectIdentical(direct.value(), reference.value(), "direct");
@@ -354,10 +391,8 @@ TEST(IngestReadFileTest, BufferedFileReadMatchesStream) {
     std::fclose(f);
   }
   CsvOptions options;
-  options.io = CsvIoMode::kStream;
-  const Result<Relation> want = CsvReader::ReadFile(path, options);
+  const Result<Relation> want = ReferenceCsvReader::ReadFile(path, options);
   ASSERT_TRUE(want.ok()) << want.status().ToString();
-  options.io = CsvIoMode::kBuffered;
   for (int threads : {1, 2, 8}) {
     options.num_threads = threads;
     options.chunk_bytes = 8;
@@ -406,11 +441,9 @@ TEST_P(IngestPropertyTest, RandomDocumentsParseIdentically) {
       CsvWriter::ToString(Relation::FromRows(names, data));
 
   CsvOptions options;
-  options.io = CsvIoMode::kStream;
-  const Result<Relation> want = CsvReader::ReadString(text, options);
+  const Result<Relation> want = ReferenceCsvReader::ReadString(text, options);
   ASSERT_TRUE(want.ok()) << want.status().ToString();
 
-  options.io = CsvIoMode::kBuffered;
   for (int trial = 0; trial < 8; ++trial) {
     options.num_threads = 1 + static_cast<int>(rng.NextBelow(8));
     options.chunk_bytes = 1 + rng.NextBelow(text.size() + 1);

@@ -4,9 +4,9 @@
 
 #include "common/metrics.h"
 #include "data/preprocess.h"
-#include "fd/brute_force_fd.h"
 #include "fd/tane.h"
 #include "test_util.h"
+#include "testing/reference.h"
 
 namespace muds {
 namespace {
@@ -92,7 +92,7 @@ TEST(FunTest, FewerIntersectsThanTane) {
 TEST(FunTest, MatchesBruteForceOnWideRelations) {
   for (uint64_t seed = 600; seed < 612; ++seed) {
     Relation r = DeduplicateRows(RandomRelation(seed, 8, 30, 3)).relation;
-    EXPECT_EQ(Fun::Discover(r).fds, BruteForceFd::Discover(r))
+    EXPECT_EQ(Fun::Discover(r).fds, ReferenceProfiler::DiscoverFds(r))
         << "seed " << seed;
   }
 }

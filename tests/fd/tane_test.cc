@@ -4,8 +4,8 @@
 
 #include "common/metrics.h"
 #include "data/preprocess.h"
-#include "fd/brute_force_fd.h"
 #include "test_util.h"
+#include "testing/reference.h"
 #include "ucc/ducc.h"
 
 namespace muds {
@@ -120,7 +120,7 @@ TEST(TaneTest, MatchesBruteForceOnSkewedShapes) {
     const int max_card = seed % 2 == 0 ? 2 : 12;
     Relation r =
         DeduplicateRows(RandomRelation(seed, 5, 45, max_card)).relation;
-    EXPECT_EQ(Tane::Discover(r).fds, BruteForceFd::Discover(r))
+    EXPECT_EQ(Tane::Discover(r).fds, ReferenceProfiler::DiscoverFds(r))
         << "seed " << seed;
   }
 }

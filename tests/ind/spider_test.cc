@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "test_util.h"
+#include "testing/reference.h"
 
 namespace muds {
 namespace {
@@ -66,7 +67,7 @@ TEST(SpiderTest, MatchesBruteForceOnRandomRelations) {
   for (uint64_t seed = 1; seed <= 40; ++seed) {
     Relation r = RandomRelation(seed, /*cols=*/5, /*rows=*/30,
                                 /*max_cardinality=*/8);
-    EXPECT_EQ(Spider::Discover(r), BruteForceInd::Discover(r))
+    EXPECT_EQ(Spider::Discover(r), ReferenceProfiler::DiscoverInds(r))
         << "seed " << seed;
   }
 }
@@ -75,7 +76,7 @@ TEST(SpiderTest, WideRandomRelationsMatchBruteForce) {
   for (uint64_t seed = 100; seed < 110; ++seed) {
     Relation r = RandomRelation(seed, /*cols=*/12, /*rows=*/50,
                                 /*max_cardinality=*/5);
-    EXPECT_EQ(Spider::Discover(r), BruteForceInd::Discover(r))
+    EXPECT_EQ(Spider::Discover(r), ReferenceProfiler::DiscoverInds(r))
         << "seed " << seed;
   }
 }

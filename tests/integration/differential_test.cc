@@ -1,18 +1,18 @@
 // The central correctness argument of this reproduction: on randomized
 // relations spanning many shapes, every FD/UCC algorithm must agree with
-// the exhaustive brute-force oracle, and all algorithms must agree with
-// each other.
+// the reference profiler (testing/reference.h), and all algorithms must
+// agree with each other.
 
 #include <gtest/gtest.h>
 
 #include "core/muds.h"
 #include "core/profiler.h"
 #include "data/preprocess.h"
-#include "fd/brute_force_fd.h"
 #include "fd/fd_util.h"
 #include "fd/fun.h"
 #include "fd/tane.h"
 #include "test_util.h"
+#include "testing/reference.h"
 #include "ucc/ducc.h"
 
 namespace muds {
@@ -47,8 +47,9 @@ TEST_P(DifferentialTest, AllFdAlgorithmsMatchBruteForce) {
                                 shape.rows, shape.max_cardinality);
   Relation r = DeduplicateRows(raw).relation;
 
-  const std::vector<Fd> expected_fds = BruteForceFd::Discover(r);
-  const std::vector<ColumnSet> expected_uccs = BruteForceUcc::Discover(r);
+  const std::vector<Fd> expected_fds = ReferenceProfiler::DiscoverFds(r);
+  const std::vector<ColumnSet> expected_uccs =
+      ReferenceProfiler::DiscoverUccs(r);
 
   // TANE.
   FdDiscoveryResult tane = Tane::Discover(r);

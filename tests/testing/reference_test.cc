@@ -8,11 +8,7 @@
 
 #include "data/preprocess.h"
 #include "data/relation.h"
-#include "fd/brute_force_fd.h"
-#include "ind/spider.h"
 #include "setops/column_set.h"
-#include "test_util.h"
-#include "ucc/ducc.h"
 
 namespace muds {
 namespace {
@@ -104,23 +100,6 @@ TEST(ReferenceProfilerTest, HoldsChecksMatchDefinitions) {
   EXPECT_FALSE(ReferenceProfiler::HoldsFd(r, ColumnSet::FromIndices({1}), 0));
   EXPECT_TRUE(ReferenceProfiler::HoldsFd(r, ColumnSet(), 2));
   EXPECT_FALSE(ReferenceProfiler::HoldsInd(r, 0, 1));
-}
-
-// The reference profiler shares nothing with the per-task brute-force
-// oracles in src/{ind,ucc,fd}; on random instances they must still agree
-// exactly, so a bug in either implementation shows up here.
-TEST(ReferenceProfilerTest, AgreesWithPerTaskBruteForceOracles) {
-  for (uint64_t seed = 1; seed <= 20; ++seed) {
-    const Relation raw = RandomRelation(seed, 5, 60, 4);
-    const Relation deduped = DeduplicateRows(raw).relation;
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    EXPECT_EQ(ReferenceProfiler::DiscoverInds(raw),
-              BruteForceInd::Discover(raw));
-    EXPECT_EQ(ReferenceProfiler::DiscoverUccs(deduped),
-              BruteForceUcc::Discover(deduped));
-    EXPECT_EQ(ReferenceProfiler::DiscoverFds(deduped),
-              BruteForceFd::Discover(deduped));
-  }
 }
 
 }  // namespace

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "data/preprocess.h"
 #include "test_util.h"
+#include "testing/reference.h"
 
 namespace muds {
 namespace {
@@ -71,10 +73,11 @@ TEST(DuccTest, StatsAreReported) {
   Relation r = RandomRelation(3, 5, 40, 6);
   Relation deduped = DeduplicateRows(r).relation;
   PliCache cache(deduped);
-  Ducc::Stats stats;
-  Ducc::Discover(deduped, &cache, {}, &stats);
-  EXPECT_GT(stats.uniqueness_checks, 0);
-  EXPECT_GT(stats.walk_steps, 0);
+  const MetricsScope scope;
+  Ducc::Discover(deduped, &cache);
+  const MetricsSnapshot metrics = scope.run()->Snapshot();
+  EXPECT_GT(metrics::ValueOf(metrics, "ducc.uniqueness_checks"), 0);
+  EXPECT_GT(metrics::ValueOf(metrics, "ducc.walk_steps"), 0);
 }
 
 TEST(DuccTest, SeedDoesNotChangeTheResult) {
@@ -94,7 +97,7 @@ TEST(DuccTest, MatchesBruteForceOnRandomRelations) {
     Relation r = DeduplicateRows(
                      RandomRelation(seed, cols, rows, max_card))
                      .relation;
-    EXPECT_EQ(RunDucc(r, seed), BruteForceUcc::Discover(r))
+    EXPECT_EQ(RunDucc(r, seed), ReferenceProfiler::DiscoverUccs(r))
         << "seed " << seed << " cols " << cols << " rows " << rows;
   }
 }

@@ -5,16 +5,16 @@
 // (testing/reference.h), then runs every engine — MUDS, Holistic FUN, the
 // sequential SPIDER+DUCC+FUN baseline, and TANE — across the full
 // {threads: 1,2,8} x {pli-budget: tiny,unlimited} x {io: stream,buffered}
-// configuration matrix — plus a PLI-implementation axis
+// configuration matrix (io=stream parses with the reference CSV reader and
+// profiles the relation) — plus a PLI-implementation axis
 // {csr,bitmap} x {native,forced-scalar SIMD} x {threads: 1,8} — and a
 // spill axis (tiny PLI budget + disk spill tier + external sort-merge
 // SPIDER) — and a sampling axis ({1K,64K} sampled pairs x {threads: 1,8}
 // x {default, tiny budget + spill}, asserting the refutation-only
 // invariant: result sets are bit-identical at every --sample-pairs
-// setting) — and diffs
-// all result sets against the oracle. Every
-// engine run goes through the CSV surface (CsvWriter -> engine CSV entry
-// point), so the ingest engines are part of the contract under test.
+// setting) — and diffs all result sets against the oracle. Every engine
+// run goes through the CSV surface (CsvWriter -> a CSV reader), so both
+// readers are part of the contract under test.
 //
 // On a mismatch the driver shrinks the instance (drop columns, then chop
 // row chunks, while the mismatch persists) and prints a reproducer: the
@@ -54,6 +54,7 @@
 #include "data/relation.h"
 #include "fd/tane.h"
 #include "testing/reference.h"
+#include "testing/reference_csv.h"
 #include "workload/generators.h"
 
 namespace {
@@ -88,7 +89,10 @@ constexpr size_t kTinyBudgetBytes = 32 * 1024;
 struct DiffConfig {
   int threads = 1;
   size_t pli_budget_bytes = 0;  // 0 = unlimited
-  CsvIoMode io = CsvIoMode::kBuffered;
+  // io=stream parses with the reference reader (testing/reference_csv.h)
+  // and profiles the relation; io=buffered runs the engines' CSV entry
+  // points on the parallel ingest engine.
+  bool stream_io = false;
   PliImpl impl = PliImpl::kAuto;
   bool force_scalar_simd = false;
   bool spill = false;
@@ -97,7 +101,7 @@ struct DiffConfig {
   std::string Label() const {
     std::string out = "threads=" + std::to_string(threads);
     out += pli_budget_bytes == 0 ? " budget=unlimited" : " budget=tiny";
-    out += io == CsvIoMode::kStream ? " io=stream" : " io=buffered";
+    out += stream_io ? " io=stream" : " io=buffered";
     if (impl != PliImpl::kAuto) {
       out += " impl=";
       out += ToString(impl);
@@ -115,8 +119,8 @@ std::vector<DiffConfig> ConfigMatrix() {
   std::vector<DiffConfig> configs;
   for (int threads : {1, 2, 8}) {
     for (size_t budget : {kTinyBudgetBytes, size_t{0}}) {
-      for (CsvIoMode io : {CsvIoMode::kStream, CsvIoMode::kBuffered}) {
-        configs.push_back(DiffConfig{threads, budget, io});
+      for (bool stream_io : {true, false}) {
+        configs.push_back(DiffConfig{threads, budget, stream_io});
       }
     }
   }
@@ -200,10 +204,13 @@ EngineAnswer RunEngine(Engine engine, const std::string& csv_text,
   EngineAnswer answer;
   ScopedForceScalar scalar_guard(config.force_scalar_simd);
   CsvOptions csv;
-  csv.io = config.io;
   csv.num_threads = config.threads;
+  const auto parse = [&]() {
+    return config.stream_io ? ReferenceCsvReader::ReadString(csv_text, csv)
+                            : CsvReader::ReadString(csv_text, csv);
+  };
   if (engine == Engine::kTane) {
-    Result<Relation> parsed = CsvReader::ReadString(csv_text, csv);
+    Result<Relation> parsed = parse();
     if (!parsed.ok()) {
       answer.error = parsed.status().ToString();
       return answer;
@@ -234,7 +241,13 @@ EngineAnswer RunEngine(Engine engine, const std::string& csv_text,
   options.sampling.pairs = config.sample_pairs;
   options.sampling.seed = seed;
   options.csv = csv;
-  Result<ProfilingResult> result = ProfileCsvString(csv_text, options);
+  const auto profile = [&]() -> Result<ProfilingResult> {
+    if (!config.stream_io) return ProfileCsvString(csv_text, options);
+    Result<Relation> parsed = parse();
+    if (!parsed.ok()) return parsed.status();
+    return ProfileRelation(parsed.value(), options);
+  };
+  Result<ProfilingResult> result = profile();
   if (!result.ok()) {
     answer.error = result.status().ToString();
     return answer;

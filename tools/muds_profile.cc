@@ -20,10 +20,6 @@
 //                                         concatenated file)
 //   --null-token=S                        cells equal to S are NULL
 //   --null-unequal                        NULL != NULL semantics
-//   --io=buffered|stream                  ingest engine (default buffered:
-//                                         single-allocation read, parallel
-//                                         chunked parse; stream = the
-//                                         sequential reference scanner)
 //   --seed=N                              seed for randomized traversals
 //   --threads=N                           worker threads (0 = all hardware
 //                                         threads, default 1); results are
@@ -116,7 +112,7 @@ void PrintUsage(FILE* out) {
       "                    [--separator=C] [--no-header] [--max-rows=N]\n"
       "                    [--append=FILE ...]\n"
       "                    [--null-token=S] [--null-unequal] [--seed=N]\n"
-      "                    [--io=buffered|stream] [--threads=N]\n"
+      "                    [--threads=N]\n"
       "                    [--pli-budget-mb=N] [--pli-impl=auto|csr|bitmap]\n"
       "                    [--spill-dir=DIR] [--spill-budget-mb=N]\n"
       "                    [--sample-pairs=N] [--sample-seed=N]\n"
@@ -207,16 +203,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
       options->profile.csv.null_token = arg.substr(13);
     } else if (arg == "--null-unequal") {
       options->profile.csv.nulls = NullSemantics::kNullUnequal;
-    } else if (arg.rfind("--io=", 0) == 0) {
-      const std::string mode = arg.substr(5);
-      if (mode == "buffered") {
-        options->profile.csv.io = CsvIoMode::kBuffered;
-      } else if (mode == "stream") {
-        options->profile.csv.io = CsvIoMode::kStream;
-      } else {
-        std::fprintf(stderr, "unknown io mode: %s\n", mode.c_str());
-        return false;
-      }
     } else if (arg.rfind("--seed=", 0) == 0) {
       if (!ParseUint64Strict(arg.c_str() + 7, &options->profile.seed)) {
         std::fprintf(stderr, "--seed expects a non-negative integer\n");
