@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "bench_util.h"
+#include "common/thread_pool.h"
 #include "core/muds.h"
 #include "data/preprocess.h"
 #include "workload/generators.h"
@@ -26,12 +27,12 @@ int main(int argc, char** argv) {
 
   EngineConfig config;
   config.seed = args.seed;
-  config.num_threads = args.threads;
   MudsResult result;
   MetricsSnapshot run_metrics;
   const double wall_ms = bench::WallMs([&] {
     const MetricsScope scope;
-    result = Muds::Run(deduped, config);
+    ThreadPool pool(args.threads);
+    result = Muds::Run(deduped, config, {}, &pool);
     run_metrics = scope.run()->Snapshot();
   });
   const auto count = [&run_metrics](const char* name) {

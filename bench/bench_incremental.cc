@@ -78,8 +78,7 @@ int Run(int argc, char** argv) {
   const int reps = 2;
   double incremental_ms = 0.0;
   double scratch_ms = 0.0;
-  IncrementalProfiler::Stats stats;
-  std::vector<std::pair<std::string, int64_t>> inc_metrics;
+  MetricsSnapshot inc_metrics;
   std::vector<std::pair<double, double>> per_batch(
       static_cast<size_t>(batches));
   for (int rep = 0; rep < reps; ++rep) {
@@ -126,7 +125,6 @@ int Run(int argc, char** argv) {
     }
     if (rep == 0 || inc < incremental_ms) incremental_ms = inc;
     if (rep == 0 || scr < scratch_ms) scratch_ms = scr;
-    stats = profiler.stats();
     inc_metrics = profiler.Result().metrics;
   }
 
@@ -135,14 +133,17 @@ int Run(int argc, char** argv) {
                 per_batch[static_cast<size_t>(b)].first,
                 per_batch[static_cast<size_t>(b)].second);
   }
+  const auto count = [&inc_metrics](const char* name) {
+    return metrics::ValueOf(inc_metrics, std::string("incremental.") + name);
+  };
   const double speedup = scratch_ms / incremental_ms;
   std::printf("%-24s %9.1f ms  (screened %lld, revalidated %lld, broken "
               "%lld, rediscovered %lld)\n",
               "incremental/appends", incremental_ms,
-              static_cast<long long>(stats.screened_out),
-              static_cast<long long>(stats.revalidated),
-              static_cast<long long>(stats.broken),
-              static_cast<long long>(stats.rediscovered));
+              static_cast<long long>(count("screened_out")),
+              static_cast<long long>(count("revalidated")),
+              static_cast<long long>(count("broken")),
+              static_cast<long long>(count("rediscovered")));
   std::printf("%-24s %9.1f ms\n", "from-scratch/reprofile", scratch_ms);
   std::printf("speedup: %.2fx over %d batches\n", speedup, batches);
 
@@ -150,10 +151,10 @@ int Run(int argc, char** argv) {
   writer.Add("incremental/appends", incremental_ms, args.threads,
              {{"rows", rows},
               {"batches", batches},
-              {"screened_out", stats.screened_out},
-              {"revalidated", stats.revalidated},
-              {"broken", stats.broken},
-              {"rediscovered", stats.rediscovered},
+              {"screened_out", count("screened_out")},
+              {"revalidated", count("revalidated")},
+              {"broken", count("broken")},
+              {"rediscovered", count("rediscovered")},
               {"scratch_ms_x1000", static_cast<int64_t>(scratch_ms * 1000)},
               {"incremental_ms_x1000",
                static_cast<int64_t>(incremental_ms * 1000)},

@@ -170,8 +170,14 @@ struct Config {
   int threads;
 };
 
+// The buffered reader on a pool of `options.num_threads`.
+Result<Relation> ReadBuffered(const std::string& path,
+                              const CsvOptions& options) {
+  return CsvReader::ReadFile(path, options);
+}
+
 constexpr auto kStream = &ReferenceCsvReader::ReadFile;
-constexpr auto kBuffered = &CsvReader::ReadFile;
+constexpr auto kBuffered = &ReadBuffered;
 
 // Times `read_file` on `text` for each config, best of `reps`, and adds one
 // row per config named `prefix` + "<engine>/threads=<n>". The first config

@@ -12,15 +12,12 @@ namespace muds {
 
 /// The settings every engine takes (MUDS, Holistic FUN, the baseline and
 /// the incremental maintainer). None of them changes the discovered
-/// IND/UCC/FD sets; they trade time for memory or parallelism.
+/// IND/UCC/FD sets; they trade time for memory. Threads are not among them:
+/// an engine runs on the pool of the run that calls it.
 struct EngineConfig {
   /// Seed for randomized traversals (MUDS / baseline DUCC). Per-task
   /// traversals derive their own seeds from it.
   uint64_t seed = 1;
-  /// Worker threads for the parallel engine (0 = hardware concurrency,
-  /// 1 = the deterministic sequential path). The discovered IND/UCC/FD
-  /// sets are identical for every thread count.
-  int num_threads = 1;
   /// Byte budget for the PLI caches (MUDS' shared cache and the baseline's
   /// private DUCC cache; 0 = unlimited). The discovered dependency sets
   /// are identical for every budget — a tight budget only trades rebuild

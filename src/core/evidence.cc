@@ -37,20 +37,13 @@ int64_t NowNs() {
       .count();
 }
 
-// RAII probe timer: accumulates elapsed wall time into the store's
-// probe_ns counter and the registry.
+// RAII probe timer: accumulates elapsed wall time into sampling.probe_ns.
 class ProbeTimer {
  public:
-  explicit ProbeTimer(std::atomic<int64_t>* sink)
-      : sink_(sink), start_(NowNs()) {}
-  ~ProbeTimer() {
-    const int64_t elapsed = NowNs() - start_;
-    sink_->fetch_add(elapsed, std::memory_order_relaxed);
-    SamplingMetrics::Get().probe_ns->Add(elapsed);
-  }
+  ProbeTimer() : start_(NowNs()) {}
+  ~ProbeTimer() { SamplingMetrics::Get().probe_ns->Add(NowNs() - start_); }
 
  private:
-  std::atomic<int64_t>* sink_;
   int64_t start_;
 };
 
@@ -71,12 +64,8 @@ bool EvidenceStore::AddPair(RowId r1, RowId r2, bool fed_back) {
   }
   // Identical rows refute nothing (and cannot occur on deduplicated input).
   if (disagreement.Empty()) return false;
-  pairs_.fetch_add(1, std::memory_order_relaxed);
   SamplingMetrics::Get().pairs->Increment();
-  if (fed_back) {
-    fed_back_.fetch_add(1, std::memory_order_relaxed);
-    SamplingMetrics::Get().fed_back->Increment();
-  }
+  if (fed_back) SamplingMetrics::Get().fed_back->Increment();
   std::unique_lock lock(mutex_);
   // Keep the cover subset-minimal (the MinimalSetCollection discipline):
   // a dominated set D ⊇ D' refutes a strict subset of the UCCs D' refutes,
@@ -96,47 +85,38 @@ bool EvidenceStore::AddPair(RowId r1, RowId r2, bool fed_back) {
 
 bool EvidenceStore::RefutesUcc(const ColumnSet& columns) const {
   MUDS_TRACE_SPAN("evidenceProbe");
-  ProbeTimer timer(&probe_ns_);
+  const ProbeTimer timer;
   bool refuted;
   {
     std::shared_lock lock(mutex_);
     refuted = negative_cover_.ContainsSubsetOf(universe_.Difference(columns));
   }
-  if (refuted) {
-    refuted_.fetch_add(1, std::memory_order_relaxed);
-    SamplingMetrics::Get().refuted->Increment();
-  }
+  if (refuted) SamplingMetrics::Get().refuted->Increment();
   return refuted;
 }
 
 bool EvidenceStore::RefutesFd(const ColumnSet& lhs, int rhs) const {
   MUDS_TRACE_SPAN("evidenceProbe");
-  ProbeTimer timer(&probe_ns_);
+  const ProbeTimer timer;
   bool refuted;
   {
     std::shared_lock lock(mutex_);
     refuted = negative_cover_.ContainsSubsetOfWith(universe_.Difference(lhs),
                                                    rhs);
   }
-  if (refuted) {
-    refuted_.fetch_add(1, std::memory_order_relaxed);
-    SamplingMetrics::Get().refuted->Increment();
-  }
+  if (refuted) SamplingMetrics::Get().refuted->Increment();
   return refuted;
 }
 
 ColumnSet EvidenceStore::RefutedRhs(const ColumnSet& lhs) const {
   MUDS_TRACE_SPAN("evidenceProbe");
-  ProbeTimer timer(&probe_ns_);
+  const ProbeTimer timer;
   ColumnSet refuted;
   {
     std::shared_lock lock(mutex_);
     refuted = negative_cover_.UnionOfSubsetsOf(universe_.Difference(lhs));
   }
-  if (!refuted.Empty()) {
-    refuted_.fetch_add(refuted.Count(), std::memory_order_relaxed);
-    SamplingMetrics::Get().refuted->Add(refuted.Count());
-  }
+  if (!refuted.Empty()) SamplingMetrics::Get().refuted->Add(refuted.Count());
   return refuted;
 }
 
@@ -161,15 +141,6 @@ void EvidenceStore::FeedBackFdViolation(const Pli& lhs_pli,
     }
   }
   MUDS_DCHECK(false);  // Caller promised a violation exists.
-}
-
-EvidenceStore::Stats EvidenceStore::GetStats() const {
-  Stats stats;
-  stats.pairs = pairs_.load(std::memory_order_relaxed);
-  stats.refuted = refuted_.load(std::memory_order_relaxed);
-  stats.fed_back = fed_back_.load(std::memory_order_relaxed);
-  stats.probe_ns = probe_ns_.load(std::memory_order_relaxed);
-  return stats;
 }
 
 size_t EvidenceStore::Size() const {

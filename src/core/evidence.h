@@ -1,8 +1,7 @@
 #ifndef MUDS_CORE_EVIDENCE_H_
 #define MUDS_CORE_EVIDENCE_H_
 
-#include <atomic>
-#include <cstdint>
+#include <cstddef>
 #include <shared_mutex>
 
 #include "data/relation.h"
@@ -77,16 +76,11 @@ class EvidenceStore {
 
   /// Registers the sampling.* registry counters eagerly, so metric reports
   /// list them (as zero deltas) even in runs with sampling disabled — the
-  /// CI counter-presence check relies on that.
+  /// CI counter-presence check relies on that. The store counts its work
+  /// there only: sampling.pairs (recorded, sampled + fed back),
+  /// sampling.fed_back (from the feedback loop), sampling.refuted
+  /// (candidates a probe refuted) and sampling.probe_ns (time in probes).
   static void RegisterMetrics();
-
-  struct Stats {
-    int64_t pairs = 0;     // Pairs recorded (sampled + fed back).
-    int64_t refuted = 0;   // Candidates a probe refuted.
-    int64_t fed_back = 0;  // Pairs contributed by the feedback loop.
-    int64_t probe_ns = 0;  // Wall time spent inside probes.
-  };
-  Stats GetStats() const;
 
   /// Distinct disagreement sets stored.
   size_t Size() const;
@@ -96,11 +90,6 @@ class EvidenceStore {
   ColumnSet universe_;
   mutable std::shared_mutex mutex_;
   SetTrie negative_cover_;
-  std::atomic<int64_t> pairs_{0};
-  // refuted_/probe_ns_ are mutated by the (const) probe methods.
-  mutable std::atomic<int64_t> refuted_{0};
-  std::atomic<int64_t> fed_back_{0};
-  mutable std::atomic<int64_t> probe_ns_{0};
 };
 
 }  // namespace muds

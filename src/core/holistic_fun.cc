@@ -15,9 +15,8 @@
 namespace muds {
 
 HolisticResult HolisticFun::Run(const Relation& relation,
-                                const EngineConfig& config) {
+                                const EngineConfig& config, ThreadPool* pool) {
   HolisticResult result;
-  ThreadPool pool(config.num_threads);
   const auto run_fun = [&relation, &config, &result] {
     MUDS_TRACE_SPAN(&result.timings, "FUN");
     FdDiscoveryResult fd_result =
@@ -25,14 +24,14 @@ HolisticResult HolisticFun::Run(const Relation& relation,
     result.fds = std::move(fd_result.fds);
     result.uccs = std::move(fd_result.uccs);
   };
-  if (pool.NumThreads() > 1) {
+  if (pool != nullptr && pool->NumThreads() > 1) {
     // SPIDER (dictionary merge) and FUN (PLI lattice) read disjoint state:
     // overlap them. Each phase is charged its own task time, measured
     // inside the task and merged afterwards (PhaseTimings itself is not
     // thread-safe). Register SPIDER first to keep the paper's phase order.
     result.timings.Add("SPIDER", 0);
     std::future<std::pair<std::vector<Ind>, int64_t>> inds =
-        pool.Submit([&relation, &config] {
+        pool->Submit([&relation, &config] {
           // Trace-only span: PhaseTimings is not thread-safe, so the task
           // measures its own time and the caller merges it below.
           MUDS_TRACE_SPAN("SPIDER");
@@ -57,9 +56,8 @@ HolisticResult HolisticFun::Run(const Relation& relation,
 }
 
 HolisticResult Baseline::Run(const Relation& relation,
-                             const EngineConfig& config) {
+                             const EngineConfig& config, ThreadPool* pool) {
   HolisticResult result;
-  ThreadPool pool(config.num_threads);
   {
     MUDS_TRACE_SPAN(&result.timings, "SPIDER");
     result.inds = Spider::Discover(relation, config.spill);
@@ -69,7 +67,7 @@ HolisticResult Baseline::Run(const Relation& relation,
     // DUCC builds its own PLIs: no sharing in the baseline. The same goes
     // for its evidence store — FUN samples its own below, matching the
     // baseline's no-sharing contract.
-    PliCache cache(relation, config.pli_budget_bytes, &pool, config.pli_impl,
+    PliCache cache(relation, config.pli_budget_bytes, pool, config.pli_impl,
                    config.spill);
     std::unique_ptr<EvidenceStore> evidence;
     if (config.sampling.enabled() && relation.NumRows() > 1) {

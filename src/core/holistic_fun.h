@@ -20,13 +20,14 @@ using HolisticResult = MudsResult;
 /// needed, so the FD runtime is unchanged.
 class HolisticFun {
  public:
-  /// With `config.num_threads > 1` the SPIDER and FUN tasks — which read
-  /// disjoint state — run concurrently. Phase timings then measure each
-  /// task's own elapsed time, so they can sum to more than the wall clock.
-  /// FUN materializes its lattice PLIs outside any cache, so
+  /// On a `pool` with more than one thread the SPIDER and FUN tasks —
+  /// which read disjoint state — run concurrently. Phase timings then
+  /// measure each task's own elapsed time, so they can sum to more than the
+  /// wall clock. FUN materializes its lattice PLIs outside any cache, so
   /// `config.pli_budget_bytes` and `config.seed` do not apply.
   static HolisticResult Run(const Relation& relation,
-                            const EngineConfig& config = {});
+                            const EngineConfig& config = {},
+                            ThreadPool* pool = nullptr);
 };
 
 /// The evaluation baseline (§6): the sequential execution of the three
@@ -35,8 +36,8 @@ class HolisticFun {
 /// (The unshared *file read* is modeled by the Profiler facade, which
 /// parses the input once per algorithm for the baseline.)
 /// The three algorithms stay strictly sequential relative to each other —
-/// that ordering is what the baseline models — but `config.num_threads`
-/// still parallelizes DUCC's private column-PLI construction, which is
+/// that ordering is what the baseline models — but `pool` still
+/// parallelizes DUCC's private column-PLI construction, which is
 /// task-internal work.
 class Baseline {
  public:
@@ -44,7 +45,8 @@ class Baseline {
   /// PLI cache. With sampling on, DUCC and FUN each sample a private
   /// evidence store — no sharing, matching the baseline's contract.
   static HolisticResult Run(const Relation& relation,
-                            const EngineConfig& config = {});
+                            const EngineConfig& config = {},
+                            ThreadPool* pool = nullptr);
 };
 
 }  // namespace muds

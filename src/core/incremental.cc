@@ -1,7 +1,6 @@
 #include "core/incremental.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <map>
 #include <string>
@@ -89,22 +88,22 @@ IncrementalProfiler::IncrementalProfiler(const Relation& base,
                                          const ProfileOptions& options)
     : options_(options),
       run_(std::make_shared<RunMetrics>(RunMetrics::Current())),
-      pool_(std::make_unique<ThreadPool>(options.num_threads)) {
+      pool_(options.num_threads) {
   const MetricsScope scope(run_);
   IncMetrics::Get();
 
   {
     MUDS_TRACE_SPAN(&timings_, "dedup");
-    DeduplicateResult deduped = DeduplicateRows(base, pool_.get());
+    DeduplicateResult deduped = DeduplicateRows(base, &pool_);
     relation_.emplace(std::move(deduped.relation));
     duplicates_removed_ = deduped.duplicates_removed;
   }
 
-  // The base profile runs the configured algorithm unchanged; incremental
-  // maintenance only kicks in from the first Append. (ProfileRelation
-  // re-checks for duplicates; the pass finds none, so it profiles relation_
-  // in place, and its time lands in the same "dedup" phase entry.)
-  ProfilingResult base_result = ProfileRelation(*relation_, options_);
+  // The base profile runs the configured algorithm unchanged, on this
+  // profiler's pool; incremental maintenance only kicks in from the first
+  // Append.
+  ProfilingResult base_result =
+      ProfileDeduplicated(*relation_, options_, &pool_);
   inds_ = std::move(base_result.inds);
   uccs_ = std::move(base_result.uccs);
   fds_ = std::move(base_result.fds);
@@ -117,7 +116,7 @@ IncrementalProfiler::IncrementalProfiler(const Relation& base,
   algorithm_used_ = base_result.algorithm_used;
 
   cache_ = std::make_unique<PliCache>(*relation_, options_.pli_budget_bytes,
-                                      pool_.get(), options_.pli_impl,
+                                      &pool_, options_.pli_impl,
                                       options_.spill);
 
   EvidenceStore::RegisterMetrics();
@@ -149,7 +148,6 @@ Status IncrementalProfiler::Append(const Relation& batch) {
 
   MUDS_TRACE_SPAN(&timings_, "incrementalAppend");
   const IncMetrics& metrics = IncMetrics::Get();
-  ++stats_.batches;
   metrics.batches->Increment();
 
   // Drop batch rows that duplicate an existing row (or an earlier row of
@@ -185,22 +183,20 @@ Status IncrementalProfiler::Append(const Relation& batch) {
   }
   const int64_t dropped =
       static_cast<int64_t>(batch.NumRows()) - static_cast<int64_t>(kept.size());
-  stats_.duplicates_dropped += dropped;
   metrics.duplicates_dropped->Add(dropped);
   duplicates_removed_ += dropped;
   if (kept.empty()) return Status::Ok();
-  stats_.appended_rows += static_cast<int64_t>(kept.size());
   metrics.appended_rows->Add(static_cast<int64_t>(kept.size()));
 
   // SelectRows rebuilds minimal dictionaries — the AppendBatch precondition
   // that keeps phantom values out of the merged dictionaries (SPIDER reads
   // them as value lists).
   const Relation sub = batch.SelectRows(kept);
-  const AppendDelta delta = relation_->AppendBatch(sub, pool_.get());
+  const AppendDelta delta = relation_->AppendBatch(sub, &pool_);
   for (RowId row = delta.old_num_rows; row < delta.new_num_rows; ++row) {
     row_index_[HashRowValues(*relation_, row)].push_back(row);
   }
-  cache_->OnAppend(delta, pool_.get());
+  cache_->OnAppend(delta, &pool_);
 
   {
     // Appends can break INDs and create them, so there is no monotone
@@ -305,7 +301,6 @@ void IncrementalProfiler::MaintainUccs(const SetTrie& witness) {
   kept.reserve(uccs_.size());
   for (const ColumnSet& ucc : uccs_) {
     if (!witness.ContainsSupersetOf(ucc)) {
-      ++stats_.screened_out;
       metrics.screened_out->Increment();
       kept.push_back(ucc);
       continue;
@@ -313,12 +308,10 @@ void IncrementalProfiler::MaintainUccs(const SetTrie& witness) {
     // Sampling-first: a recorded pair agreeing on all of the UCC is a
     // definite break — skip the PLI re-validation entirely.
     if (evidence_ != nullptr && evidence_->RefutesUcc(ucc)) {
-      ++stats_.evidence_hits;
       metrics.evidence_hits->Increment();
       broken.push_back(ucc);
       continue;
     }
-    ++stats_.revalidated;
     metrics.revalidated->Increment();
     const std::shared_ptr<const Pli> pli = cache_->Get(ucc);
     if (pli->IsUnique()) {
@@ -332,7 +325,6 @@ void IncrementalProfiler::MaintainUccs(const SetTrie& witness) {
     uccs_ = std::move(kept);  // Subsequence of a canonical list: still sorted.
     return;
   }
-  stats_.broken += static_cast<int64_t>(broken.size());
   metrics.broken->Add(static_cast<int64_t>(broken.size()));
 
   // Localized upward re-exploration. Every new minimal UCC strictly
@@ -368,18 +360,15 @@ void IncrementalProfiler::MaintainUccs(const SetTrie& witness) {
     for (const ColumnSet& candidate : level) {
       if (confirmed.ContainsSubsetOf(candidate)) continue;
       if (evidence_ != nullptr && evidence_->RefutesUcc(candidate)) {
-        ++stats_.evidence_hits;
         metrics.evidence_hits->Increment();
         expand(candidate);
         continue;
       }
-      ++stats_.explored_nodes;
       metrics.explored_nodes->Increment();
       const std::shared_ptr<const Pli> pli = cache_->Get(candidate);
       if (pli->IsUnique()) {
         confirmed.Insert(candidate);
         discovered.push_back(candidate);
-        ++stats_.rediscovered;
         metrics.rediscovered->Increment();
       } else {
         if (evidence_ != nullptr) evidence_->FeedBackUccViolation(*pli);
@@ -414,12 +403,6 @@ void IncrementalProfiler::MaintainFds(const SetTrie& witness) {
   const std::vector<int> active = relation_->ActiveColumns().ToIndices();
   std::vector<std::vector<ColumnSet>> result_by_rhs(
       static_cast<size_t>(num_columns));
-  std::atomic<int64_t> revalidated{0};
-  std::atomic<int64_t> screened_out{0};
-  std::atomic<int64_t> broken_total{0};
-  std::atomic<int64_t> rediscovered{0};
-  std::atomic<int64_t> explored{0};
-  std::atomic<int64_t> evidence_hits{0};
 
   const auto process_rhs = [&](int64_t index) {
     const int rhs = rhs_list[static_cast<size_t>(index)];
@@ -432,7 +415,7 @@ void IncrementalProfiler::MaintainFds(const SetTrie& witness) {
     std::vector<ColumnSet> broken;
     for (const ColumnSet& lhs : lhs_by_rhs[static_cast<size_t>(rhs)]) {
       if (!witness.ContainsSupersetOf(lhs)) {
-        ++screened_out;
+        metrics.screened_out->Increment();
         kept.push_back(lhs);
         continue;
       }
@@ -440,11 +423,11 @@ void IncrementalProfiler::MaintainFds(const SetTrie& witness) {
       // recorded pair agreeing on the LHS but not the RHS is a definite
       // break — skip the PLI re-validation.
       if (evidence_ != nullptr && evidence_->RefutesFd(lhs, rhs)) {
-        ++evidence_hits;
+        metrics.evidence_hits->Increment();
         broken.push_back(lhs);
         continue;
       }
-      ++revalidated;
+      metrics.revalidated->Increment();
       const std::shared_ptr<const Pli> pli = cache_->Get(lhs);
       if (pli->Refines(rhs_column)) {
         kept.push_back(lhs);
@@ -457,7 +440,7 @@ void IncrementalProfiler::MaintainFds(const SetTrie& witness) {
     }
 
     if (!broken.empty()) {
-      broken_total += static_cast<int64_t>(broken.size());
+      metrics.broken->Add(static_cast<int64_t>(broken.size()));
       SetTrie confirmed;
       for (const ColumnSet& lhs : kept) confirmed.Insert(lhs);
 
@@ -483,16 +466,16 @@ void IncrementalProfiler::MaintainFds(const SetTrie& witness) {
           if (confirmed.ContainsSubsetOf(candidate)) continue;
           if (evidence_ != nullptr &&
               evidence_->RefutesFd(candidate, rhs)) {
-            ++evidence_hits;
+            metrics.evidence_hits->Increment();
             expand(candidate);
             continue;
           }
-          ++explored;
+          metrics.explored_nodes->Increment();
           const std::shared_ptr<const Pli> pli = cache_->Get(candidate);
           if (pli->Refines(rhs_column)) {
             confirmed.Insert(candidate);
             kept.push_back(candidate);
-            ++rediscovered;
+            metrics.rediscovered->Increment();
           } else {
             if (evidence_ != nullptr) {
               evidence_->FeedBackFdViolation(*pli, rhs_column);
@@ -507,26 +490,8 @@ void IncrementalProfiler::MaintainFds(const SetTrie& witness) {
     result_by_rhs[static_cast<size_t>(rhs)] = std::move(kept);
   };
 
-  if (pool_ && pool_->NumThreads() > 1) {
-    pool_->ParallelFor(0, static_cast<int64_t>(rhs_list.size()), process_rhs);
-  } else {
-    for (int64_t i = 0; i < static_cast<int64_t>(rhs_list.size()); ++i) {
-      process_rhs(i);
-    }
-  }
-
-  stats_.revalidated += revalidated.load();
-  stats_.screened_out += screened_out.load();
-  stats_.broken += broken_total.load();
-  stats_.rediscovered += rediscovered.load();
-  stats_.explored_nodes += explored.load();
-  stats_.evidence_hits += evidence_hits.load();
-  metrics.revalidated->Add(revalidated.load());
-  metrics.screened_out->Add(screened_out.load());
-  metrics.broken->Add(broken_total.load());
-  metrics.rediscovered->Add(rediscovered.load());
-  metrics.explored_nodes->Add(explored.load());
-  metrics.evidence_hits->Add(evidence_hits.load());
+  ParallelForOrInline(&pool_, static_cast<int64_t>(rhs_list.size()),
+                      process_rhs);
 
   std::vector<Fd> fds;
   for (int rhs = 0; rhs < num_columns; ++rhs) {
@@ -547,7 +512,7 @@ ProfilingResult IncrementalProfiler::Result() const {
   result.duplicates_removed = duplicates_removed_;
   result.algorithm_used = algorithm_used_;
   result.column_names = relation_->ColumnNames();
-  result.num_threads_used = pool_->NumThreads();
+  result.num_threads_used = pool_.NumThreads();
   result.metrics = run_->Snapshot();
   return result;
 }

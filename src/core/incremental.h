@@ -60,26 +60,11 @@ namespace muds {
 /// the configured thread count; results are identical for every count).
 class IncrementalProfiler {
  public:
-  /// Work counters for the incremental path, accumulated over all batches
-  /// (also exported as `incremental.*` registry metrics).
-  struct Stats {
-    int64_t batches = 0;
-    int64_t appended_rows = 0;        // After in-batch/cross-batch dedup.
-    int64_t duplicates_dropped = 0;
-    int64_t revalidated = 0;          // Screened-in deps re-checked on data.
-    int64_t screened_out = 0;         // Deps the witness screen cleared.
-    int64_t broken = 0;               // Previously-minimal deps that fell.
-    int64_t rediscovered = 0;         // New minimal deps from re-exploration.
-    int64_t explored_nodes = 0;       // Lattice nodes the re-exploration hit.
-    int64_t evidence_hits = 0;        // Candidates refuted by the evidence
-                                      // store instead of a PLI check (0
-                                      // unless sampling is enabled).
-  };
-
   /// Profiles `base` from scratch (deduplicating first, like
   /// ProfileRelation) and becomes the maintained state. `options` drives
   /// both the initial run and all subsequent maintenance (threads, PLI
-  /// budget/impl, spill tier).
+  /// budget/impl, spill tier). The profiler owns its run's one pool, of
+  /// `options.num_threads`, for the base profile and every Append.
   IncrementalProfiler(const Relation& base, const ProfileOptions& options);
 
   IncrementalProfiler(const IncrementalProfiler&) = delete;
@@ -96,12 +81,13 @@ class IncrementalProfiler {
   const std::vector<Ind>& inds() const { return inds_; }
   const std::vector<ColumnSet>& uccs() const { return uccs_; }
   const std::vector<Fd>& fds() const { return fds_; }
-  const Stats& stats() const { return stats_; }
 
   /// Assembles a ProfilingResult over the current state: the three sets,
   /// accumulated phase timings, and the metrics of the profiler's run,
   /// which the constructor and every Append credit (the base profile's
-  /// counters plus the `incremental.*` ones).
+  /// counters plus the `incremental.*` ones: batches, appended_rows and
+  /// duplicates_dropped after dedup, and per dependency screened_out,
+  /// revalidated, evidence_hits, broken, rediscovered, explored_nodes).
   ProfilingResult Result() const;
 
  private:
@@ -120,7 +106,7 @@ class IncrementalProfiler {
   // The run the constructor and every Append credit; nested in the run
   // that was current where the profiler was constructed.
   const std::shared_ptr<RunMetrics> run_;
-  std::unique_ptr<ThreadPool> pool_;
+  ThreadPool pool_;
   std::optional<Relation> relation_;       // Stable address; mutated in place.
   std::unique_ptr<PliCache> cache_;
   // Sampled-pair evidence, persisted across batches (sampling enabled
@@ -136,7 +122,6 @@ class IncrementalProfiler {
   // Value-hash → rows, over relation_: the cross-batch duplicate filter.
   std::unordered_map<uint64_t, std::vector<RowId>> row_index_;
 
-  Stats stats_;
   PhaseTimings timings_;
   int64_t duplicates_removed_ = 0;
   Algorithm algorithm_used_ = Algorithm::kMuds;

@@ -254,8 +254,11 @@ class TaskLevels {
 class MudsRunner {
  public:
   MudsRunner(const Relation& relation, const EngineConfig& config,
-             const MudsOptions& options)
-      : relation_(relation), config_(config), options_(options) {}
+             const MudsOptions& options, ThreadPool* pool)
+      : relation_(relation),
+        config_(config),
+        options_(options),
+        pool_(pool != nullptr && pool->NumThreads() > 1 ? pool : nullptr) {}
 
   MudsResult Run();
 
@@ -442,7 +445,8 @@ class MudsRunner {
   // newLhs → right-hand sides already expanded in earlier rounds.
   std::unordered_map<ColumnSet, ColumnSet, ColumnSetHash> processed_shadowed_;
   std::unordered_map<ColumnSet, RhsKnowledge, ColumnSetHash> check_memo_;
-  std::optional<ThreadPool> pool_;
+  // The run's pool if it has workers; null runs every phase inline.
+  ThreadPool* const pool_;
   // Scratch for the batched CheckFds (sequential phases only; the parallel
   // phases go through CheckFdParallel and never touch these).
   std::vector<const Column*> batch_columns_;
@@ -452,7 +456,6 @@ class MudsRunner {
 
 MudsResult MudsRunner::Run() {
   MudsCounters::Get();  // Register the muds.* metrics.
-  pool_.emplace(config_.num_threads);
   RunSpider();
   // Eager registration: the sampling.* registry counters must exist (at
   // zero) even on runs with sampling disabled, so observability tooling
@@ -509,9 +512,9 @@ void MudsRunner::RunSpider() {
   const auto discover_inds = [this] {
     return Spider::Discover(relation_, config_.spill);
   };
-  if (pool_->NumThreads() > 1) {
+  if (pool_ != nullptr) {
     std::future<std::vector<Ind>> inds = pool_->Submit(discover_inds);
-    cache_.emplace(relation_, config_.pli_budget_bytes, &*pool_,
+    cache_.emplace(relation_, config_.pli_budget_bytes, pool_,
                    config_.pli_impl, config_.spill);
     result_.inds = inds.get();
   } else {
@@ -568,7 +571,7 @@ void MudsRunner::MinimizeFdsFromUccs() {
 void MudsRunner::CalculateRz() {
   const ColumnSet rz = active_.Difference(z_);
   const MudsCounters& counters = MudsCounters::Get();
-  if (pool_->NumThreads() <= 1) {
+  if (pool_ == nullptr) {
     for (int a = rz.First(); a >= 0; a = rz.NextAtLeast(a + 1)) {
       MUDS_TRACE_SPAN("rzTraversal", RhsArgs(a));
       LatticeTraversal::Options traversal_options;
@@ -789,7 +792,7 @@ void MudsRunner::ExhaustiveCompletion() {
   }
 
   const MudsCounters& counters = MudsCounters::Get();
-  if (pool_->NumThreads() <= 1) {
+  if (pool_ == nullptr) {
     for (int a = z_.First(); a >= 0; a = z_.NextAtLeast(a + 1)) {
       MUDS_TRACE_SPAN("completionTraversal", RhsArgs(a));
       LatticeTraversal::Options traversal_options;
@@ -867,8 +870,8 @@ void MudsRunner::ExhaustiveCompletion() {
 }  // namespace
 
 MudsResult Muds::Run(const Relation& relation, const EngineConfig& config,
-                     const MudsOptions& options) {
-  return MudsRunner(relation, config, options).Run();
+                     const MudsOptions& options, ThreadPool* pool) {
+  return MudsRunner(relation, config, options, pool).Run();
 }
 
 }  // namespace muds

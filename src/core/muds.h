@@ -10,8 +10,10 @@
 
 namespace muds {
 
+class ThreadPool;
+
 /// MUDS' algorithm ablations (§5). The engine settings every algorithm
-/// shares (seed, threads, PLI budget and layout, spill, sampling) are an
+/// shares (seed, PLI budget and layout, spill, sampling) are an
 /// EngineConfig, passed to Muds::Run next to these.
 struct MudsOptions {
   /// §5.4: use the UCC prefix tree for subset/superset look-ups. Disabling
@@ -71,18 +73,21 @@ struct MudsResult {
 /// traversals for right-hand sides outside every minimal UCC, and
 /// (3) discovery and minimization of shadowed FDs.
 ///
-/// With `config.num_threads > 1`, SPIDER overlaps the single-column PLI
-/// construction, and the independent per-right-hand-side sub-lattice
+/// On a `pool` with more than one thread, SPIDER overlaps the single-column
+/// PLI construction, and the independent per-right-hand-side sub-lattice
 /// traversals of "calculateRZ" and the exhaustive completion run on the
-/// pool; each derives its own seed from `config.seed`.
+/// pool; each derives its own seed from `config.seed`. A null or
+/// single-threaded pool runs everything inline on the caller.
 ///
 /// The Profiler facade deduplicates rows before calling this (§3).
 class Muds {
  public:
-  /// Runs MUDS on `relation` (which must already be duplicate-row free).
+  /// Runs MUDS on `relation` (which must already be duplicate-row free) on
+  /// the caller's `pool`; the run builds none.
   static MudsResult Run(const Relation& relation,
                         const EngineConfig& config = {},
-                        const MudsOptions& options = {});
+                        const MudsOptions& options = {},
+                        ThreadPool* pool = nullptr);
 };
 
 /// The connector look-up of §5.1 / Table 2: the union of all minimal UCCs

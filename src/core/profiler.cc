@@ -26,7 +26,7 @@ void MergeTimings(const PhaseTimings& from, PhaseTimings* into) {
 // The UCC-shape policy pays one DUCC run for the decision; §6.4 shows that
 // cost is negligible next to FD discovery.
 Algorithm ChooseAutomatically(const Relation& relation,
-                              const ProfileOptions& options,
+                              const ProfileOptions& options, ThreadPool* pool,
                               PhaseTimings* timings) {
   const ColumnSet active = relation.ActiveColumns();
   if (options.auto_policy == AutoPolicy::kColumnCount) {
@@ -37,8 +37,7 @@ Algorithm ChooseAutomatically(const Relation& relation,
   std::vector<ColumnSet> uccs;
   {
     MUDS_TRACE_SPAN(timings, "autoSelect");
-    ThreadPool pool(options.num_threads);
-    PliCache cache(relation, options.pli_budget_bytes, &pool,
+    PliCache cache(relation, options.pli_budget_bytes, pool,
                    options.pli_impl, options.spill);
     Ducc::Options ducc_options;
     ducc_options.seed = options.seed;
@@ -60,104 +59,43 @@ Algorithm ChooseAutomatically(const Relation& relation,
   return many_large ? Algorithm::kMuds : Algorithm::kHolisticFun;
 }
 
-ProfilingResult RunOnDeduped(const Relation& relation,
-                             const ProfileOptions& options) {
-  if (options.algorithm == Algorithm::kAuto) {
-    PhaseTimings selection_timings;
-    ProfileOptions chosen = options;
-    chosen.algorithm =
-        ChooseAutomatically(relation, options, &selection_timings);
-    ProfilingResult result = RunOnDeduped(relation, chosen);
-    MergeTimings(selection_timings, &result.timings);
-    return result;
-  }
-
-  ProfilingResult result;
-  result.column_names = relation.ColumnNames();
-  result.algorithm_used = options.algorithm;
-  MudsResult run;
-  switch (options.algorithm) {
-    case Algorithm::kMuds:
-      run = Muds::Run(relation, options);
-      break;
-    case Algorithm::kHolisticFun:
-      run = HolisticFun::Run(relation, options);
-      break;
-    case Algorithm::kBaseline:
-      run = Baseline::Run(relation, options);
-      break;
-    case Algorithm::kAuto:
-      MUDS_CHECK_MSG(false, "kAuto is resolved before dispatch");
-      break;
-  }
-  result.inds = std::move(run.inds);
-  result.uccs = std::move(run.uccs);
-  result.fds = std::move(run.fds);
-  MergeTimings(run.timings, &result.timings);
-  return result;
-}
-
-}  // namespace
-
-const char* AlgorithmName(Algorithm algorithm) {
-  switch (algorithm) {
-    case Algorithm::kMuds:
-      return "MUDS";
-    case Algorithm::kHolisticFun:
-      return "HFUN";
-    case Algorithm::kBaseline:
-      return "baseline";
-    case Algorithm::kAuto:
-      return "auto";
-  }
-  return "unknown";
-}
-
-ProfilingResult ProfileRelation(const Relation& relation,
-                                const ProfileOptions& options) {
+// ProfileRelation on the caller's pool: deduplicate, then profile. Its run
+// nests in the caller's, if any.
+ProfilingResult ProfileOnPool(const Relation& relation,
+                              const ProfileOptions& options, ThreadPool* pool) {
   const MetricsScope scope;
 
   // A relation without duplicates is profiled in place, not copied.
   PhaseTimings dedup_timings;
   std::optional<Relation> deduped;
   int64_t duplicates_removed = 0;
-  int num_threads_used = 1;
   {
     MUDS_TRACE_SPAN(&dedup_timings, "dedup");
-    ThreadPool pool(options.num_threads);
-    num_threads_used = pool.NumThreads();
-    const std::vector<RowId> distinct = DistinctRowIds(relation, &pool);
+    const std::vector<RowId> distinct = DistinctRowIds(relation, pool);
     duplicates_removed = static_cast<int64_t>(relation.NumRows()) -
                          static_cast<int64_t>(distinct.size());
     if (duplicates_removed > 0) {
-      deduped.emplace(relation.SelectRows(distinct, &pool));
+      deduped.emplace(relation.SelectRows(distinct, pool));
     }
   }
 
   ProfilingResult result =
-      RunOnDeduped(deduped ? *deduped : relation, options);
+      ProfileDeduplicated(deduped ? *deduped : relation, options, pool);
   MergeTimings(dedup_timings, &result.timings);
   result.duplicates_removed = duplicates_removed;
-  result.num_threads_used = num_threads_used;
+  result.num_threads_used = pool->NumThreads();
   result.metrics = scope.run()->Snapshot();
   return result;
 }
 
-CsvOptions CsvOptionsForLoad(const ProfileOptions& options) {
-  CsvOptions csv = options.csv;
-  if (csv.num_threads == 1) csv.num_threads = options.num_threads;
-  return csv;
-}
-
-namespace {
-
 // The body of every CSV entry point: `load` parses the input, which grows
-// in place by each of the `num_batches` batches `load_batch(i, csv)`
+// in place by each of the `num_batches` batches `load_batch(i, csv, pool)`
 // parses, and the grown relation is profiled once. AppendBatch builds
 // exactly the relation a parse of the concatenated input gives, and
-// ProfileRelation deduplicates, so the result is the concatenation's
+// ProfileOnPool deduplicates, so the result is the concatenation's
 // profile, duplicates_removed included. `check_names` is for batches that
-// carry a header.
+// carry a header. The run's one pool parses, merges, deduplicates and
+// profiles.
 template <typename Load, typename LoadBatch>
 Result<ProfilingResult> ProfileCsv(const Load& load, size_t num_batches,
                                    const LoadBatch& load_batch,
@@ -170,30 +108,27 @@ Result<ProfilingResult> ProfileCsv(const Load& load, size_t num_batches,
     return Status::InvalidArgument(
         "append batches cannot be combined with NULL != NULL semantics");
   }
-  const CsvOptions csv = CsvOptionsForLoad(options);
-  for (const int threads : {options.num_threads, csv.num_threads}) {
-    if (threads < 0) {
-      return Status::InvalidArgument("num_threads must be >= 0, got " +
-                                     std::to_string(threads));
-    }
+  if (options.num_threads < 0) {
+    return Status::InvalidArgument("num_threads must be >= 0, got " +
+                                   std::to_string(options.num_threads));
   }
   // The baseline runs three independent tools, each reading the input
   // itself; the holistic algorithms read once (§3: shared I/O).
   const int num_reads = options.algorithm == Algorithm::kBaseline ? 3 : 1;
-  // ProfileRelation's run nests in this one, so the result's metrics hold
+  // ProfileOnPool's run nests in this one, so the result's metrics hold
   // the ingest.* counters as well as the discovery work.
   const MetricsScope scope;
-  ThreadPool pool(num_batches > 0 ? csv.num_threads : 1);  // Column merges.
+  ThreadPool pool(options.num_threads);
   int64_t load_micros = 0;
   std::optional<Relation> relation;
   for (int i = 0; i < num_reads; ++i) {
     MUDS_TRACE_SPAN("load");
     Timer load_timer;
-    Result<Relation> parsed = load(csv);
+    Result<Relation> parsed = load(options.csv, &pool);
     if (!parsed.ok()) return parsed.status();
     relation.emplace(std::move(parsed).value());
     for (size_t b = 0; b < num_batches; ++b) {
-      Result<Relation> batch = load_batch(b, csv);
+      Result<Relation> batch = load_batch(b, options.csv, &pool);
       if (!batch.ok()) return batch.status();
       const int columns = batch.value().NumColumns();
       if (columns == 0) continue;  // No records: nothing to append.
@@ -213,13 +148,71 @@ Result<ProfilingResult> ProfileCsv(const Load& load, size_t num_batches,
     load_micros += load_timer.ElapsedMicros();
   }
 
-  ProfilingResult result = ProfileRelation(*relation, options);
+  ProfilingResult result = ProfileOnPool(*relation, options, &pool);
   result.timings.Add("load", load_micros);
   result.metrics = scope.run()->Snapshot();
   return result;
 }
 
 }  // namespace
+
+ProfilingResult ProfileDeduplicated(const Relation& relation,
+                                    const ProfileOptions& options,
+                                    ThreadPool* pool) {
+  if (options.algorithm == Algorithm::kAuto) {
+    PhaseTimings selection_timings;
+    ProfileOptions chosen = options;
+    chosen.algorithm =
+        ChooseAutomatically(relation, options, pool, &selection_timings);
+    ProfilingResult result = ProfileDeduplicated(relation, chosen, pool);
+    MergeTimings(selection_timings, &result.timings);
+    return result;
+  }
+
+  ProfilingResult result;
+  result.column_names = relation.ColumnNames();
+  result.algorithm_used = options.algorithm;
+  MudsResult run;
+  switch (options.algorithm) {
+    case Algorithm::kMuds:
+      run = Muds::Run(relation, options, {}, pool);
+      break;
+    case Algorithm::kHolisticFun:
+      run = HolisticFun::Run(relation, options, pool);
+      break;
+    case Algorithm::kBaseline:
+      run = Baseline::Run(relation, options, pool);
+      break;
+    case Algorithm::kAuto:
+      MUDS_CHECK_MSG(false, "kAuto is resolved before dispatch");
+      break;
+  }
+  result.inds = std::move(run.inds);
+  result.uccs = std::move(run.uccs);
+  result.fds = std::move(run.fds);
+  MergeTimings(run.timings, &result.timings);
+  return result;
+}
+
+const char* AlgorithmName(Algorithm algorithm) {
+  switch (algorithm) {
+    case Algorithm::kMuds:
+      return "MUDS";
+    case Algorithm::kHolisticFun:
+      return "HFUN";
+    case Algorithm::kBaseline:
+      return "baseline";
+    case Algorithm::kAuto:
+      return "auto";
+  }
+  return "unknown";
+}
+
+ProfilingResult ProfileRelation(const Relation& relation,
+                                const ProfileOptions& options) {
+  ThreadPool pool(options.num_threads);
+  return ProfileOnPool(relation, options, &pool);
+}
 
 Result<ProfilingResult> ProfileCsvString(std::string_view text,
                                          const ProfileOptions& options) {
@@ -235,11 +228,12 @@ Result<ProfilingResult> ProfileCsvStringWithAppends(
     std::string_view base, const std::vector<std::string>& appends,
     const ProfileOptions& options) {
   return ProfileCsv(
-      [base](const CsvOptions& csv) {
-        return CsvReader::ReadString(base, csv);
+      [base](const CsvOptions& csv, ThreadPool* pool) {
+        return CsvReader::ReadString(base, csv, "relation", pool);
       },
       appends.size(),
-      [&appends](size_t i, const CsvOptions& csv) -> Result<Relation> {
+      [&appends](size_t i, const CsvOptions& csv,
+                 ThreadPool* pool) -> Result<Relation> {
         const std::string name = "append" + std::to_string(i + 1);
         // Only line breaks: no records, so no rows and no columns.
         if (appends[i].find_first_not_of("\r\n") == std::string::npos) {
@@ -247,7 +241,7 @@ Result<ProfilingResult> ProfileCsvStringWithAppends(
         }
         CsvOptions batch_csv = csv;
         batch_csv.has_header = false;
-        return CsvReader::ReadString(appends[i], batch_csv, name);
+        return CsvReader::ReadString(appends[i], batch_csv, name, pool);
       },
       /*check_names=*/false, options);
 }
@@ -256,10 +250,12 @@ Result<ProfilingResult> ProfileCsvFileWithAppends(
     const std::string& path, const std::vector<std::string>& append_paths,
     const ProfileOptions& options) {
   return ProfileCsv(
-      [&path](const CsvOptions& csv) { return CsvReader::ReadFile(path, csv); },
+      [&path](const CsvOptions& csv, ThreadPool* pool) {
+        return CsvReader::ReadFile(path, csv, pool);
+      },
       append_paths.size(),
-      [&append_paths](size_t i, const CsvOptions& csv) {
-        return CsvReader::ReadFile(append_paths[i], csv);
+      [&append_paths](size_t i, const CsvOptions& csv, ThreadPool* pool) {
+        return CsvReader::ReadFile(append_paths[i], csv, pool);
       },
       /*check_names=*/true, options);
 }

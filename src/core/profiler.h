@@ -16,6 +16,8 @@
 
 namespace muds {
 
+class ThreadPool;
+
 /// Which profiling strategy ProfileRelation() runs (§6 compares all three).
 enum class Algorithm {
   /// MUDS (§5): the holistic, inter-task-pruning algorithm.
@@ -51,12 +53,19 @@ enum class AutoPolicy {
 };
 
 /// Options for the Profile* entry points: the engine settings every
-/// algorithm takes (EngineConfig), plus which algorithm runs and how its
-/// input is read. MUDS' algorithm ablations (MudsOptions) are reachable
-/// only through Muds::Run.
+/// algorithm takes (EngineConfig), plus which algorithm runs, on how many
+/// threads, and how its input is read. MUDS' algorithm ablations
+/// (MudsOptions) are reachable only through Muds::Run.
 struct ProfileOptions : EngineConfig {
   Algorithm algorithm = Algorithm::kMuds;
-  /// CSV dialect for the CSV entry points.
+  /// Threads of the run's one pool (0 = hardware concurrency, 1 = the
+  /// deterministic sequential path). The run owner builds the pool once;
+  /// ingest, append merges, dedup, the kAuto selection and the engine all
+  /// run on it. The discovered IND/UCC/FD sets are identical for every
+  /// thread count.
+  int num_threads = 1;
+  /// CSV dialect for the CSV entry points (its num_threads is ignored: the
+  /// parse runs on the run's pool).
   CsvOptions csv;
   /// kAuto selection rule and its column threshold ("Muds usually performs
   /// best on datasets with ten or more columns", §6.5).
@@ -104,6 +113,14 @@ struct ProfilingResult {
 ProfilingResult ProfileRelation(const Relation& relation,
                                 const ProfileOptions& options = {});
 
+/// The engine step of a run: resolves kAuto, then runs the chosen engine on
+/// `relation`, which must be free of duplicate rows, on the run owner's
+/// `pool` (null = inline on the caller). Fills the three sets, timings,
+/// algorithm_used and column_names; the owner fills the rest.
+ProfilingResult ProfileDeduplicated(const Relation& relation,
+                                    const ProfileOptions& options,
+                                    ThreadPool* pool);
+
 /// Parses CSV text and profiles it. For the baseline algorithm the text is
 /// parsed once per profiling task (three times), reproducing the unshared
 /// I/O cost the holistic algorithms eliminate.
@@ -113,11 +130,6 @@ Result<ProfilingResult> ProfileCsvString(std::string_view text,
 /// Reads a CSV file and profiles it (same baseline re-read semantics).
 Result<ProfilingResult> ProfileCsvFile(const std::string& path,
                                        const ProfileOptions& options = {});
-
-/// The CSV dialect the entry points load with: `options.csv`, except that
-/// `options.num_threads` drives the ingest engine too unless the caller
-/// pinned `csv.num_threads` to something other than its default.
-CsvOptions CsvOptionsForLoad(const ProfileOptions& options);
 
 /// The one-shot append path muds_serve runs: parses `base` and each of
 /// `appends` (headerless row batches in the base's dialect), grows the base

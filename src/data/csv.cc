@@ -42,12 +42,13 @@ void AppendField(const std::string& value, const CsvOptions& options,
 
 Result<Relation> CsvReader::ReadString(std::string_view text,
                                        const CsvOptions& options,
-                                       std::string name) {
-  return IngestCsv(text, options, std::move(name));
+                                       std::string name, ThreadPool* pool) {
+  return IngestCsv(text, options, std::move(name), pool);
 }
 
 Result<Relation> CsvReader::ReadFile(const std::string& path,
-                                     const CsvOptions& options) {
+                                     const CsvOptions& options,
+                                     ThreadPool* pool) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IoError("cannot open " + path);
   // Size the backing buffer from the file length and fill it with one
@@ -62,7 +63,7 @@ Result<Relation> CsvReader::ReadFile(const std::string& path,
     Result<MappedFile> mapped = MappedFile::Open(path);
     if (mapped.ok() && mapped.value().mapped()) {
       mapped.value().Advise(MappedFile::Advice::kSequential);
-      return ReadString(mapped.value().view(), options, path);
+      return ReadString(mapped.value().view(), options, path, pool);
     }
     // Fall through to the buffered read on any mapping failure — including
     // a file that shrank to zero between the size probe above and the
@@ -79,7 +80,7 @@ Result<Relation> CsvReader::ReadFile(const std::string& path,
       return Status::IoError("error reading " + path);
     }
   }
-  return ReadString(buffer, options, path);
+  return ReadString(buffer, options, path, pool);
 }
 
 std::string CsvWriter::ToString(const Relation& relation,

@@ -9,6 +9,8 @@
 
 namespace muds {
 
+class ThreadPool;
+
 /// How cells equal to `null_token` compare during profiling. The choice
 /// changes which dependencies hold — a classic data-profiling semantics
 /// switch (Metanome exposes the same two modes).
@@ -36,10 +38,12 @@ struct CsvOptions {
   /// empty default means empty cells are the nulls.
   std::string null_token;
   NullSemantics nulls = NullSemantics::kNullEqual;
-  /// Worker threads for the ingest engine (0 = hardware concurrency,
-  /// 1 = inline on the caller; negative is an InvalidArgument error). The
-  /// parsed relation is bit-identical — same dictionaries, same codes — at
-  /// every thread count.
+  /// Worker threads for a direct CsvReader call that passes no pool
+  /// (0 = hardware concurrency, 1 = inline on the caller; negative is an
+  /// InvalidArgument error). The Profile* entry points ignore it: their
+  /// parse runs on the run's pool (ProfileOptions::num_threads). The parsed
+  /// relation is bit-identical — same dictionaries, same codes — at every
+  /// thread count.
   int num_threads = 1;
   /// Target chunk size in bytes for the ingest engine (0 = automatic).
   /// Tests set tiny values to force chunk boundaries into quoted fields;
@@ -64,16 +68,19 @@ struct CsvOptions {
 class CsvReader {
  public:
   /// Parses an in-memory CSV document with the buffered ingest engine
-  /// (parallel, zero-copy, encoding as it parses; see data/ingest.h).
+  /// (parallel, zero-copy, encoding as it parses; see data/ingest.h), on
+  /// `pool` if given, else on a pool of `options.num_threads`.
   static Result<Relation> ReadString(std::string_view text,
                                      const CsvOptions& options = {},
-                                     std::string name = "relation");
+                                     std::string name = "relation",
+                                     ThreadPool* pool = nullptr);
 
   /// Reads and parses a CSV file. The relation is named after the path.
   /// The file is read with a single allocation sized by the file length,
-  /// or mapped (see `CsvOptions::mmap_min_bytes`).
+  /// or mapped (see `CsvOptions::mmap_min_bytes`). `pool` as in ReadString.
   static Result<Relation> ReadFile(const std::string& path,
-                                   const CsvOptions& options = {});
+                                   const CsvOptions& options = {},
+                                   ThreadPool* pool = nullptr);
 };
 
 /// Writes a relation back out as CSV (quoting only where necessary).

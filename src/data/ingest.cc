@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstring>
 #include <deque>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -127,14 +128,9 @@ class InternTable {
   size_t max_size_ = 0;
 };
 
-int ResolveThreads(int num_threads) {
+int HardwareThreads() {
   const unsigned hw = std::thread::hardware_concurrency();
-  const int hardware = hw > 0 ? static_cast<int>(hw) : 1;
-  // The parse is CPU-bound: workers beyond the core count only add
-  // oversubscription, so cap at the hardware (the result is identical at
-  // every thread count anyway).
-  if (num_threads == 0) return hardware;
-  return std::min(num_threads, hardware);
+  return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
 // Accumulates one field as a contiguous range of the input buffer for as
@@ -494,8 +490,8 @@ void ParseChunk(std::string_view text, size_t begin, size_t end,
 }  // namespace
 
 Result<Relation> IngestCsv(std::string_view text, const CsvOptions& options,
-                           std::string name) {
-  if (options.num_threads < 0) {
+                           std::string name, ThreadPool* pool) {
+  if (pool == nullptr && options.num_threads < 0) {
     return Status::InvalidArgument("num_threads must be >= 0, got " +
                                    std::to_string(options.num_threads));
   }
@@ -535,8 +531,18 @@ Result<Relation> IngestCsv(std::string_view text, const CsvOptions& options,
   const int num_columns = static_cast<int>(column_names.size());
   const int64_t cut = options.max_rows;  // < 0 = keep everything.
 
+  // The parse is CPU-bound: threads beyond the core count only add
+  // oversubscription, so a direct call's own pool is capped at the hardware
+  // (ThreadPool resolves 0 to it), and chunks are sized for at most that
+  // many threads on any pool (the result is identical at every count).
+  std::optional<ThreadPool> own_pool;
+  if (pool == nullptr) {
+    own_pool.emplace(std::min(options.num_threads, HardwareThreads()));
+    pool = &*own_pool;
+  }
+  const int num_threads = std::min(pool->NumThreads(), HardwareThreads());
+
   // Record-aligned chunking.
-  const int num_threads = ResolveThreads(options.num_threads);
   const size_t data_size = text.size() - data_begin;
   std::vector<size_t> starts;
   if (data_size > 0) {
@@ -562,10 +568,9 @@ Result<Relation> IngestCsv(std::string_view text, const CsvOptions& options,
 
   const int num_chunks = static_cast<int>(starts.size());
   std::vector<ChunkData> chunks(static_cast<size_t>(num_chunks));
-  ThreadPool pool(num_threads);
   {
     MUDS_TRACE_SPAN("ingest.parse");
-    pool.ParallelFor(0, num_chunks, [&](int64_t i) {
+    pool->ParallelFor(0, num_chunks, [&](int64_t i) {
       const size_t begin = starts[static_cast<size_t>(i)];
       const size_t end = i + 1 < num_chunks
                              ? starts[static_cast<size_t>(i + 1)]
@@ -658,7 +663,7 @@ Result<Relation> IngestCsv(std::string_view text, const CsvOptions& options,
       null_offset[static_cast<size_t>(i)] = total_nulls;
       total_nulls += null_kept[static_cast<size_t>(i)];
     }
-    pool.ParallelFor(0, num_chunks, [&](int64_t i) {
+    pool->ParallelFor(0, num_chunks, [&](int64_t i) {
       ChunkData& chunk = chunks[static_cast<size_t>(i)];
       for (int64_t j = 0; j < null_kept[static_cast<size_t>(i)]; ++j) {
         const ChunkData::NullCell& cell =
@@ -678,7 +683,7 @@ Result<Relation> IngestCsv(std::string_view text, const CsvOptions& options,
   std::vector<Column> columns(static_cast<size_t>(num_columns));
   {
     MUDS_TRACE_SPAN("ingest.merge");
-    pool.ParallelFor(0, num_columns, [&](int64_t c) {
+    pool->ParallelFor(0, num_columns, [&](int64_t c) {
       // One sort of (value, chunk, local_id) entries ranks the union and
       // yields every chunk's remap table in the same walk — no per-value
       // binary searches or hash probes. The big-endian 8-byte prefix key

@@ -30,14 +30,19 @@ namespace muds {
 /// it, so the merge is independent of how the input was chunked; rows keep
 /// file order through per-chunk row offsets.
 ///
-/// Honors `options.num_threads` (0 = hardware concurrency; negative is an
-/// InvalidArgument error) and `options.chunk_bytes` (0 = automatic sizing;
-/// tests set tiny values to force record boundaries into quoted fields).
+/// Runs on `pool` when one is given (a run owner's pool; `options.num_threads`
+/// is then ignored), else on a pool of `options.num_threads` threads capped
+/// at the hardware (0 = hardware concurrency; negative is an
+/// InvalidArgument error). Either way automatic chunks are sized for
+/// min(pool threads, hardware), so an input splits the same on both. Honors
+/// `options.chunk_bytes` (0 = automatic sizing; tests set tiny values to
+/// force record boundaries into quoted fields).
 /// Counts `ingest.bytes`, `ingest.records`, and `ingest.chunks` in the
 /// metrics registry and emits `ingest.scan` / `ingest.parse` (parse and
 /// encode) / `ingest.merge` trace spans.
 Result<Relation> IngestCsv(std::string_view text, const CsvOptions& options,
-                           std::string name = "relation");
+                           std::string name = "relation",
+                           ThreadPool* pool = nullptr);
 
 }  // namespace muds
 

@@ -361,10 +361,10 @@ std::string Server::HandleSubmit(const json::Value& request) {
   }
   // Engine threads come from the server pool, not per request: the pool
   // is the shared substrate, and a per-job thread count would let one
-  // client oversubscribe it. Jobs run single-threaded within their pump
-  // task; concurrency comes from many jobs in flight.
+  // client oversubscribe it. Each job is a one-thread run within its pump
+  // task (parse, dedup and engine inline); concurrency comes from many
+  // jobs in flight.
   profile.num_threads = 1;
-  profile.csv.num_threads = 1;
 
   JobConfig config;
   if (const json::Value* priority = request.Find("priority")) {

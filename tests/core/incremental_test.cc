@@ -14,7 +14,9 @@
 #include <string>
 #include <vector>
 
+#include "common/metrics.h"
 #include "data/metadata.h"
+#include "data/preprocess.h"
 #include "data/relation.h"
 #include "test_util.h"
 #include "testing/reference.h"
@@ -28,6 +30,11 @@ Relation Slice(const Relation& relation, RowId begin, RowId end) {
   std::vector<RowId> rows;
   for (RowId r = begin; r < end; ++r) rows.push_back(r);
   return relation.SelectRows(rows);
+}
+
+// The profiler run's value of the registry counter `name`.
+int64_t Metric(const IncrementalProfiler& profiler, const std::string& name) {
+  return metrics::ValueOf(profiler.Result().metrics, name);
 }
 
 void ExpectMatchesOracle(const IncrementalProfiler& profiler,
@@ -51,7 +58,7 @@ TEST(IncrementalProfilerTest, EmptyBatchIsANoOp) {
   EXPECT_EQ(profiler.inds(), inds);
   EXPECT_EQ(profiler.uccs(), uccs);
   EXPECT_EQ(profiler.fds(), fds);
-  EXPECT_EQ(profiler.stats().appended_rows, 0);
+  EXPECT_EQ(Metric(profiler, "incremental.appended_rows"), 0);
   ExpectMatchesOracle(profiler, base, "after empty batch");
 }
 
@@ -64,8 +71,8 @@ TEST(IncrementalProfilerTest, AllDuplicateBatchIsANoOp) {
   const Relation dup = Slice(base, 0, 20);
   ASSERT_TRUE(profiler.Append(dup).ok());
   EXPECT_EQ(profiler.uccs(), uccs);
-  EXPECT_EQ(profiler.stats().appended_rows, 0);
-  EXPECT_EQ(profiler.stats().duplicates_dropped, 20);
+  EXPECT_EQ(Metric(profiler, "incremental.appended_rows"), 0);
+  EXPECT_EQ(Metric(profiler, "incremental.duplicates_dropped"), 20);
   ExpectMatchesOracle(profiler, base, "after all-duplicate batch");
 }
 
@@ -115,7 +122,7 @@ TEST(IncrementalProfilerTest, BatchBreaksMinimalFdAndUcc) {
   EXPECT_EQ(std::count(profiler.uccs().begin(), profiler.uccs().end(),
                        ColumnSet::Single(0)),
             0);
-  EXPECT_GT(profiler.stats().broken, 0);
+  EXPECT_GT(Metric(profiler, "incremental.broken"), 0);
   ExpectMatchesOracle(profiler, profiler.relation(), "after breaking batch");
 }
 
@@ -192,7 +199,13 @@ TEST(IncrementalProfilerTest, TinyBudgetWithSpillMatchesFromScratch) {
 
 TEST(IncrementalProfilerTest, ResultCarriesIncrementalCounters) {
   const Relation full = RandomRelation(31, 4, 100, 4);
-  IncrementalProfiler profiler(Slice(full, 0, 50), ProfileOptions());
+  const Relation base = Slice(full, 0, 50);
+  const int64_t appended = DeduplicateRows(full).relation.NumRows() -
+                           DeduplicateRows(base).relation.NumRows();
+  ASSERT_GT(appended, 0);
+  IncrementalProfiler profiler(base, ProfileOptions());
+  const int64_t base_dependencies =
+      static_cast<int64_t>(profiler.uccs().size() + profiler.fds().size());
   ASSERT_TRUE(profiler.Append(Slice(full, 50, 100)).ok());
 
   const ProfilingResult result = profiler.Result();
@@ -206,13 +219,16 @@ TEST(IncrementalProfilerTest, ResultCarriesIncrementalCounters) {
   // The profiler's run counts exactly its own work: the constructor's base
   // profile and the one Append.
   EXPECT_EQ(metric("incremental.batches"), 1);
-  EXPECT_GT(metric("incremental.appended_rows"), 0);
-  EXPECT_EQ(metric("incremental.appended_rows"),
-            profiler.stats().appended_rows);
-  EXPECT_EQ(metric("incremental.revalidated"), profiler.stats().revalidated);
-  EXPECT_EQ(metric("incremental.screened_out"),
-            profiler.stats().screened_out);
-  EXPECT_GE(metric("dedup.rows"), 50);
+  EXPECT_EQ(metric("incremental.appended_rows"), appended);
+  EXPECT_EQ(metric("incremental.duplicates_dropped"), 50 - appended);
+  // Sampling is off, so every base UCC and FD is either screened out or
+  // re-validated on the data.
+  EXPECT_EQ(metric("incremental.evidence_hits"), 0);
+  EXPECT_EQ(metric("incremental.screened_out") +
+                metric("incremental.revalidated"),
+            base_dependencies);
+  // The base is deduplicated once: one pass over its 50 rows.
+  EXPECT_EQ(metric("dedup.rows"), 50);
   EXPECT_GT(metric("muds.fd_checks"), 0);
   EXPECT_GT(result.timings.Micros("incrementalAppend"), 0);
 }

@@ -117,19 +117,15 @@ TEST(ProfilerTest, BaselineModelsUnsharedReads) {
 }
 
 TEST(ProfilerTest, NegativeThreadCountsAreInvalidArguments) {
-  // Rejected before any pool is built: the append path builds its merge
-  // pool before the parse, and ProfileRelation's pools come after it.
-  ProfileOptions csv_threads;
-  csv_threads.csv.num_threads = -2;
+  // Rejected before the run's pool is built, with or without appends.
+  ProfileOptions engine_threads;
+  engine_threads.num_threads = -2;
   auto appended =
-      ProfileCsvStringWithAppends("a,b\n1,2\n", {"3,4\n"}, csv_threads);
+      ProfileCsvStringWithAppends("a,b\n1,2\n", {"3,4\n"}, engine_threads);
   ASSERT_FALSE(appended.ok());
   EXPECT_EQ(appended.status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(appended.status().message(), "num_threads must be >= 0, got -2");
 
-  ProfileOptions engine_threads;
-  engine_threads.num_threads = -2;
-  engine_threads.csv.num_threads = 2;
   auto profiled = ProfileCsvString("a,b\n1,2\n", engine_threads);
   ASSERT_FALSE(profiled.ok());
   EXPECT_EQ(profiled.status().code(), StatusCode::kInvalidArgument);
@@ -172,7 +168,6 @@ TEST(ProfilerTest, TinyPliBudgetDoesNotChangeResults) {
   const Relation r = RandomRelation(11, 6, 120, 3);
   EngineConfig config;
   config.seed = 7;
-  config.num_threads = 3;
   config.pli_budget_bytes = 1;
   config.pli_impl = PliImpl::kCsr;
   config.spill.dir = ::testing::TempDir();
@@ -191,6 +186,7 @@ TEST(ProfilerTest, TinyPliBudgetDoesNotChangeResults) {
     defaults.auto_policy = policy;
     ProfileOptions tuned = defaults;
     static_cast<EngineConfig&>(tuned) = config;
+    tuned.num_threads = 3;
     const ProfilingResult a = ProfileRelation(r, defaults);
     const ProfilingResult b = ProfileRelation(r, tuned);
     const std::string label = std::string(AlgorithmName(algorithm)) + "/" +

@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/metrics.h"
 #include "core/evidence.h"
 #include "data/relation.h"
 #include "pli/position_list_index.h"
@@ -35,6 +36,11 @@ std::vector<std::pair<int, const Pli*>> PliPointers(
   return out;
 }
 
+// The value of the registry counter `name` in `scope`'s run.
+int64_t Count(const MetricsScope& scope, const char* name) {
+  return metrics::ValueOf(scope.run()->Snapshot(), name);
+}
+
 SamplingConfig Config(int64_t pairs, uint64_t seed = 7) {
   SamplingConfig config;
   config.pairs = pairs;
@@ -45,10 +51,11 @@ SamplingConfig Config(int64_t pairs, uint64_t seed = 7) {
 TEST(SamplingTest, EmptyRelationDrawsNothing) {
   const Relation r = Relation::FromRows({"a", "b"}, {}, "empty");
   const std::vector<Pli> plis = ColumnPlis(r);
+  const MetricsScope scope;
   EvidenceStore store(r);
   SampleEvidence(Config(1024), PliPointers(plis), &store);
   EXPECT_EQ(store.Size(), 0u);
-  EXPECT_EQ(store.GetStats().pairs, 0);
+  EXPECT_EQ(Count(scope, "sampling.pairs"), 0);
   EXPECT_FALSE(store.RefutesUcc(ColumnSet()));
   EXPECT_FALSE(store.RefutesUcc(ColumnSet::Single(0)));
 }
@@ -56,10 +63,11 @@ TEST(SamplingTest, EmptyRelationDrawsNothing) {
 TEST(SamplingTest, SingleRowDrawsNothing) {
   const Relation r = Relation::FromRows({"a", "b"}, {{"x", "y"}}, "one");
   const std::vector<Pli> plis = ColumnPlis(r);
+  const MetricsScope scope;
   EvidenceStore store(r);
   SampleEvidence(Config(1024), PliPointers(plis), &store);
   EXPECT_EQ(store.Size(), 0u);
-  EXPECT_EQ(store.GetStats().pairs, 0);
+  EXPECT_EQ(Count(scope, "sampling.pairs"), 0);
 }
 
 TEST(SamplingTest, AllSingletonColumnsHaveNoPairsToDraw) {
@@ -68,10 +76,11 @@ TEST(SamplingTest, AllSingletonColumnsHaveNoPairsToDraw) {
   const Relation r = Relation::FromRows(
       {"a", "b"}, {{"1", "x"}, {"2", "y"}, {"3", "z"}}, "keys");
   const std::vector<Pli> plis = ColumnPlis(r);
+  const MetricsScope scope;
   EvidenceStore store(r);
   SampleEvidence(Config(4096), PliPointers(plis), &store);
   EXPECT_EQ(store.Size(), 0u);
-  EXPECT_EQ(store.GetStats().pairs, 0);
+  EXPECT_EQ(Count(scope, "sampling.pairs"), 0);
   EXPECT_FALSE(store.RefutesUcc(ColumnSet::Single(0)));
   EXPECT_FALSE(store.RefutesFd(ColumnSet::Single(0), 1));
 }
@@ -83,9 +92,10 @@ TEST(SamplingTest, AllDuplicateColumnRefutesItsUcc) {
   const Relation r = Relation::FromRows(
       {"a", "b"}, {{"k", "1"}, {"k", "2"}, {"k", "3"}, {"k", "4"}}, "const");
   const std::vector<Pli> plis = ColumnPlis(r);
+  const MetricsScope scope;
   EvidenceStore store(r);
   SampleEvidence(Config(64), PliPointers(plis), &store);
-  EXPECT_GT(store.GetStats().pairs, 0);
+  EXPECT_GT(Count(scope, "sampling.pairs"), 0);
   EXPECT_TRUE(store.RefutesUcc(ColumnSet::Single(0)));
   EXPECT_TRUE(store.RefutesFd(ColumnSet::Single(0), 1));
   EXPECT_TRUE(store.RefutesFd(ColumnSet(), 1));  // b is not constant.
@@ -97,30 +107,36 @@ TEST(SamplingTest, AllDuplicateColumnRefutesItsUcc) {
 TEST(SamplingTest, DeterministicInSeed) {
   const Relation r = RandomRelation(11, 4, 200, 5);
   const std::vector<Pli> plis = ColumnPlis(r);
-  EvidenceStore a(r);
-  EvidenceStore b(r);
-  SampleEvidence(Config(128, 42), PliPointers(plis), &a);
-  SampleEvidence(Config(128, 42), PliPointers(plis), &b);
-  EXPECT_EQ(a.Size(), b.Size());
-  EXPECT_EQ(a.GetStats().pairs, b.GetStats().pairs);
+  // One store's size and recorded pairs, each sample in a run of its own.
+  const auto sample = [&] {
+    const MetricsScope scope;
+    EvidenceStore store(r);
+    SampleEvidence(Config(128, 42), PliPointers(plis), &store);
+    return std::make_pair(store.Size(), Count(scope, "sampling.pairs"));
+  };
+  EXPECT_EQ(sample(), sample());
 }
 
 TEST(SamplingTest, FeedBackRecordsMissedViolations) {
   const Relation r = Relation::FromRows(
       {"a", "b"}, {{"k", "1"}, {"k", "2"}, {"j", "3"}}, "fb");
   const std::vector<Pli> plis = ColumnPlis(r);
-  EvidenceStore store(r);
-  EXPECT_FALSE(store.RefutesUcc(ColumnSet::Single(0)));
-  store.FeedBackUccViolation(plis[0]);
-  EXPECT_TRUE(store.RefutesUcc(ColumnSet::Single(0)));
-  EXPECT_TRUE(store.RefutesFd(ColumnSet::Single(0), 1));
-  EXPECT_EQ(store.GetStats().fed_back, 1);
+  {
+    const MetricsScope scope;
+    EvidenceStore store(r);
+    EXPECT_FALSE(store.RefutesUcc(ColumnSet::Single(0)));
+    store.FeedBackUccViolation(plis[0]);
+    EXPECT_TRUE(store.RefutesUcc(ColumnSet::Single(0)));
+    EXPECT_TRUE(store.RefutesFd(ColumnSet::Single(0), 1));
+    EXPECT_EQ(Count(scope, "sampling.fed_back"), 1);
+  }
 
+  const MetricsScope scope;
   EvidenceStore fd_store(r);
   EXPECT_FALSE(fd_store.RefutesFd(ColumnSet::Single(0), 1));
   fd_store.FeedBackFdViolation(plis[0], r.GetColumn(1));
   EXPECT_TRUE(fd_store.RefutesFd(ColumnSet::Single(0), 1));
-  EXPECT_EQ(fd_store.GetStats().fed_back, 1);
+  EXPECT_EQ(Count(scope, "sampling.fed_back"), 1);
 }
 
 // The refutation-only invariant, against the definition-level oracle: a

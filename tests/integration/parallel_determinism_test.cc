@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
+#include "core/holistic_fun.h"
+#include "core/muds.h"
 #include "core/profiler.h"
 #include "data/preprocess.h"
 #include "workload/generators.h"
@@ -82,6 +85,44 @@ TEST(ParallelDeterminismTest, ZeroThreadsMatchesSequentialResult) {
   EXPECT_EQ(sequential.inds, hardware.inds);
   EXPECT_EQ(sequential.uccs, hardware.uccs);
   EXPECT_EQ(sequential.fds, hardware.fds);
+}
+
+// A run owner's one pool carries every engine, back to back, and each
+// result equals the same engine run inline (null pool). kAuto's UCC-shape
+// selection runs its DUCC on the pool before the engine it picks.
+TEST(ParallelDeterminismTest, OnePoolRunsEveryEngineBackToBack) {
+  const Relation relation =
+      DeduplicateRows(
+          MakeCategorical(400, {3, 3, 4, 3, 2, 3, 4, 3}, 9, "composite"))
+          .relation;
+  EngineConfig config;
+  config.seed = 9;
+  ProfileOptions auto_options;
+  static_cast<EngineConfig&>(auto_options) = config;
+  auto_options.algorithm = Algorithm::kAuto;
+  auto_options.auto_policy = AutoPolicy::kUccShape;
+
+  ThreadPool pool(3);
+  const MudsResult muds = Muds::Run(relation, config, {}, &pool);
+  const HolisticResult hfun = HolisticFun::Run(relation, config, &pool);
+  const HolisticResult baseline = Baseline::Run(relation, config, &pool);
+  const ProfilingResult chosen =
+      ProfileDeduplicated(relation, auto_options, &pool);
+
+  const auto expect_same = [](const auto& inline_run, const auto& pooled,
+                              const char* engine) {
+    EXPECT_EQ(inline_run.inds, pooled.inds) << engine;
+    EXPECT_EQ(inline_run.uccs, pooled.uccs) << engine;
+    EXPECT_EQ(inline_run.fds, pooled.fds) << engine;
+  };
+  expect_same(Muds::Run(relation, config), muds, "MUDS");
+  expect_same(HolisticFun::Run(relation, config), hfun, "HFUN");
+  expect_same(Baseline::Run(relation, config), baseline, "baseline");
+  const ProfilingResult chosen_inline =
+      ProfileDeduplicated(relation, auto_options, nullptr);
+  EXPECT_EQ(chosen.algorithm_used, Algorithm::kMuds);
+  EXPECT_EQ(chosen_inline.algorithm_used, Algorithm::kMuds);
+  expect_same(chosen_inline, chosen, "auto");
 }
 
 TEST(ParallelDeterminismTest, ReportsThreadCountCounter) {

@@ -169,7 +169,6 @@ TEST_F(ServeE2eTest, SubmitResultMatchesInProcessProfileAndDuplicateHits) {
   // per job and the engine is bit-identical across thread counts).
   ProfileOptions options;
   options.num_threads = 1;
-  options.csv.num_threads = 1;
   const Result<ProfilingResult> oracle = ProfileCsvString(kCsv, options);
   ASSERT_TRUE(oracle.ok());
   const Result<json::Value> expected =
@@ -221,7 +220,6 @@ TEST_F(ServeE2eTest, AppendSubmissionUsesFastPathAndMatchesConcatenation) {
 
   ProfileOptions options;
   options.num_threads = 1;
-  options.csv.num_threads = 1;
   const Result<ProfilingResult> oracle =
       ProfileCsvString(base + delta, options);
   ASSERT_TRUE(oracle.ok());
@@ -305,7 +303,6 @@ TEST_F(ServeE2eTest, ConcurrentJobsReportTheirSoloMetrics) {
 
   ProfileOptions options;
   options.num_threads = 1;
-  options.csv.num_threads = 1;
   for (size_t i = 0; i < inputs.size(); ++i) {
     const Result<ProfilingResult> solo = ProfileCsvString(inputs[i], options);
     ASSERT_TRUE(solo.ok());

@@ -12,7 +12,10 @@
 // SPIDER) — and a sampling axis ({1K,64K} sampled pairs x {threads: 1,8}
 // x {default, tiny budget + spill}, asserting the refutation-only
 // invariant: result sets are bit-identical at every --sample-pairs
-// setting) — and diffs all result sets against the oracle. Every engine
+// setting) — and diffs all result sets against the oracle. kAuto under the
+// UCC-shape policy (its selection DUCC runs on the run's pool before the
+// chosen engine) is diffed too, at {threads: 1,8} x {budget: unlimited,
+// tiny+spill}. Every engine
 // run goes through the CSV surface (CsvWriter -> a CSV reader), so both
 // readers are part of the contract under test.
 //
@@ -72,13 +75,14 @@ struct CliOptions {
   bool self_test = false;
 };
 
-enum class Engine { kMuds, kHolisticFun, kBaseline, kTane };
+enum class Engine { kMuds, kHolisticFun, kBaseline, kAuto, kTane };
 
 const char* EngineLabel(Engine engine) {
   switch (engine) {
     case Engine::kMuds: return "muds";
     case Engine::kHolisticFun: return "hfun";
     case Engine::kBaseline: return "baseline";
+    case Engine::kAuto: return "auto";
     case Engine::kTane: return "tane";
   }
   return "?";
@@ -229,6 +233,10 @@ EngineAnswer RunEngine(Engine engine, const std::string& csv_text,
     case Engine::kMuds: options.algorithm = Algorithm::kMuds; break;
     case Engine::kHolisticFun: options.algorithm = Algorithm::kHolisticFun; break;
     case Engine::kBaseline: options.algorithm = Algorithm::kBaseline; break;
+    case Engine::kAuto:
+      options.algorithm = Algorithm::kAuto;
+      options.auto_policy = AutoPolicy::kUccShape;
+      break;
     case Engine::kTane: break;  // handled above
   }
   options.seed = seed;
@@ -392,10 +400,31 @@ void PrintReproducer(Engine engine, const DiffConfig& config,
   std::fputs("\n", stderr);
 }
 
-// Runs the full engine x config matrix for one seed. Returns the number of
-// mismatching runs (each already reported + minimized).
+// Whether `engine` runs under `config`. TANE has no thread/budget/impl/
+// sampling knobs, so it runs once per io mode. kAuto adds only its
+// selection DUCC to the MUDS and HFUN runs the matrix already covers, so it
+// runs at threads 1 and 8, each with an unlimited budget and with a tiny
+// budget + spill.
+bool Runs(Engine engine, const DiffConfig& config) {
+  const bool plain = config.impl == PliImpl::kAuto &&
+                     !config.force_scalar_simd && config.sample_pairs == 0;
+  switch (engine) {
+    case Engine::kTane:
+      return plain && config.threads == 1 && config.pli_budget_bytes == 0 &&
+             !config.spill;
+    case Engine::kAuto:
+      return plain && config.threads != 2 && !config.stream_io &&
+             config.spill == (config.pli_budget_bytes != 0);
+    default:
+      return true;
+  }
+}
+
+// Runs the full engine x config matrix for one seed, adding the engine runs
+// to `*total_runs`. Returns the number of mismatching runs (each already
+// reported + minimized).
 int RunSeed(int seed, const CliOptions& cli,
-            const std::vector<DiffConfig>& configs) {
+            const std::vector<DiffConfig>& configs, int* total_runs) {
   const AdversarialParams params =
       SampleAdversarialParams(static_cast<uint64_t>(seed), cli.max_cols,
                               cli.max_rows);
@@ -411,17 +440,11 @@ int RunSeed(int seed, const CliOptions& cli,
 
   int mismatches = 0;
   const Engine engines[] = {Engine::kMuds, Engine::kHolisticFun,
-                            Engine::kBaseline, Engine::kTane};
+                            Engine::kBaseline, Engine::kAuto, Engine::kTane};
   for (Engine engine : engines) {
     for (const DiffConfig& config : configs) {
-      // TANE has no thread/budget/impl/sampling knobs; run it once per io
-      // mode.
-      if (engine == Engine::kTane &&
-          (config.threads != 1 || config.pli_budget_bytes != 0 ||
-           config.impl != PliImpl::kAuto || config.force_scalar_simd ||
-           config.spill || config.sample_pairs != 0)) {
-        continue;
-      }
+      if (!Runs(engine, config)) continue;
+      ++*total_runs;
       const EngineAnswer answer = RunEngine(
           engine, csv_text, config, static_cast<uint64_t>(seed) + 17);
       const std::string diff =
@@ -749,11 +772,7 @@ int main(int argc, char** argv) {
   int mismatches = 0;
   int runs = 0;
   for (int seed = cli.start_seed; seed < cli.start_seed + cli.seeds; ++seed) {
-    if (!cli.append_only) {
-      mismatches += RunSeed(seed, cli, configs);
-      // 3 profiling engines x full matrix + TANE per io mode.
-      runs += 3 * static_cast<int>(configs.size()) + 2;
-    }
+    if (!cli.append_only) mismatches += RunSeed(seed, cli, configs, &runs);
     if (cli.append_batches > 0) {
       mismatches += RunAppendSeed(seed, cli, append_configs, &runs);
     }
