@@ -11,8 +11,6 @@
 #include "core/holistic_fun.h"
 #include "core/muds.h"
 #include "data/preprocess.h"
-#include "pli/pli_cache.h"
-#include "ucc/ducc.h"
 
 namespace muds {
 
@@ -20,43 +18,6 @@ namespace {
 
 void MergeTimings(const PhaseTimings& from, PhaseTimings* into) {
   for (const auto& [name, micros] : from.entries()) into->Add(name, micros);
-}
-
-// §6.5 / §8: decide between MUDS and Holistic FUN for Algorithm::kAuto.
-// The UCC-shape policy pays one DUCC run for the decision; §6.4 shows that
-// cost is negligible next to FD discovery.
-Algorithm ChooseAutomatically(const Relation& relation,
-                              const ProfileOptions& options, ThreadPool* pool,
-                              PhaseTimings* timings) {
-  const ColumnSet active = relation.ActiveColumns();
-  if (options.auto_policy == AutoPolicy::kColumnCount) {
-    return active.Count() >= options.auto_column_threshold
-               ? Algorithm::kMuds
-               : Algorithm::kHolisticFun;
-  }
-  std::vector<ColumnSet> uccs;
-  {
-    MUDS_TRACE_SPAN(timings, "autoSelect");
-    PliCache cache(relation, options.pli_budget_bytes, pool,
-                   options.pli_impl, options.spill);
-    Ducc::Options ducc_options;
-    ducc_options.seed = options.seed;
-    uccs = Ducc::Discover(relation, &cache, ducc_options);
-  }
-
-  int64_t total_size = 0;
-  ColumnSet z;
-  for (const ColumnSet& ucc : uccs) {
-    total_size += ucc.Count();
-    z = z.Union(ucc);
-  }
-  if (uccs.empty()) return Algorithm::kHolisticFun;
-  const double mean_size =
-      static_cast<double>(total_size) / static_cast<double>(uccs.size());
-  // "Many, large UCCs": composite keys on average, covering most columns.
-  const bool many_large =
-      mean_size >= 2.0 && 2 * z.Count() >= active.Count();
-  return many_large ? Algorithm::kMuds : Algorithm::kHolisticFun;
 }
 
 // ProfileRelation on the caller's pool: deduplicate, then profile. Its run
@@ -160,13 +121,12 @@ ProfilingResult ProfileDeduplicated(const Relation& relation,
                                     const ProfileOptions& options,
                                     ThreadPool* pool) {
   if (options.algorithm == Algorithm::kAuto) {
-    PhaseTimings selection_timings;
     ProfileOptions chosen = options;
     chosen.algorithm =
-        ChooseAutomatically(relation, options, pool, &selection_timings);
-    ProfilingResult result = ProfileDeduplicated(relation, chosen, pool);
-    MergeTimings(selection_timings, &result.timings);
-    return result;
+        relation.ActiveColumns().Count() >= kAutoColumnThreshold
+            ? Algorithm::kMuds
+            : Algorithm::kHolisticFun;
+    return ProfileDeduplicated(relation, chosen, pool);
   }
 
   ProfilingResult result;

@@ -28,29 +28,18 @@ enum class Algorithm {
   /// the CSV entry points parse the input once per task to model the
   /// unshared reads).
   kBaseline,
-  /// The paper's closing recommendation (§6.5, §8): pick MUDS or Holistic
-  /// FUN per input. Column-count rule by default ("making the decision
-  /// based on the number of columns is easier and similarly precise"),
-  /// with `ProfileOptions::auto_policy` switching to the UCC-size rule
-  /// ("one could choose MUDS' FD discovery if many, large UCCs have been
-  /// found").
+  /// The paper's closing recommendation (§6.5, §8): MUDS for relations
+  /// with at least kAutoColumnThreshold active columns, Holistic FUN
+  /// otherwise ("making the decision based on the number of columns is
+  /// easier and similarly precise").
   kAuto,
 };
 
-const char* AlgorithmName(Algorithm algorithm);
+/// Active-column count from which Algorithm::kAuto picks MUDS ("Muds
+/// usually performs best on datasets with ten or more columns", §6.5).
+inline constexpr int kAutoColumnThreshold = 10;
 
-/// How Algorithm::kAuto decides between MUDS and Holistic FUN.
-enum class AutoPolicy {
-  /// §6.5: "the average size of minimal FDs correlates with the number of
-  /// columns, [so] we can choose MUDS or Holistic FUN based on the number
-  /// of columns." MUDS for >= auto_column_threshold active columns.
-  kColumnCount,
-  /// §6.5's alternative: discover the minimal UCCs first (they are needed
-  /// either way) and pick MUDS' FD discovery "if many, large UCCs have
-  /// been found". MUDS when the mean minimal-UCC size is >= 2 and UCCs
-  /// cover most columns; Holistic FUN otherwise.
-  kUccShape,
-};
+const char* AlgorithmName(Algorithm algorithm);
 
 /// Options for the Profile* entry points: the engine settings every
 /// algorithm takes (EngineConfig), plus which algorithm runs, on how many
@@ -60,17 +49,12 @@ struct ProfileOptions : EngineConfig {
   Algorithm algorithm = Algorithm::kMuds;
   /// Threads of the run's one pool (0 = hardware concurrency, 1 = the
   /// deterministic sequential path). The run owner builds the pool once;
-  /// ingest, append merges, dedup, the kAuto selection and the engine all
-  /// run on it. The discovered IND/UCC/FD sets are identical for every
-  /// thread count.
+  /// ingest, append merges, dedup and the engine all run on it. The
+  /// discovered IND/UCC/FD sets are identical for every thread count.
   int num_threads = 1;
   /// CSV dialect for the CSV entry points (its num_threads is ignored: the
   /// parse runs on the run's pool).
   CsvOptions csv;
-  /// kAuto selection rule and its column threshold ("Muds usually performs
-  /// best on datasets with ten or more columns", §6.5).
-  AutoPolicy auto_policy = AutoPolicy::kColumnCount;
-  int auto_column_threshold = 10;
 };
 
 /// The holistic profiling answer: all three metadata types for one

@@ -1,7 +1,6 @@
 #include "ind/spider.h"
 
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <queue>
@@ -148,13 +147,13 @@ std::vector<Ind> Spider::Discover(const Relation& relation,
 
 std::vector<Ind> Spider::DiscoverExternal(const Relation& relation,
                                           const SpiderExternalOptions& options) {
+  // Registered before the spill check, so every engine's report lists it.
+  Counter* const spill_fallbacks =
+      MetricsRegistry::Global().GetCounter("spider.spill_fallbacks");
   if (!options.spill.enabled()) return Discover(relation);
   Result<std::unique_ptr<SpillPool>> created = SpillPool::Create(options.spill);
   if (!created.ok()) {
-    std::fprintf(stderr,
-                 "muds: warning: %s; SPIDER falls back to the in-memory "
-                 "merge\n",
-                 created.status().message().c_str());
+    spill_fallbacks->Increment();
     return Discover(relation);
   }
   std::unique_ptr<SpillPool> pool = std::move(created.value());
@@ -185,10 +184,7 @@ std::vector<Ind> Spider::DiscoverExternal(const Relation& relation,
       }
       Result<SpillHandle> written = pool->Write(buffer.data(), bytes);
       if (!written.ok()) {
-        std::fprintf(stderr,
-                     "muds: warning: %s; SPIDER falls back to the in-memory "
-                     "merge\n",
-                     written.status().message().c_str());
+        spill_fallbacks->Increment();
         return Discover(relation);
       }
       runs[static_cast<size_t>(c)] = written.value();

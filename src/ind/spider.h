@@ -50,7 +50,8 @@ class Spider {
   /// comparison never needs all dictionaries resident, which is what lets
   /// IND discovery run under a memory budget on wide, high-cardinality
   /// relations. Produces exactly the INDs Discover produces; falls back to
-  /// it when the spill tier is unavailable.
+  /// it, counting `spider.spill_fallbacks`, when the spill tier is
+  /// unavailable.
   static std::vector<Ind> DiscoverExternal(const Relation& relation,
                                            const SpiderExternalOptions& options);
 };

@@ -1,6 +1,5 @@
 #include "pli/pli_cache.h"
 
-#include <cstdio>
 #include <utility>
 #include <vector>
 
@@ -24,6 +23,10 @@ struct CacheCounters {
   Counter* intersects;
   Counter* spill_writes;
   Counter* spill_reloads;
+  // Degraded configurations, counted instead of printed: the pins alone
+  // exceed the budget, or the spill file could not be created.
+  Counter* pinned_over_budget;
+  Counter* spill_unavailable;
   Gauge* bytes_cached;
   Gauge* pinned_bytes;
   Gauge* spill_bytes;
@@ -38,6 +41,9 @@ struct CacheCounters {
       c.intersects = registry.GetCounter("pli_cache.intersects");
       c.spill_writes = registry.GetCounter("pli_cache.spill_writes");
       c.spill_reloads = registry.GetCounter("pli_cache.spill_reloads");
+      c.pinned_over_budget =
+          registry.GetCounter("pli_cache.pinned_over_budget");
+      c.spill_unavailable = registry.GetCounter("pli_cache.spill_unavailable");
       c.bytes_cached = registry.GetGauge("pli_cache.bytes_cached");
       c.pinned_bytes = registry.GetGauge("pli_cache.pinned_bytes");
       c.spill_bytes = registry.GetGauge("pli_cache.spill_bytes");
@@ -52,15 +58,13 @@ struct CacheCounters {
 PliCache::PliCache(const Relation& relation, size_t budget_bytes,
                    ThreadPool* pool, PliImpl impl, const SpillConfig& spill)
     : relation_(&relation), budget_bytes_(budget_bytes), impl_(impl) {
-  CacheCounters::Get();  // Register the pli_cache.* metrics.
+  const CacheCounters& counters = CacheCounters::Get();
   if (spill.enabled() && budget_bytes_ != kUnlimitedBudget) {
     Result<std::unique_ptr<SpillPool>> created = SpillPool::Create(spill);
     if (created.ok()) {
       spill_pool_ = std::move(created.value());
     } else {
-      std::fprintf(stderr,
-                   "muds: warning: %s; PLI cache runs without a spill tier\n",
-                   created.status().message().c_str());
+      counters.spill_unavailable->Increment();
     }
   }
   const int n = relation.NumColumns();
@@ -70,20 +74,20 @@ PliCache::PliCache(const Relation& relation, size_t budget_bytes,
         relation.GetColumn(static_cast<int>(c)), relation.NumRows(), impl_));
   };
   ParallelForOrInline(pool, n, build);
+  size_t pinned = 0;
   for (int c = 0; c < n; ++c) {
-    Insert(ColumnSet::Single(c), std::move(singles[static_cast<size_t>(c)]),
-           /*pinned=*/true);
+    pinned += Insert(ColumnSet::Single(c),
+                     std::move(singles[static_cast<size_t>(c)]),
+                     /*pinned=*/true)
+                  ->MemoryBytes();
   }
-  Insert(ColumnSet(),
-         std::make_shared<Pli>(Pli::ForEmptySet(relation.NumRows(), impl_)),
-         /*pinned=*/true);
-  const size_t pinned = pinned_bytes_.load(std::memory_order_relaxed);
+  pinned += Insert(ColumnSet(),
+                   std::make_shared<Pli>(
+                       Pli::ForEmptySet(relation.NumRows(), impl_)),
+                   /*pinned=*/true)
+                ->MemoryBytes();
   if (budget_bytes_ != kUnlimitedBudget && pinned > budget_bytes_) {
-    std::fprintf(stderr,
-                 "muds: warning: pinned single-column PLIs hold %zu bytes, "
-                 "more than the %zu-byte PLI budget; eviction cannot reach "
-                 "the budget (raise --pli-budget-mb)\n",
-                 pinned, budget_bytes_);
+    counters.pinned_over_budget->Increment();
   }
 }
 
@@ -93,7 +97,6 @@ void PliCache::ChargeHotEntry(Shard* shard, const ColumnSet& columns,
   bytes_cached_.fetch_add(entry->bytes, std::memory_order_relaxed);
   CacheCounters::Get().bytes_cached->Add(static_cast<int64_t>(entry->bytes));
   if (entry->pinned) {
-    pinned_bytes_.fetch_add(entry->bytes, std::memory_order_relaxed);
     CacheCounters::Get().pinned_bytes->Add(
         static_cast<int64_t>(entry->bytes));
   }
@@ -119,7 +122,6 @@ std::shared_ptr<const Pli> PliCache::Find(const ColumnSet& columns) {
     if (!reloaded.ok()) {
       // Treat an unreadable disk copy as a plain miss: drop the entry and
       // let the caller rebuild.
-      spill_bytes_.fetch_sub(entry.spilled.bytes, std::memory_order_relaxed);
       CacheCounters::Get().spill_bytes->Add(
           -static_cast<int64_t>(entry.spilled.bytes));
       spill_pool_->Free(entry.spilled);
@@ -130,7 +132,6 @@ std::shared_ptr<const Pli> PliCache::Find(const ColumnSet& columns) {
     entry.bytes = entry.pli->MemoryBytes();
     entry.referenced = true;
     ChargeHotEntry(&shard, columns, &entry);
-    spill_reloads_.fetch_add(1, std::memory_order_relaxed);
     CacheCounters::Get().spill_reloads->Increment();
     // The reload re-charges the budget; make room. Copy the result first —
     // the evictor may demote this very entry again (it gets its second
@@ -175,8 +176,6 @@ void PliCache::EvictFromShard(Shard* shard) {
       if (written.ok()) {
         entry.spilled = written.value();
         demoted = true;
-        spill_writes_.fetch_add(1, std::memory_order_relaxed);
-        spill_bytes_.fetch_add(serialized, std::memory_order_relaxed);
         counters.spill_writes->Increment();
         counters.spill_bytes->Add(static_cast<int64_t>(serialized));
       }
@@ -184,7 +183,6 @@ void PliCache::EvictFromShard(Shard* shard) {
     }
     bytes_cached_.fetch_sub(entry.bytes, std::memory_order_relaxed);
     num_cached_.fetch_sub(1, std::memory_order_release);
-    evictions_.fetch_add(1, std::memory_order_relaxed);
     counters.evictions->Increment();
     counters.bytes_cached->Add(-static_cast<int64_t>(entry.bytes));
     if (demoted) {
@@ -229,11 +227,9 @@ std::shared_ptr<const Pli> PliCache::Insert(const ColumnSet& columns,
 
 std::shared_ptr<const Pli> PliCache::Get(const ColumnSet& columns) {
   if (std::shared_ptr<const Pli> hit = Find(columns)) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
     CacheCounters::Get().hits->Increment();
     return hit;
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
   CacheCounters::Get().misses->Increment();
 
   // Build by intersecting the PLI of (columns minus its last column) with
@@ -260,7 +256,6 @@ std::shared_ptr<const Pli> PliCache::Get(const ColumnSet& columns) {
     // out here.
     MUDS_CHECK(single != nullptr);
     auto combined = std::make_shared<Pli>(pli->Intersect(*single));
-    num_intersects_.fetch_add(1, std::memory_order_relaxed);
     CacheCounters::Get().intersects->Increment();
     // On a race the canonical (first-inserted) entry comes back, so
     // concurrent builders of the same set agree on one shared_ptr.
@@ -269,11 +264,8 @@ std::shared_ptr<const Pli> PliCache::Get(const ColumnSet& columns) {
   return pli;
 }
 
-std::shared_ptr<const Pli> PliCache::GetIfCached(
-    const ColumnSet& columns) const {
-  std::shared_ptr<const Pli> hit =
-      const_cast<PliCache*>(this)->Find(columns);
-  (hit != nullptr ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
+std::shared_ptr<const Pli> PliCache::GetIfCached(const ColumnSet& columns) {
+  std::shared_ptr<const Pli> hit = Find(columns);
   const CacheCounters& counters = CacheCounters::Get();
   (hit != nullptr ? counters.hits : counters.misses)->Increment();
   return hit;
@@ -329,8 +321,6 @@ void PliCache::OnAppend(const AppendDelta& delta, ThreadPool* pool) {
         entry.bytes = entry.pli->MemoryBytes();
         bytes_cached_.fetch_add(entry.bytes, std::memory_order_relaxed);
         bytes_cached_.fetch_sub(old_bytes, std::memory_order_relaxed);
-        pinned_bytes_.fetch_add(entry.bytes, std::memory_order_relaxed);
-        pinned_bytes_.fetch_sub(old_bytes, std::memory_order_relaxed);
         counters.bytes_cached->Add(static_cast<int64_t>(entry.bytes) -
                                    static_cast<int64_t>(old_bytes));
         counters.pinned_bytes->Add(static_cast<int64_t>(entry.bytes) -
@@ -349,8 +339,6 @@ void PliCache::OnAppend(const AppendDelta& delta, ThreadPool* pool) {
         num_cached_.fetch_sub(1, std::memory_order_release);
       }
       if (entry.spilled.valid()) {
-        spill_bytes_.fetch_sub(entry.spilled.bytes,
-                               std::memory_order_relaxed);
         counters.spill_bytes->Add(
             -static_cast<int64_t>(entry.spilled.bytes));
         if (spill_pool_ != nullptr) spill_pool_->Free(entry.spilled);

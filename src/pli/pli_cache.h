@@ -28,9 +28,12 @@ namespace muds {
 /// (as reported by Pli::MemoryBytes()). Single-column PLIs and the
 /// empty-set PLI are pinned — they are the mandatory working set every
 /// traversal bottoms out on and are never evicted. Their bytes count toward
-/// the total and are additionally tracked separately (`Stats::pinned_bytes`,
-/// `pli_cache.pinned_bytes` gauge); when the pins alone exceed the budget
-/// the cache warns once, because eviction can then never reach the budget.
+/// the total and are additionally tracked by the `pli_cache.pinned_bytes`
+/// gauge; when the pins alone exceed the budget the constructor counts
+/// `pli_cache.pinned_over_budget`, because eviction can then never reach
+/// the budget. The library never prints: the CLI turns such counters into
+/// warnings.
+///
 /// Derived entries are evicted per shard with a second-chance (clock)
 /// policy: a cache hit sets the entry's reference bit, and the evictor
 /// skips each referenced entry once before reclaiming it — the
@@ -50,10 +53,15 @@ namespace muds {
 /// Either way correctness is unaffected — PLI construction is deterministic,
 /// and the round-trip is exact (sidecar included).
 ///
+/// Counters: every probe, build, eviction and spill is counted on the
+/// pli_cache.* registry metrics (common/metrics.h). A Get or GetIfCached is
+/// one hit or one miss (the prefix look-ups of a build are not counted); a
+/// probe satisfied by a spill reload is a hit and one spill_reload.
+///
 /// Thread safety: the cache is safe for concurrent Get/GetIfCached/Put/
-/// Size/NumIntersects/GetStats. Entries live in a fixed number of
-/// hash-sharded maps, each behind its own mutex, so concurrent sub-lattice
-/// traversals (which probe mostly disjoint column sets) rarely contend.
+/// Size. Entries live in a fixed number of hash-sharded maps, each behind
+/// its own mutex, so concurrent sub-lattice traversals (which probe mostly
+/// disjoint column sets) rarely contend.
 /// Eviction (and spilling) runs under the inserting shard's mutex and only
 /// touches that shard, so the byte budget is enforced approximately across
 /// shards; reloads also run under the shard mutex, serializing reloads of
@@ -79,7 +87,8 @@ class PliCache {
   /// `impl` selects the PLI representation for the pinned base PLIs;
   /// derived (intersected) entries inherit it through sidecar propagation.
   /// `spill` (when enabled) activates the cold tier; if the spill file
-  /// cannot be created the cache warns and runs single-tier.
+  /// cannot be created the cache counts `pli_cache.spill_unavailable` and
+  /// runs single-tier.
   explicit PliCache(const Relation& relation,
                     size_t budget_bytes = kDefaultBudgetBytes,
                     ThreadPool* pool = nullptr, PliImpl impl = PliImpl::kAuto,
@@ -95,7 +104,7 @@ class PliCache {
 
   /// Returns the cached PLI for `columns`, or nullptr if not cached. A
   /// cold (spilled) entry counts as cached and is reloaded.
-  std::shared_ptr<const Pli> GetIfCached(const ColumnSet& columns) const;
+  std::shared_ptr<const Pli> GetIfCached(const ColumnSet& columns);
 
   /// Inserts an externally built PLI (e.g. from a traversal that combined
   /// two cached entries itself). If an entry for `columns` already exists
@@ -124,49 +133,6 @@ class PliCache {
     return num_cached_.load(std::memory_order_acquire);
   }
 
-  /// Total PLI intersect operations performed by this cache. The paper's
-  /// phase analysis (§6.4) names the PLI intersect as the dominant cost;
-  /// benches report this counter.
-  int64_t NumIntersects() const {
-    return num_intersects_.load(std::memory_order_relaxed);
-  }
-
-  /// Cache effectiveness counters of this cache (the pli_cache.* registry
-  /// counters carry the same events for the run).
-  /// hits + misses equals the number of Get/GetIfCached probes (internal
-  /// prefix look-ups during a build are not counted — a Get that has to
-  /// build counts as exactly one miss). A Get satisfied by a spill reload
-  /// counts as a hit (it avoided a rebuild) and one spill_reload.
-  struct Stats {
-    int64_t hits = 0;
-    int64_t misses = 0;
-    int64_t evictions = 0;
-    /// Bytes currently held by hot entries (pinned + derived).
-    int64_t bytes_cached = 0;
-    /// Bytes held by the pinned working set (single columns + empty set).
-    int64_t pinned_bytes = 0;
-    /// Cold-tier traffic: serialized writes to the spill pool, reloads from
-    /// it, and bytes currently resident in it.
-    int64_t spill_writes = 0;
-    int64_t spill_reloads = 0;
-    int64_t spill_bytes = 0;
-  };
-  Stats GetStats() const {
-    Stats stats;
-    stats.hits = hits_.load(std::memory_order_relaxed);
-    stats.misses = misses_.load(std::memory_order_relaxed);
-    stats.evictions = evictions_.load(std::memory_order_relaxed);
-    stats.bytes_cached =
-        static_cast<int64_t>(bytes_cached_.load(std::memory_order_relaxed));
-    stats.pinned_bytes =
-        static_cast<int64_t>(pinned_bytes_.load(std::memory_order_relaxed));
-    stats.spill_writes = spill_writes_.load(std::memory_order_relaxed);
-    stats.spill_reloads = spill_reloads_.load(std::memory_order_relaxed);
-    stats.spill_bytes =
-        static_cast<int64_t>(spill_bytes_.load(std::memory_order_relaxed));
-    return stats;
-  }
-
   size_t budget_bytes() const { return budget_bytes_; }
 
   /// Representation strategy the cache builds its PLIs with.
@@ -192,7 +158,7 @@ class PliCache {
   };
 
   struct Shard {
-    mutable std::mutex mutex;
+    std::mutex mutex;
     std::unordered_map<ColumnSet, Entry, ColumnSetHash> map;
     /// Clock queue over the unpinned hot entries, oldest-inserted first.
     /// Keys of already-evicted entries may linger and are skipped lazily.
@@ -202,13 +168,10 @@ class PliCache {
   Shard& ShardFor(const ColumnSet& columns) {
     return shards_[columns.Hash() % kNumShards];
   }
-  const Shard& ShardFor(const ColumnSet& columns) const {
-    return shards_[columns.Hash() % kNumShards];
-  }
 
   // Looks `columns` up in its shard; sets the reference bit on a hit and
-  // reloads cold entries from the spill tier. Does not touch the hit/miss
-  // counters (callers decide what counts as a probe).
+  // reloads cold entries from the spill tier. Does not count a hit or miss
+  // (callers decide what counts as a probe).
   std::shared_ptr<const Pli> Find(const ColumnSet& columns);
 
   // Commits `pli` for `columns` unless a hot entry already exists; returns
@@ -238,14 +201,6 @@ class PliCache {
   std::unique_ptr<SpillPool> spill_pool_;
   std::atomic<size_t> num_cached_{0};
   std::atomic<size_t> bytes_cached_{0};
-  std::atomic<size_t> pinned_bytes_{0};
-  std::atomic<int64_t> num_intersects_{0};
-  mutable std::atomic<int64_t> hits_{0};
-  mutable std::atomic<int64_t> misses_{0};
-  std::atomic<int64_t> evictions_{0};
-  std::atomic<int64_t> spill_writes_{0};
-  mutable std::atomic<int64_t> spill_reloads_{0};
-  mutable std::atomic<size_t> spill_bytes_{0};
 };
 
 }  // namespace muds

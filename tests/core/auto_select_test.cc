@@ -25,15 +25,18 @@ TEST(AutoSelectTest, ColumnCountPolicyPicksMudsForWideRelations) {
   EXPECT_EQ(result.algorithm_used, Algorithm::kMuds);
 }
 
-TEST(AutoSelectTest, ThresholdIsConfigurable) {
-  Relation r = RandomRelation(3, /*cols=*/6, /*rows=*/50, 4);
+TEST(AutoSelectTest, TenActiveColumnsIsTheMudsBoundary) {
+  // Cardinality >= 2 in every column, so all of them are active.
+  ASSERT_EQ(kAutoColumnThreshold, 10);
   ProfileOptions options;
   options.algorithm = Algorithm::kAuto;
-  options.auto_column_threshold = 4;
-  EXPECT_EQ(ProfileRelation(r, options).algorithm_used, Algorithm::kMuds);
-  options.auto_column_threshold = 8;
-  EXPECT_EQ(ProfileRelation(r, options).algorithm_used,
+  const Relation nine =
+      MakeCategorical(60, {3, 4, 2, 3, 4, 2, 3, 4, 2}, 2, "nine");
+  EXPECT_EQ(ProfileRelation(nine, options).algorithm_used,
             Algorithm::kHolisticFun);
+  const Relation ten =
+      MakeCategorical(60, {3, 4, 2, 3, 4, 2, 3, 4, 2, 3}, 2, "ten");
+  EXPECT_EQ(ProfileRelation(ten, options).algorithm_used, Algorithm::kMuds);
 }
 
 TEST(AutoSelectTest, ConstantColumnsDoNotCountTowardsWidth) {
@@ -51,32 +54,6 @@ TEST(AutoSelectTest, ConstantColumnsDoNotCountTowardsWidth) {
       {"a", "b", "c", "k0", "k1", "k2", "k3", "k4", "k5", "k6", "k7"}, rows);
   ProfileOptions options;
   options.algorithm = Algorithm::kAuto;
-  EXPECT_EQ(ProfileRelation(r, options).algorithm_used,
-            Algorithm::kHolisticFun);
-}
-
-TEST(AutoSelectTest, UccShapePolicyPicksMudsForCompositeKeys) {
-  // Low-cardinality columns: minimal UCCs are large and cover everything.
-  Relation r = MakeCategorical(400, {3, 3, 4, 3, 2, 3, 4, 3}, 9, "high");
-  ProfileOptions options;
-  options.algorithm = Algorithm::kAuto;
-  options.auto_policy = AutoPolicy::kUccShape;
-  ProfilingResult result = ProfileRelation(r, options);
-  EXPECT_EQ(result.algorithm_used, Algorithm::kMuds);
-  EXPECT_GT(result.timings.Micros("autoSelect"), 0);
-}
-
-TEST(AutoSelectTest, UccShapePolicyPicksHfunForSingleColumnKeys) {
-  // An id column makes the minimal UCC a singleton: small keys, HFUN.
-  std::vector<std::vector<std::string>> rows;
-  for (int i = 0; i < 200; ++i) {
-    rows.push_back({"id" + std::to_string(i), "v" + std::to_string(i % 5),
-                    "w" + std::to_string(i % 3)});
-  }
-  Relation r = Relation::FromRows({"id", "v", "w"}, rows);
-  ProfileOptions options;
-  options.algorithm = Algorithm::kAuto;
-  options.auto_policy = AutoPolicy::kUccShape;
   EXPECT_EQ(ProfileRelation(r, options).algorithm_used,
             Algorithm::kHolisticFun);
 }

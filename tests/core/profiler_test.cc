@@ -173,17 +173,10 @@ TEST(ProfilerTest, TinyPliBudgetDoesNotChangeResults) {
   config.spill.dir = ::testing::TempDir();
   config.sampling.pairs = 64;
   config.sampling.seed = 5;
-  const std::pair<Algorithm, AutoPolicy> runs[] = {
-      {Algorithm::kMuds, AutoPolicy::kColumnCount},
-      {Algorithm::kHolisticFun, AutoPolicy::kColumnCount},
-      {Algorithm::kBaseline, AutoPolicy::kColumnCount},
-      {Algorithm::kAuto, AutoPolicy::kColumnCount},
-      {Algorithm::kAuto, AutoPolicy::kUccShape},
-  };
-  for (const auto& [algorithm, policy] : runs) {
+  for (Algorithm algorithm : {Algorithm::kMuds, Algorithm::kHolisticFun,
+                              Algorithm::kBaseline, Algorithm::kAuto}) {
     ProfileOptions defaults;
     defaults.algorithm = algorithm;
-    defaults.auto_policy = policy;
     ProfileOptions tuned = defaults;
     static_cast<EngineConfig&>(tuned) = config;
     tuned.num_threads = 3;

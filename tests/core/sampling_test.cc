@@ -36,11 +36,6 @@ std::vector<std::pair<int, const Pli*>> PliPointers(
   return out;
 }
 
-// The value of the registry counter `name` in `scope`'s run.
-int64_t Count(const MetricsScope& scope, const char* name) {
-  return metrics::ValueOf(scope.run()->Snapshot(), name);
-}
-
 SamplingConfig Config(int64_t pairs, uint64_t seed = 7) {
   SamplingConfig config;
   config.pairs = pairs;
@@ -55,7 +50,7 @@ TEST(SamplingTest, EmptyRelationDrawsNothing) {
   EvidenceStore store(r);
   SampleEvidence(Config(1024), PliPointers(plis), &store);
   EXPECT_EQ(store.Size(), 0u);
-  EXPECT_EQ(Count(scope, "sampling.pairs"), 0);
+  EXPECT_EQ(ScopeValue(scope, "sampling.pairs"), 0);
   EXPECT_FALSE(store.RefutesUcc(ColumnSet()));
   EXPECT_FALSE(store.RefutesUcc(ColumnSet::Single(0)));
 }
@@ -67,7 +62,7 @@ TEST(SamplingTest, SingleRowDrawsNothing) {
   EvidenceStore store(r);
   SampleEvidence(Config(1024), PliPointers(plis), &store);
   EXPECT_EQ(store.Size(), 0u);
-  EXPECT_EQ(Count(scope, "sampling.pairs"), 0);
+  EXPECT_EQ(ScopeValue(scope, "sampling.pairs"), 0);
 }
 
 TEST(SamplingTest, AllSingletonColumnsHaveNoPairsToDraw) {
@@ -80,7 +75,7 @@ TEST(SamplingTest, AllSingletonColumnsHaveNoPairsToDraw) {
   EvidenceStore store(r);
   SampleEvidence(Config(4096), PliPointers(plis), &store);
   EXPECT_EQ(store.Size(), 0u);
-  EXPECT_EQ(Count(scope, "sampling.pairs"), 0);
+  EXPECT_EQ(ScopeValue(scope, "sampling.pairs"), 0);
   EXPECT_FALSE(store.RefutesUcc(ColumnSet::Single(0)));
   EXPECT_FALSE(store.RefutesFd(ColumnSet::Single(0), 1));
 }
@@ -95,7 +90,7 @@ TEST(SamplingTest, AllDuplicateColumnRefutesItsUcc) {
   const MetricsScope scope;
   EvidenceStore store(r);
   SampleEvidence(Config(64), PliPointers(plis), &store);
-  EXPECT_GT(Count(scope, "sampling.pairs"), 0);
+  EXPECT_GT(ScopeValue(scope, "sampling.pairs"), 0);
   EXPECT_TRUE(store.RefutesUcc(ColumnSet::Single(0)));
   EXPECT_TRUE(store.RefutesFd(ColumnSet::Single(0), 1));
   EXPECT_TRUE(store.RefutesFd(ColumnSet(), 1));  // b is not constant.
@@ -112,7 +107,7 @@ TEST(SamplingTest, DeterministicInSeed) {
     const MetricsScope scope;
     EvidenceStore store(r);
     SampleEvidence(Config(128, 42), PliPointers(plis), &store);
-    return std::make_pair(store.Size(), Count(scope, "sampling.pairs"));
+    return std::make_pair(store.Size(), ScopeValue(scope, "sampling.pairs"));
   };
   EXPECT_EQ(sample(), sample());
 }
@@ -128,7 +123,7 @@ TEST(SamplingTest, FeedBackRecordsMissedViolations) {
     store.FeedBackUccViolation(plis[0]);
     EXPECT_TRUE(store.RefutesUcc(ColumnSet::Single(0)));
     EXPECT_TRUE(store.RefutesFd(ColumnSet::Single(0), 1));
-    EXPECT_EQ(Count(scope, "sampling.fed_back"), 1);
+    EXPECT_EQ(ScopeValue(scope, "sampling.fed_back"), 1);
   }
 
   const MetricsScope scope;
@@ -136,7 +131,7 @@ TEST(SamplingTest, FeedBackRecordsMissedViolations) {
   EXPECT_FALSE(fd_store.RefutesFd(ColumnSet::Single(0), 1));
   fd_store.FeedBackFdViolation(plis[0], r.GetColumn(1));
   EXPECT_TRUE(fd_store.RefutesFd(ColumnSet::Single(0), 1));
-  EXPECT_EQ(Count(scope, "sampling.fed_back"), 1);
+  EXPECT_EQ(ScopeValue(scope, "sampling.fed_back"), 1);
 }
 
 // The refutation-only invariant, against the definition-level oracle: a

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "test_util.h"
 #include "testing/reference.h"
 
@@ -79,6 +80,18 @@ TEST(SpiderTest, WideRandomRelationsMatchBruteForce) {
     EXPECT_EQ(Spider::Discover(r), ReferenceProfiler::DiscoverInds(r))
         << "seed " << seed;
   }
+}
+
+TEST(SpiderTest, SpillFallbackIsCountedNotPrinted) {
+  const Relation r = RandomRelation(3, 4, 50, 5);
+  SpiderExternalOptions external;
+  external.spill.dir = "/nonexistent/muds/spill/dir";
+  const MetricsScope scope;
+  ::testing::internal::CaptureStderr();
+  const std::vector<Ind> inds = Spider::DiscoverExternal(r, external);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+  EXPECT_EQ(inds, Spider::Discover(r));
+  EXPECT_EQ(ScopeValue(scope, "spider.spill_fallbacks"), 1);
 }
 
 }  // namespace

@@ -88,8 +88,8 @@ TEST(ParallelDeterminismTest, ZeroThreadsMatchesSequentialResult) {
 }
 
 // A run owner's one pool carries every engine, back to back, and each
-// result equals the same engine run inline (null pool). kAuto's UCC-shape
-// selection runs its DUCC on the pool before the engine it picks.
+// result equals the same engine run inline (null pool). kAuto picks HFUN
+// for the eight-column relation.
 TEST(ParallelDeterminismTest, OnePoolRunsEveryEngineBackToBack) {
   const Relation relation =
       DeduplicateRows(
@@ -100,7 +100,6 @@ TEST(ParallelDeterminismTest, OnePoolRunsEveryEngineBackToBack) {
   ProfileOptions auto_options;
   static_cast<EngineConfig&>(auto_options) = config;
   auto_options.algorithm = Algorithm::kAuto;
-  auto_options.auto_policy = AutoPolicy::kUccShape;
 
   ThreadPool pool(3);
   const MudsResult muds = Muds::Run(relation, config, {}, &pool);
@@ -120,8 +119,8 @@ TEST(ParallelDeterminismTest, OnePoolRunsEveryEngineBackToBack) {
   expect_same(Baseline::Run(relation, config), baseline, "baseline");
   const ProfilingResult chosen_inline =
       ProfileDeduplicated(relation, auto_options, nullptr);
-  EXPECT_EQ(chosen.algorithm_used, Algorithm::kMuds);
-  EXPECT_EQ(chosen_inline.algorithm_used, Algorithm::kMuds);
+  EXPECT_EQ(chosen.algorithm_used, Algorithm::kHolisticFun);
+  EXPECT_EQ(chosen_inline.algorithm_used, Algorithm::kHolisticFun);
   expect_same(chosen_inline, chosen, "auto");
 }
 

@@ -84,6 +84,8 @@ TEST(WideRelationTest, PliCacheBudgetStillReturnsCorrectPlis) {
   Relation r = DeduplicateRows(RandomRelation(5, 8, 80, 3)).relation;
   // A one-byte budget forces every unpinned entry out immediately; only the
   // pinned single-column PLIs (and ∅) survive, and results stay correct.
+  // Only the budgeted cache can evict, so the run's evictions are its own.
+  const MetricsScope scope;
   PliCache budgeted(r, /*budget_bytes=*/1);
   PliCache unlimited(r, PliCache::kUnlimitedBudget);
   const ColumnSet probe = ColumnSet::FromIndices({0, 2, 4, 6});
@@ -91,7 +93,7 @@ TEST(WideRelationTest, PliCacheBudgetStillReturnsCorrectPlis) {
             unlimited.Get(probe)->DistinctCount());
   // The budgeted cache holds only the pinned entries once the dust settles.
   EXPECT_EQ(budgeted.Size(), static_cast<size_t>(r.NumColumns()) + 1);
-  EXPECT_GT(budgeted.GetStats().evictions, 0);
+  EXPECT_GT(ScopeValue(scope, "pli_cache.evictions"), 0);
 }
 
 }  // namespace

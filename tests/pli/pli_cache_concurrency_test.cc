@@ -1,7 +1,7 @@
-// Concurrency contract of the sharded PliCache: concurrent Get/Put/Size/
-// NumIntersects are safe, and racing builders of the same column set agree
-// on one canonical shared_ptr (no divergent copies). Run under
-// -DMUDS_SANITIZE=thread to have TSan check the claims.
+// Concurrency contract of the sharded PliCache: concurrent Get/Put/Size and
+// reads of its registry counters are safe, and racing builders of the same
+// column set agree on one canonical shared_ptr (no divergent copies). Run
+// under -DMUDS_SANITIZE=thread to have TSan check the claims.
 
 #include "pli/pli_cache.h"
 
@@ -11,7 +11,9 @@
 #include <memory>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/thread_pool.h"
+#include "test_util.h"
 #include "workload/generators.h"
 
 namespace muds {
@@ -66,6 +68,7 @@ TEST(PliCacheConcurrencyTest, ConcurrentGetReturnsCanonicalEntry) {
 TEST(PliCacheConcurrencyTest, ConcurrentReadersOfCountersAreSafe) {
   const Relation relation = TestRelation();
   ThreadPool pool(4);
+  const MetricsScope scope;
   PliCache cache(relation);
   std::atomic<int64_t> observed_max{0};
   pool.ParallelFor(0, 200, [&](int64_t i) {
@@ -76,7 +79,7 @@ TEST(PliCacheConcurrencyTest, ConcurrentReadersOfCountersAreSafe) {
       if (a != b) cache.Get(ColumnSet::Single(a).With(b));
     } else {
       // Readers: counters must be readable mid-insertion.
-      const int64_t intersects = cache.NumIntersects();
+      const int64_t intersects = ScopeValue(scope, "pli_cache.intersects");
       const int64_t size = static_cast<int64_t>(cache.Size());
       EXPECT_GE(intersects, 0);
       EXPECT_GE(size, relation.NumColumns() + 1);
@@ -86,7 +89,7 @@ TEST(PliCacheConcurrencyTest, ConcurrentReadersOfCountersAreSafe) {
       }
     }
   });
-  EXPECT_GE(cache.NumIntersects(), observed_max.load());
+  EXPECT_GE(ScopeValue(scope, "pli_cache.intersects"), observed_max.load());
 }
 
 TEST(PliCacheConcurrencyTest, PutKeepsFirstEntryOnRace) {

@@ -11,6 +11,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "data/preprocess.h"
 #include "pli/position_list_index.h"
@@ -24,6 +25,13 @@ Relation LruTestRelation() {
   return DeduplicateRows(MakeCategorical(400, {4, 3, 5, 2, 6, 3, 4}, 23,
                                          "lru_test"))
       .relation;
+}
+
+// Bytes of the pinned working set (single columns + ∅) of a cache over `r`.
+size_t PinnedBytes(const Relation& r) {
+  const MetricsScope scope;
+  PliCache probe(r, PliCache::kUnlimitedBudget);
+  return static_cast<size_t>(ScopeValue(scope, "pli_cache.pinned_bytes"));
 }
 
 std::vector<ColumnSet> AllPairsAndTriples(int n) {
@@ -41,12 +49,21 @@ std::vector<ColumnSet> AllPairsAndTriples(int n) {
 
 TEST(PliCacheLruTest, EvictionPreservesCorrectness) {
   const Relation r = LruTestRelation();
+  const std::vector<ColumnSet> sets = AllPairsAndTriples(r.NumColumns());
+  std::vector<std::shared_ptr<const Pli>> expected;
+  {
+    const MetricsScope scope;
+    PliCache unlimited(r, PliCache::kUnlimitedBudget);
+    for (const ColumnSet& set : sets) expected.push_back(unlimited.Get(set));
+    EXPECT_EQ(ScopeValue(scope, "pli_cache.evictions"), 0);
+  }
   // Tiny budget: every derived entry is evicted almost immediately.
+  const MetricsScope scope;
   PliCache tight(r, /*budget_bytes=*/1);
-  PliCache unlimited(r, PliCache::kUnlimitedBudget);
-  for (const ColumnSet& set : AllPairsAndTriples(r.NumColumns())) {
+  for (size_t s = 0; s < sets.size(); ++s) {
+    const ColumnSet& set = sets[s];
     const auto a = tight.Get(set);
-    const auto b = unlimited.Get(set);
+    const auto& b = expected[s];
     ASSERT_EQ(a->NumClusters(), b->NumClusters()) << set.ToString();
     ASSERT_EQ(a->NumNonSingletonRows(), b->NumNonSingletonRows())
         << set.ToString();
@@ -57,8 +74,7 @@ TEST(PliCacheLruTest, EvictionPreservesCorrectness) {
       ASSERT_EQ(a->rows()[i], b->rows()[i]) << set.ToString();
     }
   }
-  EXPECT_GT(tight.GetStats().evictions, 0);
-  EXPECT_EQ(unlimited.GetStats().evictions, 0);
+  EXPECT_GT(ScopeValue(scope, "pli_cache.evictions"), 0);
 }
 
 TEST(PliCacheLruTest, EvictedSetRebuildsIdentically) {
@@ -101,9 +117,10 @@ TEST(PliCacheLruTest, PinnedSinglesSurviveAnyBudget) {
 
 TEST(PliCacheLruTest, CountersAddUp) {
   const Relation r = LruTestRelation();
+  const MetricsScope scope;
   PliCache cache(r, PliCache::kUnlimitedBudget);
-  EXPECT_EQ(cache.GetStats().hits, 0);
-  EXPECT_EQ(cache.GetStats().misses, 0);
+  EXPECT_EQ(ScopeValue(scope, "pli_cache.hits"), 0);
+  EXPECT_EQ(ScopeValue(scope, "pli_cache.misses"), 0);
 
   const ColumnSet ab = ColumnSet::FromIndices({0, 1});
   cache.Get(ab);                       // miss (built)
@@ -114,44 +131,45 @@ TEST(PliCacheLruTest, CountersAddUp) {
   cache.Get(ColumnSet::FromIndices({0, 1, 2}));       // miss (built; the
   // internal prefix look-up of {0,1} during the build is not a probe).
 
-  const PliCache::Stats stats = cache.GetStats();
-  EXPECT_EQ(stats.hits, 3);
-  EXPECT_EQ(stats.misses, 3);
-  EXPECT_EQ(stats.hits + stats.misses, 6);
-  EXPECT_EQ(stats.evictions, 0);
+  const int64_t hits = ScopeValue(scope, "pli_cache.hits");
+  const int64_t misses = ScopeValue(scope, "pli_cache.misses");
+  EXPECT_EQ(hits, 3);
+  EXPECT_EQ(misses, 3);
+  EXPECT_EQ(hits + misses, 6);
+  EXPECT_EQ(ScopeValue(scope, "pli_cache.evictions"), 0);
 }
 
 TEST(PliCacheLruTest, BytesStayWithinBudgetOrPinnedFloor) {
   const Relation r = LruTestRelation();
   // A budget big enough for the pinned set plus a handful of derived
   // entries, small enough to force evictions over the full workload.
-  size_t pinned_bytes = 0;
-  {
-    PliCache probe(r, PliCache::kUnlimitedBudget);
-    pinned_bytes =
-        static_cast<size_t>(probe.GetStats().bytes_cached);  // singles + ∅
-  }
+  const size_t pinned_bytes = PinnedBytes(r);  // singles + ∅
   const size_t budget = pinned_bytes + (size_t{8} << 10);
+  const MetricsScope scope;
   PliCache cache(r, budget);
   for (const ColumnSet& set : AllPairsAndTriples(r.NumColumns())) {
     cache.Get(set);
     const size_t bytes =
-        static_cast<size_t>(cache.GetStats().bytes_cached);
+        static_cast<size_t>(ScopeValue(scope, "pli_cache.bytes_cached"));
     EXPECT_LE(bytes, std::max(budget, pinned_bytes))
         << "after " << set.ToString();
   }
-  EXPECT_GT(cache.GetStats().evictions, 0);
+  EXPECT_GT(ScopeValue(scope, "pli_cache.evictions"), 0);
+}
+
+TEST(PliCacheLruTest, PinnedOverBudgetIsCountedNotPrinted) {
+  const Relation r = LruTestRelation();
+  const MetricsScope scope;
+  ::testing::internal::CaptureStderr();
+  PliCache cache(r, /*budget_bytes=*/1);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+  EXPECT_EQ(ScopeValue(scope, "pli_cache.pinned_over_budget"), 1);
 }
 
 TEST(PliCacheLruTest, SecondChanceKeepsRecentlyHitEntries) {
   const Relation r = LruTestRelation();
   // Budget that fits the pinned set plus roughly one derived entry.
-  size_t pinned_bytes = 0;
-  {
-    PliCache probe(r, PliCache::kUnlimitedBudget);
-    pinned_bytes = static_cast<size_t>(probe.GetStats().bytes_cached);
-  }
-  PliCache cache(r, pinned_bytes + (size_t{64} << 10));
+  PliCache cache(r, PinnedBytes(r) + (size_t{64} << 10));
   const ColumnSet hot = ColumnSet::FromIndices({0, 1});
   cache.Get(hot);
   int64_t hot_hits = 0;
@@ -168,26 +186,29 @@ TEST(PliCacheLruTest, SecondChanceKeepsRecentlyHitEntries) {
 TEST(PliCacheLruTest, ConcurrentEvictionStormStaysConsistent) {
   const Relation r = LruTestRelation();
   ThreadPool pool(4);
-  size_t pinned_bytes = 0;
-  {
-    PliCache probe(r, PliCache::kUnlimitedBudget);
-    pinned_bytes = static_cast<size_t>(probe.GetStats().bytes_cached);
-  }
-  PliCache cache(r, pinned_bytes + (size_t{16} << 10), &pool);
   const std::vector<ColumnSet> sets = AllPairsAndTriples(r.NumColumns());
-  PliCache oracle(r, PliCache::kUnlimitedBudget);
+  std::vector<int64_t> distinct;
+  {
+    PliCache oracle(r, PliCache::kUnlimitedBudget);
+    for (const ColumnSet& set : sets) {
+      distinct.push_back(oracle.Get(set)->DistinctCount());
+    }
+  }
+  const MetricsScope scope;
+  PliCache cache(r, PinnedBytes(r) + (size_t{16} << 10), &pool);
   // Racing builders + evictors: every Get must still return a PLI with the
   // canonical shape.
   pool.ParallelFor(0, static_cast<int64_t>(sets.size()) * 3, [&](int64_t i) {
-    const ColumnSet& set = sets[static_cast<size_t>(i) % sets.size()];
-    const auto pli = cache.Get(set);
+    const size_t s = static_cast<size_t>(i) % sets.size();
+    const auto pli = cache.Get(sets[s]);
     ASSERT_NE(pli, nullptr);
-    EXPECT_EQ(pli->DistinctCount(), oracle.Get(set)->DistinctCount());
+    EXPECT_EQ(pli->DistinctCount(), distinct[s]);
   });
   // Each iteration probes `cache` exactly once, so the counters add up
   // even under concurrent eviction.
-  const PliCache::Stats stats = cache.GetStats();
-  EXPECT_EQ(stats.hits + stats.misses, static_cast<int64_t>(sets.size()) * 3);
+  EXPECT_EQ(ScopeValue(scope, "pli_cache.hits") +
+                ScopeValue(scope, "pli_cache.misses"),
+            static_cast<int64_t>(sets.size()) * 3);
 }
 
 }  // namespace

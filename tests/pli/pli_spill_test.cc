@@ -319,9 +319,13 @@ TEST(PliCacheSpillTest, TieredCacheMatchesUnlimitedCache) {
   for (PliImpl impl : {PliImpl::kAuto, PliImpl::kCsr, PliImpl::kBitmap}) {
     // Tiny budget so every derived entry is demoted, with the cold tier
     // turned on: evictions spill instead of dropping.
+    // The unlimited cache is built outside the run and never evicts, so
+    // the run's eviction, spill and pinned-byte metrics are the tiered
+    // cache's alone.
+    PliCache unlimited(r, PliCache::kUnlimitedBudget, nullptr, impl);
+    const MetricsScope scope;
     PliCache tiered(r, /*budget_bytes=*/1, /*pool=*/nullptr, impl,
                     TempSpillConfig());
-    PliCache unlimited(r, PliCache::kUnlimitedBudget, nullptr, impl);
     ASSERT_TRUE(tiered.spill_enabled());
     const std::vector<ColumnSet> sets = AllPairsAndTriples(r.NumColumns());
     // Two passes: the second probes entries whose hot copy was evicted, so
@@ -331,12 +335,11 @@ TEST(PliCacheSpillTest, TieredCacheMatchesUnlimitedCache) {
         ExpectSamePli(*tiered.Get(set), *unlimited.Get(set), set);
       }
     }
-    const PliCache::Stats stats = tiered.GetStats();
-    EXPECT_GT(stats.evictions, 0);
-    EXPECT_GT(stats.spill_writes, 0);
-    EXPECT_GT(stats.spill_reloads, 0);
-    EXPECT_GT(stats.spill_bytes, 0);
-    EXPECT_GT(stats.pinned_bytes, 0);
+    EXPECT_GT(ScopeValue(scope, "pli_cache.evictions"), 0);
+    EXPECT_GT(ScopeValue(scope, "pli_cache.spill_writes"), 0);
+    EXPECT_GT(ScopeValue(scope, "pli_cache.spill_reloads"), 0);
+    EXPECT_GT(ScopeValue(scope, "pli_cache.spill_bytes"), 0);
+    EXPECT_GT(ScopeValue(scope, "pli_cache.pinned_bytes"), 0);
   }
 }
 
@@ -352,20 +355,34 @@ TEST(PliCacheSpillTest, SpillDisabledWithoutDirOrWithUnlimitedBudget) {
   EXPECT_FALSE(unlimited.spill_enabled());
 }
 
+TEST(PliCacheSpillTest, UnavailableSpillDirIsCountedNotPrinted) {
+  const Relation r =
+      DeduplicateRows(MakeCategorical(100, {3, 4}, 5, "nodir")).relation;
+  SpillConfig spill;
+  spill.dir = "/nonexistent/muds/spill/dir";
+  const MetricsScope scope;
+  ::testing::internal::CaptureStderr();
+  PliCache cache(r, /*budget_bytes=*/1, nullptr, PliImpl::kAuto, spill);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+  EXPECT_FALSE(cache.spill_enabled());
+  EXPECT_EQ(ScopeValue(scope, "pli_cache.spill_unavailable"), 1);
+}
+
 TEST(PliCacheSpillTest, SpillBudgetExhaustionFallsBackToRebuild) {
   const Relation r =
       DeduplicateRows(MakeCategorical(500, {4, 3, 5, 2, 6}, 31, "tiny"))
           .relation;
   // One-byte spill budget: every demotion attempt fails, so the cache must
   // behave exactly like the single-tier tight cache (drop + rebuild).
+  const MetricsScope scope;
   PliCache tiered(r, /*budget_bytes=*/1, nullptr, PliImpl::kAuto,
                   TempSpillConfig(/*budget_bytes=*/1));
   PliCache unlimited(r, PliCache::kUnlimitedBudget);
   for (const ColumnSet& set : AllPairsAndTriples(r.NumColumns())) {
     ExpectSamePli(*tiered.Get(set), *unlimited.Get(set), set);
   }
-  EXPECT_EQ(tiered.GetStats().spill_writes, 0);
-  EXPECT_EQ(tiered.GetStats().spill_reloads, 0);
+  EXPECT_EQ(ScopeValue(scope, "pli_cache.spill_writes"), 0);
+  EXPECT_EQ(ScopeValue(scope, "pli_cache.spill_reloads"), 0);
 }
 
 }  // namespace

@@ -9,8 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "data/relation.h"
 #include "pli/pli_cache.h"
+#include "test_util.h"
 
 namespace muds {
 namespace {
@@ -177,17 +179,18 @@ TEST(PliTest, FillProbeTable) {
 
 TEST(PliCacheTest, SinglesPrebuiltAndMultisBuiltOnDemand) {
   Relation r = SampleRelation();
+  const MetricsScope scope;
   PliCache cache(r);
-  EXPECT_EQ(cache.NumIntersects(), 0);
+  EXPECT_EQ(ScopeValue(scope, "pli_cache.intersects"), 0);
   auto a = cache.GetIfCached(ColumnSet::Single(0));
   ASSERT_NE(a, nullptr);
 
   auto ac = cache.Get(ColumnSet::FromIndices({0, 2}));
   EXPECT_TRUE(ac->IsUnique());
-  EXPECT_EQ(cache.NumIntersects(), 1);
+  EXPECT_EQ(ScopeValue(scope, "pli_cache.intersects"), 1);
   // Second request hits the cache.
   cache.Get(ColumnSet::FromIndices({0, 2}));
-  EXPECT_EQ(cache.NumIntersects(), 1);
+  EXPECT_EQ(ScopeValue(scope, "pli_cache.intersects"), 1);
 }
 
 TEST(PliCacheTest, EmptySetPli) {

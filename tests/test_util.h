@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/metrics.h"
@@ -36,6 +37,12 @@ inline Relation RandomRelation(uint64_t seed, int cols, int rows,
     data.push_back(std::move(row));
   }
   return Relation::FromRows(names, data, "random");
+}
+
+/// The value `scope`'s run holds for the registry metric `name` (0 if the
+/// metric is not registered).
+inline int64_t ScopeValue(const MetricsScope& scope, std::string_view name) {
+  return metrics::ValueOf(scope.run()->Snapshot(), name);
 }
 
 /// The part of a run's metrics that does not depend on scheduling, so it

@@ -12,12 +12,11 @@
 // SPIDER) — and a sampling axis ({1K,64K} sampled pairs x {threads: 1,8}
 // x {default, tiny budget + spill}, asserting the refutation-only
 // invariant: result sets are bit-identical at every --sample-pairs
-// setting) — and diffs all result sets against the oracle. kAuto under the
-// UCC-shape policy (its selection DUCC runs on the run's pool before the
-// chosen engine) is diffed too, at {threads: 1,8} x {budget: unlimited,
-// tiny+spill}. Every engine
-// run goes through the CSV surface (CsvWriter -> a CSV reader), so both
-// readers are part of the contract under test.
+// setting) — and diffs all result sets against the oracle. kAuto (the
+// column-count rule picking MUDS or HFUN) is diffed too, at {threads: 1,8}
+// x {budget: unlimited, tiny+spill}. Every engine run goes through the CSV
+// surface (CsvWriter -> a CSV reader), so both readers are part of the
+// contract under test.
 //
 // On a mismatch the driver shrinks the instance (drop columns, then chop
 // row chunks, while the mismatch persists) and prints a reproducer: the
@@ -233,10 +232,7 @@ EngineAnswer RunEngine(Engine engine, const std::string& csv_text,
     case Engine::kMuds: options.algorithm = Algorithm::kMuds; break;
     case Engine::kHolisticFun: options.algorithm = Algorithm::kHolisticFun; break;
     case Engine::kBaseline: options.algorithm = Algorithm::kBaseline; break;
-    case Engine::kAuto:
-      options.algorithm = Algorithm::kAuto;
-      options.auto_policy = AutoPolicy::kUccShape;
-      break;
+    case Engine::kAuto: options.algorithm = Algorithm::kAuto; break;
     case Engine::kTane: break;  // handled above
   }
   options.seed = seed;
@@ -401,10 +397,9 @@ void PrintReproducer(Engine engine, const DiffConfig& config,
 }
 
 // Whether `engine` runs under `config`. TANE has no thread/budget/impl/
-// sampling knobs, so it runs once per io mode. kAuto adds only its
-// selection DUCC to the MUDS and HFUN runs the matrix already covers, so it
-// runs at threads 1 and 8, each with an unlimited budget and with a tiny
-// budget + spill.
+// sampling knobs, so it runs once per io mode. kAuto only dispatches to the
+// MUDS and HFUN runs the matrix already covers, so it runs at threads 1 and
+// 8, each with an unlimited budget and with a tiny budget + spill.
 bool Runs(Engine engine, const DiffConfig& config) {
   const bool plain = config.impl == PliImpl::kAuto &&
                      !config.force_scalar_simd && config.sample_pairs == 0;

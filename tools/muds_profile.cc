@@ -310,6 +310,30 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
   return true;
 }
 
+// Degraded configurations the library counts instead of printing: one
+// warning line for each counter that is non-zero in the run's metrics.
+void PrintWarnings(const MetricsSnapshot& snapshot) {
+  static constexpr struct {
+    const char* counter;
+    const char* message;
+  } kWarnings[] = {
+      {"pli_cache.pinned_over_budget",
+       "pinned single-column PLIs hold more than the PLI budget; eviction "
+       "cannot reach the budget (raise --pli-budget-mb)"},
+      {"pli_cache.spill_unavailable",
+       "the spill file could not be created; the PLI cache ran without a "
+       "spill tier"},
+      {"spider.spill_fallbacks",
+       "SPIDER could not spill its sorted runs and fell back to the "
+       "in-memory merge"},
+  };
+  for (const auto& warning : kWarnings) {
+    if (metrics::ValueOf(snapshot, warning.counter) > 0) {
+      std::fprintf(stderr, "muds: warning: %s\n", warning.message);
+    }
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -335,6 +359,7 @@ int main(int argc, char** argv) {
                  result.status().ToString().c_str());
     return 2;
   }
+  PrintWarnings(result.value().metrics);
   const std::string report =
       options.json
           ? ProfilingResultToJson(result.value())
