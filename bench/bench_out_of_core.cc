@@ -197,8 +197,7 @@ int Run(int argc, char** argv) {
     // Only the tiered cache spills, so the run's reloads are its own.
     const MetricsScope scope;
     PliCache rebuild(relation, /*budget_bytes=*/1);
-    PliCache tiered(relation, /*budget_bytes=*/1, nullptr, PliImpl::kAuto,
-                    TempSpill());
+    PliCache tiered(relation, /*budget_bytes=*/1, nullptr, TempSpill());
     for (const ColumnSet& set : sets) {
       rebuild.Get(set);
       tiered.Get(set);

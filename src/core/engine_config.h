@@ -6,7 +6,6 @@
 
 #include "common/spill.h"
 #include "core/sampling.h"
-#include "pli/position_list_index.h"
 
 namespace muds {
 
@@ -23,10 +22,6 @@ struct EngineConfig {
   /// are identical for every budget — a tight budget only trades rebuild
   /// work for memory.
   size_t pli_budget_bytes = size_t{1} << 30;  // PliCache::kDefaultBudgetBytes
-  /// PLI representation strategy (--pli-impl). The discovered dependency
-  /// sets are identical for every choice; the axis exists for A/B
-  /// debugging and perf work.
-  PliImpl pli_impl = PliImpl::kAuto;
   /// Tiered-storage configuration (--spill-dir / --spill-budget-mb):
   /// PLI-cache evictions demote to a disk spill file and SPIDER streams
   /// disk-resident runs, in separate files that `spill.budget_bytes` caps

@@ -19,8 +19,7 @@ HolisticResult HolisticFun::Run(const Relation& relation,
   HolisticResult result;
   const auto run_fun = [&relation, &config, &result] {
     MUDS_TRACE_SPAN(&result.timings, "FUN");
-    FdDiscoveryResult fd_result =
-        Fun::Discover(relation, config.pli_impl, config.sampling);
+    FdDiscoveryResult fd_result = Fun::Discover(relation, config.sampling);
     result.fds = std::move(fd_result.fds);
     result.uccs = std::move(fd_result.uccs);
   };
@@ -67,8 +66,7 @@ HolisticResult Baseline::Run(const Relation& relation,
     // DUCC builds its own PLIs: no sharing in the baseline. The same goes
     // for its evidence store — FUN samples its own below, matching the
     // baseline's no-sharing contract.
-    PliCache cache(relation, config.pli_budget_bytes, pool, config.pli_impl,
-                   config.spill);
+    PliCache cache(relation, config.pli_budget_bytes, pool, config.spill);
     std::unique_ptr<EvidenceStore> evidence;
     if (config.sampling.enabled() && relation.NumRows() > 1) {
       MUDS_TRACE_SPAN("evidenceBuild");
@@ -80,8 +78,7 @@ HolisticResult Baseline::Run(const Relation& relation,
   }
   {
     MUDS_TRACE_SPAN(&result.timings, "FUN");
-    FdDiscoveryResult fd_result =
-        Fun::Discover(relation, config.pli_impl, config.sampling);
+    FdDiscoveryResult fd_result = Fun::Discover(relation, config.sampling);
     result.fds = std::move(fd_result.fds);
   }
   return result;

@@ -116,8 +116,7 @@ IncrementalProfiler::IncrementalProfiler(const Relation& base,
   algorithm_used_ = base_result.algorithm_used;
 
   cache_ = std::make_unique<PliCache>(*relation_, options_.pli_budget_bytes,
-                                      &pool_, options_.pli_impl,
-                                      options_.spill);
+                                      &pool_, options_.spill);
 
   EvidenceStore::RegisterMetrics();
   // Built even for a trivial base relation: later batches still seed and

@@ -63,7 +63,7 @@ class IncrementalProfiler {
   /// Profiles `base` from scratch (deduplicating first, like
   /// ProfileRelation) and becomes the maintained state. `options` drives
   /// both the initial run and all subsequent maintenance (threads, PLI
-  /// budget/impl, spill tier). The profiler owns its run's one pool, of
+  /// budget, spill tier). The profiler owns its run's one pool, of
   /// `options.num_threads`, for the base profile and every Append.
   IncrementalProfiler(const Relation& base, const ProfileOptions& options);
 

@@ -514,13 +514,11 @@ void MudsRunner::RunSpider() {
   };
   if (pool_ != nullptr) {
     std::future<std::vector<Ind>> inds = pool_->Submit(discover_inds);
-    cache_.emplace(relation_, config_.pli_budget_bytes, pool_,
-                   config_.pli_impl, config_.spill);
+    cache_.emplace(relation_, config_.pli_budget_bytes, pool_, config_.spill);
     result_.inds = inds.get();
   } else {
     result_.inds = discover_inds();
-    cache_.emplace(relation_, config_.pli_budget_bytes, nullptr,
-                   config_.pli_impl, config_.spill);
+    cache_.emplace(relation_, config_.pli_budget_bytes, nullptr, config_.spill);
   }
   active_ = relation_.ActiveColumns();
 }

@@ -51,7 +51,7 @@ int64_t InferCardinality(const ColumnSet& set, CardMap* cards) {
 
 }  // namespace
 
-FdDiscoveryResult Fun::Discover(const Relation& relation, PliImpl impl,
+FdDiscoveryResult Fun::Discover(const Relation& relation,
                                 const SamplingConfig& sampling) {
   FdWorkCounts work("fun");
   FdDiscoveryResult result;
@@ -81,7 +81,7 @@ FdDiscoveryResult Fun::Discover(const Relation& relation, PliImpl impl,
     Node node;
     node.set = ColumnSet::Single(c);
     node.pli = std::make_shared<Pli>(
-        Pli::FromColumn(relation.GetColumn(c), relation.NumRows(), impl));
+        Pli::FromColumn(relation.GetColumn(c), relation.NumRows()));
     node.cardinality = node.pli->DistinctCount();
     node.is_key = node.cardinality == num_rows;
     cards.emplace(node.set, node.cardinality);

@@ -27,15 +27,14 @@ namespace muds {
 /// Expects a duplicate-row-free relation (the Profiler guarantees this).
 class Fun {
  public:
-  /// `impl` selects the PLI representation (the discovered sets are
-  /// identical for every choice). With `sampling` enabled, a private
+  /// With `sampling` enabled, a private
   /// evidence store built over the level-1 PLIs refutes Lemma-1 candidates
   /// before the cardinality comparison; refutation-only, so the discovered
   /// sets are identical at every sampling level. (No feedback loop here:
   /// FUN's per-candidate check is a memoized O(1) comparison, so
   /// extracting a violating pair would cost more than it saves.)
   static FdDiscoveryResult Discover(
-      const Relation& relation, PliImpl impl = PliImpl::kAuto,
+      const Relation& relation,
       const SamplingConfig& sampling = SamplingConfig());
 };
 

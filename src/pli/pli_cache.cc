@@ -56,8 +56,8 @@ struct CacheCounters {
 }  // namespace
 
 PliCache::PliCache(const Relation& relation, size_t budget_bytes,
-                   ThreadPool* pool, PliImpl impl, const SpillConfig& spill)
-    : relation_(&relation), budget_bytes_(budget_bytes), impl_(impl) {
+                   ThreadPool* pool, const SpillConfig& spill)
+    : relation_(&relation), budget_bytes_(budget_bytes) {
   const CacheCounters& counters = CacheCounters::Get();
   if (spill.enabled() && budget_bytes_ != kUnlimitedBudget) {
     Result<std::unique_ptr<SpillPool>> created = SpillPool::Create(spill);
@@ -71,7 +71,7 @@ PliCache::PliCache(const Relation& relation, size_t budget_bytes,
   std::vector<std::shared_ptr<const Pli>> singles(static_cast<size_t>(n));
   const auto build = [&](int64_t c) {
     singles[static_cast<size_t>(c)] = std::make_shared<Pli>(Pli::FromColumn(
-        relation.GetColumn(static_cast<int>(c)), relation.NumRows(), impl_));
+        relation.GetColumn(static_cast<int>(c)), relation.NumRows()));
   };
   ParallelForOrInline(pool, n, build);
   size_t pinned = 0;
@@ -82,8 +82,7 @@ PliCache::PliCache(const Relation& relation, size_t budget_bytes,
                   ->MemoryBytes();
   }
   pinned += Insert(ColumnSet(),
-                   std::make_shared<Pli>(
-                       Pli::ForEmptySet(relation.NumRows(), impl_)),
+                   std::make_shared<Pli>(Pli::ForEmptySet(relation.NumRows())),
                    /*pinned=*/true)
                 ->MemoryBytes();
   if (budget_bytes_ != kUnlimitedBudget && pinned > budget_bytes_) {
@@ -297,7 +296,7 @@ void PliCache::OnAppend(const AppendDelta& delta, ThreadPool* pool) {
     }
     singles[static_cast<size_t>(c)] = std::make_shared<Pli>(Pli::MergeAppend(
         *old, relation_->GetColumn(static_cast<int>(c)),
-        delta.columns[static_cast<size_t>(c)], delta.new_num_rows, impl_));
+        delta.columns[static_cast<size_t>(c)], delta.new_num_rows));
   };
   ParallelForOrInline(pool, n, merge);
 
@@ -313,8 +312,7 @@ void PliCache::OnAppend(const AppendDelta& delta, ThreadPool* pool) {
         MUDS_DCHECK(!entry.spilled.valid());
         std::shared_ptr<const Pli> updated =
             it->first.Count() == 0
-                ? std::make_shared<Pli>(
-                      Pli::ForEmptySet(delta.new_num_rows, impl_))
+                ? std::make_shared<Pli>(Pli::ForEmptySet(delta.new_num_rows))
                 : singles[static_cast<size_t>(it->first.ToIndices()[0])];
         const size_t old_bytes = entry.bytes;
         entry.pli = std::move(updated);

@@ -84,14 +84,14 @@ class PliCache {
   /// the cache. `budget_bytes` bounds the cached PLI payload (0 = no
   /// bound). If `pool` is non-null and parallel, the single-column PLIs are
   /// built concurrently (one task per column — they are independent).
-  /// `impl` selects the PLI representation for the pinned base PLIs;
-  /// derived (intersected) entries inherit it through sidecar propagation.
+  /// Every PLI follows Pli's one sidecar attach rule; derived (intersected)
+  /// entries inherit the sidecar through propagation.
   /// `spill` (when enabled) activates the cold tier; if the spill file
   /// cannot be created the cache counts `pli_cache.spill_unavailable` and
   /// runs single-tier.
   explicit PliCache(const Relation& relation,
                     size_t budget_bytes = kDefaultBudgetBytes,
-                    ThreadPool* pool = nullptr, PliImpl impl = PliImpl::kAuto,
+                    ThreadPool* pool = nullptr,
                     const SpillConfig& spill = SpillConfig());
 
   PliCache(const PliCache&) = delete;
@@ -134,9 +134,6 @@ class PliCache {
   }
 
   size_t budget_bytes() const { return budget_bytes_; }
-
-  /// Representation strategy the cache builds its PLIs with.
-  PliImpl impl() const { return impl_; }
 
   /// True when the cold tier is active (spill configured and file created).
   bool spill_enabled() const { return spill_pool_ != nullptr; }
@@ -197,7 +194,6 @@ class PliCache {
   const Relation* relation_;
   std::array<Shard, kNumShards> shards_;
   size_t budget_bytes_;
-  PliImpl impl_ = PliImpl::kAuto;
   std::unique_ptr<SpillPool> spill_pool_;
   std::atomic<size_t> num_cached_{0};
   std::atomic<size_t> bytes_cached_{0};

@@ -34,10 +34,6 @@ thread_local Arena t_arena;
 
 constexpr uint32_t kSkip = std::numeric_limits<uint32_t>::max();
 
-// Below this row count kAuto skips the sidecar: the fast paths cannot
-// recoup even the sidecar's construction pass.
-constexpr RowId kAutoSidecarMinRows = 64;
-
 // The bitmap refine checks the accumulated seen-masks for violations every
 // this many streamed rows — often enough that violated candidates exit
 // early, rarely enough that the (SIMD) mask scan amortizes to noise.
@@ -50,31 +46,6 @@ constexpr RowId kMaskCheckStride = 8192;
 constexpr RowId kBitmapRefineMinRows = 1 << 18;
 
 }  // namespace
-
-bool ParsePliImpl(const std::string& name, PliImpl* impl) {
-  if (name == "auto") {
-    *impl = PliImpl::kAuto;
-  } else if (name == "csr") {
-    *impl = PliImpl::kCsr;
-  } else if (name == "bitmap") {
-    *impl = PliImpl::kBitmap;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-const char* ToString(PliImpl impl) {
-  switch (impl) {
-    case PliImpl::kAuto:
-      return "auto";
-    case PliImpl::kCsr:
-      return "csr";
-    case PliImpl::kBitmap:
-      return "bitmap";
-  }
-  return "auto";
-}
 
 Pli::Pli(std::vector<RowId> rows, std::vector<uint32_t> offsets,
          RowId num_rows)
@@ -162,8 +133,7 @@ Pli Pli::FromColumn(const Column& column, RowId num_rows, PliImpl impl) {
 }
 
 Pli Pli::MergeAppend(const Pli& old, const Column& column,
-                     const ColumnAppendDelta& delta, RowId num_rows,
-                     PliImpl impl) {
+                     const ColumnAppendDelta& delta, RowId num_rows) {
   const RowId old_rows = old.NumRows();
   MUDS_CHECK(static_cast<RowId>(column.codes.size()) == num_rows &&
              old_rows <= num_rows);
@@ -239,7 +209,7 @@ Pli Pli::MergeAppend(const Pli& old, const Column& column,
   }
   MUDS_DCHECK(next_old_cluster == old.NumClusters());
   Pli pli(std::move(rows), std::move(offsets), num_rows);
-  pli.MaybeAttachSidecar(impl);
+  pli.MaybeAttachSidecar(PliImpl::kAuto);
   return pli;
 }
 

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -12,16 +11,17 @@
 
 namespace muds {
 
-/// Selects the PLI representation strategy (the `--pli-impl` axis).
+/// Whether a freshly built PLI may carry the bitmap sidecar.
 ///
-/// Every strategy produces the same dependency sets — the choice only
-/// trades memory for refinement speed, and muds_diff verifies the outputs
-/// are identical across the whole axis.
+/// Every engine, the PliCache and appends build with kAuto — the one
+/// attach rule. The forced layouts exist for kernel tests, fuzzers and
+/// micro-benchmarks that need a fixed representation as their reference
+/// (and kBitmap is how Intersect propagates a sidecar); every layout
+/// yields the same clusters.
 enum class PliImpl {
-  /// Flat CSR plus the low-cardinality bitmap sidecar when it pays off
-  /// (the default): sidecars attach when the PLI has 1..256 clusters and
-  /// the relation is large enough (>= 64 rows) for the fast paths to
-  /// matter.
+  /// Flat CSR plus the low-cardinality bitmap sidecar when it pays off:
+  /// sidecars attach when the PLI has 1..256 clusters and the relation is
+  /// large enough (>= 64 rows) for the fast paths to matter.
   kAuto,
   /// Flat CSR only — the scalar reference layout; never attaches a
   /// sidecar (and Intersect never propagates one).
@@ -30,11 +30,6 @@ enum class PliImpl {
   /// regardless of relation size.
   kBitmap,
 };
-
-/// Parses "auto" / "csr" / "bitmap"; returns false on anything else.
-bool ParsePliImpl(const std::string& name, PliImpl* impl);
-
-const char* ToString(PliImpl impl);
 
 /// Position list index (PLI), also called a stripped partition (§2.2).
 ///
@@ -80,6 +75,10 @@ class Pli {
   /// Max cluster count representable in the bitmap sidecar.
   static constexpr int64_t kMaxSidecarClusters = 256;
 
+  /// Below this row count kAuto skips the sidecar: the fast paths cannot
+  /// recoup even the sidecar's construction pass.
+  static constexpr RowId kAutoSidecarMinRows = 64;
+
   /// Builds the PLI of a single column (counting sort over the dictionary
   /// codes; no per-cluster allocations). `impl` selects whether the bitmap
   /// sidecar may attach.
@@ -100,8 +99,7 @@ class Pli {
   /// and MergeAppend produce them (Intersect results do not qualify).
   /// The output is bit-identical to FromColumn over the grown column.
   static Pli MergeAppend(const Pli& old, const Column& column,
-                         const ColumnAppendDelta& delta, RowId num_rows,
-                         PliImpl impl = PliImpl::kAuto);
+                         const ColumnAppendDelta& delta, RowId num_rows);
 
   /// Flattens materialized clusters into CSR. Every cluster must have
   /// size >= 2 (checked in debug builds). Compatibility/test path — the hot
@@ -216,8 +214,9 @@ class Pli {
   Pli(std::vector<RowId> rows, std::vector<uint32_t> offsets, RowId num_rows);
 
   // Attaches the uint16 sidecar when `impl` and the cluster count allow it
-  // (kAuto additionally requires num_rows_ >= 64). One sequential fill plus
-  // one scatter over the clustered rows; no-op when ineligible.
+  // (kAuto additionally requires num_rows_ >= kAutoSidecarMinRows). One
+  // sequential fill plus one scatter over the clustered rows; no-op when
+  // ineligible.
   void MaybeAttachSidecar(PliImpl impl);
 
   // Sidecar-specialized kernels (require HasBitmap()).

@@ -79,20 +79,16 @@ std::shared_ptr<const ResultCatalog::Value> ResultCatalog::FindOrBegin(
   std::unique_lock<std::mutex> lock(mutex_);
   auto it = entries_.find(key);
   if (it == entries_.end()) {
-    stats_.misses++;
     Counters().misses->Increment();
     entries_.emplace(key, Entry{});
     return nullptr;
   }
   if (it->second.value != nullptr) {
-    stats_.hits++;
     Counters().hits->Increment();
     lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
     return it->second.value;
   }
   // Pending: coalesce onto the in-flight computation.
-  stats_.hits++;
-  stats_.coalesced++;
   Counters().hits->Increment();
   Counters().coalesced->Increment();
   it->second.waiters++;
@@ -132,7 +128,6 @@ void ResultCatalog::Publish(const std::string& key,
   it->second.value = std::move(value);
   lru_.push_front(key);
   it->second.lru_pos = lru_.begin();
-  stats_.entries = lru_.size();
   EvictLocked();
   cv_.notify_all();
 }
@@ -154,17 +149,13 @@ void ResultCatalog::EvictLocked() {
     const std::string victim = lru_.back();
     lru_.pop_back();
     entries_.erase(victim);
-    stats_.evictions++;
     Counters().evictions->Increment();
   }
-  stats_.entries = lru_.size();
 }
 
-ResultCatalog::Stats ResultCatalog::GetStats() const {
+size_t ResultCatalog::NumEntries() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  Stats stats = stats_;
-  stats.entries = lru_.size();
-  return stats;
+  return lru_.size();
 }
 
 }  // namespace serve

@@ -25,8 +25,8 @@ namespace serve {
 /// with two independently-seeded HashBytes streams (128 effective bits per
 /// blob, so near-misses — one changed byte — land on distinct keys) plus
 /// the result-affecting profile options (algorithm, traversal seed, CSV
-/// dialect, row cap). Deliberately absent: threads, PLI budget/impl, spill,
-/// and sampling, which are all bit-identical knobs — a repeat request hits
+/// dialect, row cap). Deliberately absent: threads, PLI budget, spill, and
+/// sampling, which are all bit-identical knobs — a repeat request hits
 /// regardless of the execution strategy that computed the entry.
 ///
 /// Coalescing: FindOrBegin() returns a ready value (hit), registers the
@@ -38,6 +38,9 @@ namespace serve {
 ///
 /// Eviction: ready entries beyond `max_entries` are dropped LRU (a hit
 /// refreshes recency). Pending entries are not counted against the bound.
+///
+/// Counters: serve.catalog_hits / misses / coalesced / evictions, registered
+/// eagerly, are the catalog's only tally; NumEntries() reads live state.
 ///
 /// Thread safety: all methods are safe from any thread.
 class ResultCatalog {
@@ -67,14 +70,8 @@ class ResultCatalog {
   /// one waiter to computer, or removes the pending entry if none wait.
   void Abort(const std::string& key);
 
-  struct Stats {
-    int64_t hits = 0;        // Ready hits + coalesced waits.
-    int64_t misses = 0;
-    int64_t coalesced = 0;   // Subset of hits that waited on a pending job.
-    int64_t evictions = 0;
-    size_t entries = 0;      // Ready entries currently cached.
-  };
-  Stats GetStats() const;
+  /// Ready entries currently cached.
+  size_t NumEntries() const;
 
  private:
   struct Entry {
@@ -98,7 +95,6 @@ class ResultCatalog {
   std::unordered_map<std::string, Entry> entries_;
   /// Most-recently-used first.
   std::list<std::string> lru_;
-  Stats stats_;
 };
 
 }  // namespace serve

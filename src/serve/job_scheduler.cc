@@ -96,12 +96,10 @@ Result<JobId> JobScheduler::Submit(JobFn fn, const JobConfig& config) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (shutting_down_) {
-      stats_.rejected++;
       Counters().rejected->Increment();
       return Status::Unavailable("scheduler is shutting down");
     }
     if (queued_ >= options_.max_queued) {
-      stats_.rejected++;
       Counters().rejected->Increment();
       return Status::OutOfRange("job queue full (" +
                                 std::to_string(options_.max_queued) +
@@ -119,7 +117,6 @@ Result<JobId> JobScheduler::Submit(JobFn fn, const JobConfig& config) {
     queues_[config.priority].push_back(id);
     jobs_.emplace(id, std::move(job));
     queued_++;
-    stats_.submitted++;
     Counters().submitted->Increment();
     pump = !paused_;
   }
@@ -189,19 +186,14 @@ std::optional<JobScheduler::JobInfo> JobScheduler::GetInfo(JobId id) const {
   return info;
 }
 
-std::optional<JobState> JobScheduler::GetState(JobId id) const {
+size_t JobScheduler::NumQueued() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = jobs_.find(id);
-  if (it == jobs_.end()) return std::nullopt;
-  return it->second->state;
+  return queued_;
 }
 
-JobScheduler::Stats JobScheduler::GetStats() const {
+size_t JobScheduler::NumRunning() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  Stats stats = stats_;
-  stats.queued = queued_;
-  stats.running = running_;
-  return stats;
+  return running_;
 }
 
 void JobScheduler::FinishLocked(Job* job, JobState state, Status status) {
@@ -209,19 +201,15 @@ void JobScheduler::FinishLocked(Job* job, JobState state, Status status) {
   job->final_status = std::move(status);
   switch (state) {
     case JobState::kDone:
-      stats_.completed++;
       Counters().completed->Increment();
       break;
     case JobState::kCancelled:
-      stats_.cancelled++;
       Counters().cancelled->Increment();
       break;
     case JobState::kExpired:
-      stats_.expired++;
       Counters().expired->Increment();
       break;
     case JobState::kFailed:
-      stats_.failed++;
       Counters().failed->Increment();
       break;
     default:
@@ -260,7 +248,6 @@ void JobScheduler::PumpOne() {
     if (job == nullptr) return;
     queued_--;
     job->queue_wait_ns = (NowMicros() - job->enqueue_us) * 1000;
-    stats_.queue_wait_ns += job->queue_wait_ns;
     Counters().queue_wait_ns->Add(job->queue_wait_ns);
     if (job->cancel.load(std::memory_order_acquire)) {
       FinishLocked(job, JobState::kCancelled,

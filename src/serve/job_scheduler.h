@@ -114,7 +114,8 @@ struct JobConfig {
 ///
 /// Counters: serve.jobs_submitted / completed / rejected / cancelled /
 /// expired / failed and serve.queue_wait_ns are registered eagerly so the
-/// serving metrics are present (at zero) in every metrics delta.
+/// serving metrics are present (at zero) in every metrics delta. They are
+/// the scheduler's only tally; NumQueued()/NumRunning() read live state.
 class JobScheduler {
  public:
   struct Options {
@@ -161,7 +162,7 @@ class JobScheduler {
   /// (false), or the id is unknown (false). timeout_ms < 0 waits forever.
   bool WaitTerminal(JobId id, int64_t timeout_ms = -1) const;
 
-  /// Terminal or live state snapshot of one job.
+  /// Terminal or live state snapshot of one job; nullopt for unknown ids.
   struct JobInfo {
     JobState state = JobState::kQueued;
     /// Final status for kFailed / kCancelled / kExpired.
@@ -171,20 +172,11 @@ class JobScheduler {
     int priority = 0;
   };
   std::optional<JobInfo> GetInfo(JobId id) const;
-  std::optional<JobState> GetState(JobId id) const;
 
-  struct Stats {
-    int64_t submitted = 0;
-    int64_t completed = 0;   // kDone only.
-    int64_t rejected = 0;    // Failed admissions (queue full or draining).
-    int64_t cancelled = 0;
-    int64_t expired = 0;
-    int64_t failed = 0;
-    int64_t queue_wait_ns = 0;  // Summed over dispatched jobs.
-    size_t queued = 0;
-    size_t running = 0;
-  };
-  Stats GetStats() const;
+  /// Jobs admitted but not yet dispatched.
+  size_t NumQueued() const;
+  /// Jobs whose body is running.
+  size_t NumRunning() const;
 
  private:
   struct Job {
@@ -222,7 +214,6 @@ class JobScheduler {
   size_t running_ = 0;
   bool paused_ = false;
   bool shutting_down_ = false;
-  Stats stats_;
 };
 
 }  // namespace serve

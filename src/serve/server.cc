@@ -180,6 +180,16 @@ int64_t CounterValue(const char* name) {
   return MetricsRegistry::Global().GetCounter(name)->Value();
 }
 
+// Every registered serve.* metric, sorted by name: the scheduler's and the
+// catalog's one tally.
+MetricsSnapshot ServeMetrics() {
+  MetricsSnapshot serve;
+  for (auto& entry : MetricsRegistry::Global().Snapshot()) {
+    if (entry.first.rfind("serve.", 0) == 0) serve.push_back(std::move(entry));
+  }
+  return serve;
+}
+
 void LogLine(const char* format, ...) {
   va_list args;
   va_start(args, format);
@@ -300,9 +310,8 @@ std::string Server::HandleRequest(const std::string& request_text,
     *shutdown_requested = true;
     json::Value response = MakeObject();
     response.object["ok"] = MakeBool(true);
-    const JobScheduler::Stats stats = scheduler_->GetStats();
-    response.object["jobs_completed"] =
-        MakeNumber(static_cast<double>(stats.completed));
+    response.object["jobs_completed"] = MakeNumber(
+        static_cast<double>(CounterValue("serve.jobs_completed")));
     return json::Dump(response);
   }
   return ErrorResponse(
@@ -399,10 +408,10 @@ std::string Server::HandleSubmit(const json::Value& request) {
   response.object["ok"] = MakeBool(true);
   response.object["job"] =
       MakeNumber(static_cast<double>(submitted.value()));
-  const std::optional<JobState> state =
-      scheduler_->GetState(submitted.value());
-  response.object["state"] =
-      MakeString(JobStateName(state.value_or(JobState::kQueued)));
+  const std::optional<JobScheduler::JobInfo> info =
+      scheduler_->GetInfo(submitted.value());
+  response.object["state"] = MakeString(
+      JobStateName(info.has_value() ? info->state : JobState::kQueued));
   return json::Dump(response);
 }
 
@@ -445,10 +454,7 @@ Status Server::RunProfileJob(JobContext& context,
   }
   if (!status.ok() || !profiled.ok()) {
     catalog_.Abort(key);
-    const Status failure = !status.ok() ? status : profiled.status();
-    std::lock_guard<std::mutex> lock(record->mutex);
-    record->error = failure.ToString();
-    return failure;
+    return !status.ok() ? status : profiled.status();
   }
 
   auto value = std::make_shared<ResultCatalog::Value>();
@@ -464,15 +470,15 @@ std::string Server::HandleStatus(const json::Value& request) {
   const Result<JobId> job = JobField(request, "status");
   if (!job.ok()) return ErrorResponse(job.status());
   const JobId id = job.value();
-  const std::optional<JobState> state = scheduler_->GetState(id);
-  if (!state.has_value()) {
+  const std::optional<JobScheduler::JobInfo> info = scheduler_->GetInfo(id);
+  if (!info.has_value()) {
     return ErrorResponse(
         Status::NotFound("unknown job " + std::to_string(id)));
   }
   json::Value response = MakeObject();
   response.object["ok"] = MakeBool(true);
   response.object["job"] = MakeNumber(static_cast<double>(id));
-  response.object["state"] = MakeString(JobStateName(*state));
+  response.object["state"] = MakeString(JobStateName(info->state));
   return json::Dump(response);
 }
 
@@ -548,17 +554,8 @@ std::string Server::HandleCancel(const json::Value& request) {
 
 json::Value Server::ServeCountersJson() const {
   json::Value serve = MakeObject();
-  static const char* kNames[] = {
-      "serve.jobs_submitted",  "serve.jobs_completed",
-      "serve.jobs_rejected",   "serve.jobs_cancelled",
-      "serve.jobs_expired",    "serve.jobs_failed",
-      "serve.queue_wait_ns",   "serve.catalog_hits",
-      "serve.catalog_misses",  "serve.catalog_coalesced",
-      "serve.catalog_evictions",
-  };
-  for (const char* name : kNames) {
-    serve.object[name] =
-        MakeNumber(static_cast<double>(CounterValue(name)));
+  for (const auto& [name, value] : ServeMetrics()) {
+    serve.object[name] = MakeNumber(static_cast<double>(value));
   }
   return serve;
 }
@@ -570,26 +567,16 @@ std::string Server::HandleStats() {
       MakeBool(draining_.load(std::memory_order_acquire));
   response.object["serve"] = ServeCountersJson();
 
-  const JobScheduler::Stats scheduler = scheduler_->GetStats();
   json::Value scheduler_json = MakeObject();
   scheduler_json.object["queued"] =
-      MakeNumber(static_cast<double>(scheduler.queued));
+      MakeNumber(static_cast<double>(scheduler_->NumQueued()));
   scheduler_json.object["running"] =
-      MakeNumber(static_cast<double>(scheduler.running));
+      MakeNumber(static_cast<double>(scheduler_->NumRunning()));
   response.object["scheduler"] = std::move(scheduler_json);
 
-  const ResultCatalog::Stats catalog = catalog_.GetStats();
   json::Value catalog_json = MakeObject();
   catalog_json.object["entries"] =
-      MakeNumber(static_cast<double>(catalog.entries));
-  catalog_json.object["hits"] =
-      MakeNumber(static_cast<double>(catalog.hits));
-  catalog_json.object["misses"] =
-      MakeNumber(static_cast<double>(catalog.misses));
-  catalog_json.object["coalesced"] =
-      MakeNumber(static_cast<double>(catalog.coalesced));
-  catalog_json.object["evictions"] =
-      MakeNumber(static_cast<double>(catalog.evictions));
+      MakeNumber(static_cast<double>(catalog_.NumEntries()));
   response.object["catalog"] = std::move(catalog_json);
   return json::Dump(response);
 }
@@ -608,12 +595,8 @@ void Server::Shutdown() {
     }
     // Flush the serving metrics so an operator tailing the log sees the
     // final counters even when no client asked for stats.
-    for (const auto& [name, value] :
-         MetricsRegistry::Global().Snapshot()) {
-      if (name.rfind("serve.", 0) == 0) {
-        LogLine("final %s = %lld", name.c_str(),
-                static_cast<long long>(value));
-      }
+    for (const auto& [name, value] : ServeMetrics()) {
+      LogLine("final %s = %lld", name.c_str(), static_cast<long long>(value));
     }
     LogLine("drained; shutting down");
   });

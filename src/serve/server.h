@@ -46,9 +46,16 @@ namespace serve {
 ///             "queue_wait_ns": N, "serve": {counters...},
 ///             "result": {muds_profile --json document}}
 ///   cancel   {"job": ID} -> {"ok": true, "cancelled": BOOL}
-///   stats    {} -> {"ok": true, "serve": {...}, "catalog": {...},
+///   stats    {} -> {"ok": true, "draining": BOOL, "serve": {counters...},
+///                   "catalog": {"entries": N},
 ///                   "scheduler": {"queued": N, "running": N}}
-///   shutdown {} -> drains running jobs, then {"ok": true, ...}
+///   shutdown {} -> drains running jobs, then
+///                  {"ok": true, "jobs_completed": N}
+///
+/// "serve" holds every registered serve.* counter (jobs_*, queue_wait_ns,
+/// catalog_*), zeros included: the registry is the one count of jobs and
+/// catalog events. "catalog" and "scheduler" are live state, not tallies;
+/// "jobs_completed" is serve.jobs_completed.
 ///
 /// Numeric fields must be integers in range, or the reply is an
 /// InvalidArgument error frame: "seed" and "job" in [0, 2^53] (larger
@@ -113,8 +120,7 @@ class Server {
   struct JobRecord {
     std::shared_ptr<const ResultCatalog::Value> value;  // Set when done.
     bool catalog_hit = false;
-    std::string error;  // Human-readable failure detail.
-    std::mutex mutex;   // Guards value/catalog_hit/error.
+    std::mutex mutex;  // Guards value/catalog_hit.
   };
 
   void AcceptLoop();
@@ -138,7 +144,7 @@ class Server {
                        ProfileOptions options,
                        std::shared_ptr<JobRecord> record);
 
-  /// serve.* scheduler/catalog counters as a JSON object.
+  /// Every registered serve.* counter as a JSON object.
   json::Value ServeCountersJson() const;
 
   Options options_;

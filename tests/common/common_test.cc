@@ -8,7 +8,6 @@
 #include "common/json.h"
 #include "common/rng.h"
 #include "common/status.h"
-#include "common/string_util.h"
 #include "common/timer.h"
 #include "common/trace.h"
 
@@ -95,35 +94,6 @@ TEST(RngTest, NextDoubleInUnitInterval) {
     EXPECT_GE(d, 0.0);
     EXPECT_LT(d, 1.0);
   }
-}
-
-TEST(StringUtilTest, SplitKeepsEmptyFields) {
-  EXPECT_EQ(SplitString("a,,b", ','),
-            (std::vector<std::string>{"a", "", "b"}));
-  EXPECT_EQ(SplitString("", ','), (std::vector<std::string>{""}));
-  EXPECT_EQ(SplitString("x", ','), (std::vector<std::string>{"x"}));
-}
-
-TEST(StringUtilTest, Join) {
-  EXPECT_EQ(JoinStrings({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(JoinStrings({}, ","), "");
-}
-
-TEST(StringUtilTest, SplitJoinRoundTrip) {
-  const std::string text = "one,two,,four";
-  EXPECT_EQ(JoinStrings(SplitString(text, ','), ","), text);
-}
-
-TEST(StringUtilTest, StripWhitespace) {
-  EXPECT_EQ(StripWhitespace("  x y \t\n"), "x y");
-  EXPECT_EQ(StripWhitespace(""), "");
-  EXPECT_EQ(StripWhitespace(" \t "), "");
-}
-
-TEST(StringUtilTest, FormatMicros) {
-  EXPECT_EQ(FormatMicros(500), "500us");
-  EXPECT_EQ(FormatMicros(12300), "12.3ms");
-  EXPECT_EQ(FormatMicros(4560000), "4.56s");
 }
 
 TEST(TimerTest, MeasuresElapsedTime) {

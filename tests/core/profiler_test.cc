@@ -169,7 +169,6 @@ TEST(ProfilerTest, TinyPliBudgetDoesNotChangeResults) {
   EngineConfig config;
   config.seed = 7;
   config.pli_budget_bytes = 1;
-  config.pli_impl = PliImpl::kCsr;
   config.spill.dir = ::testing::TempDir();
   config.sampling.pairs = 64;
   config.sampling.seed = 5;

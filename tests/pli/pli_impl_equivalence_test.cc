@@ -86,7 +86,8 @@ const Variant kVariants[] = {
 };
 
 std::string VariantName(const Variant& v) {
-  return std::string(ToString(v.impl)) + (v.scalar ? "/scalar" : "/native");
+  return std::string(v.impl == PliImpl::kCsr ? "csr" : "bitmap") +
+         (v.scalar ? "/scalar" : "/native");
 }
 
 // Every variant must agree with the scalar-CSR oracle on the partition,

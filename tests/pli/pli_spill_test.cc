@@ -256,20 +256,29 @@ void ExpectRoundTripIdentity(const Pli& pli) {
 }
 
 TEST(PliSerializationTest, RoundTripIsIdentityAcrossImpls) {
+  // Both layouts, chosen by the input: low-cardinality columns of >= 64
+  // rows carry the bitmap sidecar; a column of fewer rows, or one with
+  // more than 256 clusters, is CSR only.
+  bool saw_sidecar = false;
+  bool saw_csr_only = false;
   for (uint64_t seed : {1u, 7u, 23u}) {
-    const Relation r = RandomRelation(seed, 5, 300, 12);
-    for (PliImpl impl : {PliImpl::kCsr, PliImpl::kBitmap, PliImpl::kAuto}) {
+    for (const Relation& r :
+         {RandomRelation(seed, 5, 300, 12), RandomRelation(seed, 5, 40, 12),
+          MakeCategorical(1500, {500, 400}, seed, "high_card")}) {
       for (int c = 0; c < r.NumColumns(); ++c) {
-        ExpectRoundTripIdentity(Pli::FromColumn(r.GetColumn(c), r.NumRows(),
-                                                impl));
+        const Pli pli = Pli::FromColumn(r.GetColumn(c), r.NumRows());
+        (pli.HasBitmap() ? saw_sidecar : saw_csr_only) = true;
+        ExpectRoundTripIdentity(pli);
       }
       // Intersections too: sidecar propagation decisions must round-trip.
-      const Pli ab = Pli::FromColumn(r.GetColumn(0), r.NumRows(), impl)
+      const Pli ab = Pli::FromColumn(r.GetColumn(0), r.NumRows())
                          .Intersect(Pli::FromColumn(r.GetColumn(1),
-                                                    r.NumRows(), impl));
+                                                    r.NumRows()));
       ExpectRoundTripIdentity(ab);
     }
   }
+  EXPECT_TRUE(saw_sidecar);
+  EXPECT_TRUE(saw_csr_only);
   // Degenerate shapes: unique column (empty PLI) and the empty-set PLI.
   const Relation unique = RandomRelation(3, 1, 50, 1000);
   ExpectRoundTripIdentity(
@@ -304,6 +313,7 @@ std::vector<ColumnSet> AllPairsAndTriples(int n) {
 }
 
 void ExpectSamePli(const Pli& a, const Pli& b, const ColumnSet& set) {
+  ASSERT_EQ(a.HasBitmap(), b.HasBitmap()) << set.ToString();
   ASSERT_EQ(a.NumClusters(), b.NumClusters()) << set.ToString();
   ASSERT_EQ(a.rows().size(), b.rows().size()) << set.ToString();
   for (size_t i = 0; i < a.rows().size(); ++i) {
@@ -312,21 +322,40 @@ void ExpectSamePli(const Pli& a, const Pli& b, const ColumnSet& set) {
 }
 
 TEST(PliCacheSpillTest, TieredCacheMatchesUnlimitedCache) {
-  const Relation r =
-      DeduplicateRows(MakeCategorical(600, {4, 3, 5, 2, 6, 3}, 29,
-                                      "spill_test"))
-          .relation;
-  for (PliImpl impl : {PliImpl::kAuto, PliImpl::kCsr, PliImpl::kBitmap}) {
+  // Spill round trips with and without the bitmap sidecar, chosen by the
+  // input: low-cardinality columns of 600 rows carry it; a column with
+  // more than 256 clusters, or a relation of fewer than 64 rows, does not.
+  struct Input {
+    Relation relation;
+    bool first_column_has_sidecar;
+  };
+  const Input inputs[] = {
+      {DeduplicateRows(MakeCategorical(600, {4, 3, 5, 2, 6, 3}, 29,
+                                       "spill_test"))
+           .relation,
+       true},
+      {DeduplicateRows(MakeCategorical(1500, {500, 3, 4, 5}, 29,
+                                       "high_card"))
+           .relation,
+       false},
+      {DeduplicateRows(MakeCategorical(50, {3, 4, 5}, 29, "short")).relation,
+       false},
+  };
+  for (const Input& input : inputs) {
+    const Relation& r = input.relation;
     // Tiny budget so every derived entry is demoted, with the cold tier
     // turned on: evictions spill instead of dropping.
     // The unlimited cache is built outside the run and never evicts, so
     // the run's eviction, spill and pinned-byte metrics are the tiered
     // cache's alone.
-    PliCache unlimited(r, PliCache::kUnlimitedBudget, nullptr, impl);
+    PliCache unlimited(r, PliCache::kUnlimitedBudget);
     const MetricsScope scope;
-    PliCache tiered(r, /*budget_bytes=*/1, /*pool=*/nullptr, impl,
+    PliCache tiered(r, /*budget_bytes=*/1, /*pool=*/nullptr,
                     TempSpillConfig());
     ASSERT_TRUE(tiered.spill_enabled());
+    EXPECT_EQ(tiered.Get(ColumnSet::Single(0))->HasBitmap(),
+              input.first_column_has_sidecar)
+        << r.name();
     const std::vector<ColumnSet> sets = AllPairsAndTriples(r.NumColumns());
     // Two passes: the second probes entries whose hot copy was evicted, so
     // it exercises the reload path.
@@ -350,7 +379,7 @@ TEST(PliCacheSpillTest, SpillDisabledWithoutDirOrWithUnlimitedBudget) {
   EXPECT_FALSE(no_dir.spill_enabled());
   // Unlimited budget never evicts, so the cold tier stays off even with a
   // spill dir configured.
-  PliCache unlimited(r, PliCache::kUnlimitedBudget, nullptr, PliImpl::kAuto,
+  PliCache unlimited(r, PliCache::kUnlimitedBudget, nullptr,
                      TempSpillConfig());
   EXPECT_FALSE(unlimited.spill_enabled());
 }
@@ -362,7 +391,7 @@ TEST(PliCacheSpillTest, UnavailableSpillDirIsCountedNotPrinted) {
   spill.dir = "/nonexistent/muds/spill/dir";
   const MetricsScope scope;
   ::testing::internal::CaptureStderr();
-  PliCache cache(r, /*budget_bytes=*/1, nullptr, PliImpl::kAuto, spill);
+  PliCache cache(r, /*budget_bytes=*/1, nullptr, spill);
   EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
   EXPECT_FALSE(cache.spill_enabled());
   EXPECT_EQ(ScopeValue(scope, "pli_cache.spill_unavailable"), 1);
@@ -375,7 +404,7 @@ TEST(PliCacheSpillTest, SpillBudgetExhaustionFallsBackToRebuild) {
   // One-byte spill budget: every demotion attempt fails, so the cache must
   // behave exactly like the single-tier tight cache (drop + rebuild).
   const MetricsScope scope;
-  PliCache tiered(r, /*budget_bytes=*/1, nullptr, PliImpl::kAuto,
+  PliCache tiered(r, /*budget_bytes=*/1, nullptr,
                   TempSpillConfig(/*budget_bytes=*/1));
   PliCache unlimited(r, PliCache::kUnlimitedBudget);
   for (const ColumnSet& set : AllPairsAndTriples(r.NumColumns())) {

@@ -240,10 +240,14 @@ void ExpectSamePli(const Pli& a, const Pli& b, const std::string& what) {
 TEST(PliMergeAppendTest, MergeAppendIsBitIdenticalToFromColumn) {
   // Randomized: grow a single-column relation in batches and check that
   // MergeAppend over the AppendBatch delta reproduces FromColumn on the
-  // grown column exactly — for every representation strategy, including
-  // the kAuto row-count threshold and the 256-cluster sidecar limit.
+  // grown column exactly — sidecar included. The cuts cross both edges of
+  // the attach rule: the 64-row threshold (30 -> 70 rows) and, at
+  // cardinality 400, the 256-cluster limit (~180 clusters at 600 rows,
+  // ~320 at 1200).
+  bool saw_sidecar = false;
+  bool saw_csr_only = false;
   for (uint64_t seed : {1u, 2u, 3u, 4u}) {
-    for (int cardinality : {1, 2, 40, 300}) {
+    for (int cardinality : {1, 2, 40, 400}) {
       std::vector<std::vector<std::string>> rows;
       uint64_t state = seed * 0x9E3779B97F4A7C15ULL + 1;
       const auto next = [&state]() {
@@ -252,33 +256,30 @@ TEST(PliMergeAppendTest, MergeAppendIsBitIdenticalToFromColumn) {
         state ^= state << 17;
         return state;
       };
-      for (int i = 0; i < 120; ++i) {
+      for (int i = 0; i < 1200; ++i) {
         rows.push_back({"v" + std::to_string(next() % cardinality)});
       }
-      for (PliImpl impl : {PliImpl::kAuto, PliImpl::kCsr, PliImpl::kBitmap}) {
-        Relation relation = Relation::FromRows(
-            {"A"}, {rows.begin(), rows.begin() + 30});
-        Pli pli = Pli::FromColumn(relation.GetColumn(0), relation.NumRows(),
-                                  impl);
-        const int cuts[] = {30, 31, 70, 120};  // Includes a 1-row batch.
-        for (size_t i = 1; i < std::size(cuts); ++i) {
-          const Relation batch = Relation::FromRows(
-              {"A"}, {rows.begin() + cuts[i - 1], rows.begin() + cuts[i]});
-          const AppendDelta delta = relation.AppendBatch(batch);
-          pli = Pli::MergeAppend(pli, relation.GetColumn(0),
-                                 delta.columns[0], delta.new_num_rows, impl);
-          ExpectSamePli(
-              pli,
-              Pli::FromColumn(relation.GetColumn(0), relation.NumRows(),
-                              impl),
-              "seed " + std::to_string(seed) + " card " +
-                  std::to_string(cardinality) + " impl " +
-                  std::string(ToString(impl)) + " rows " +
-                  std::to_string(cuts[i]));
-        }
+      Relation relation =
+          Relation::FromRows({"A"}, {rows.begin(), rows.begin() + 30});
+      Pli pli = Pli::FromColumn(relation.GetColumn(0), relation.NumRows());
+      const int cuts[] = {30, 31, 70, 600, 1200};  // Includes a 1-row batch.
+      for (size_t i = 1; i < std::size(cuts); ++i) {
+        const Relation batch = Relation::FromRows(
+            {"A"}, {rows.begin() + cuts[i - 1], rows.begin() + cuts[i]});
+        const AppendDelta delta = relation.AppendBatch(batch);
+        pli = Pli::MergeAppend(pli, relation.GetColumn(0), delta.columns[0],
+                               delta.new_num_rows);
+        (pli.HasBitmap() ? saw_sidecar : saw_csr_only) = true;
+        ExpectSamePli(
+            pli, Pli::FromColumn(relation.GetColumn(0), relation.NumRows()),
+            "seed " + std::to_string(seed) + " card " +
+                std::to_string(cardinality) + " rows " +
+                std::to_string(cuts[i]));
       }
     }
   }
+  EXPECT_TRUE(saw_sidecar);
+  EXPECT_TRUE(saw_csr_only);
 }
 
 TEST(PliMergeAppendTest, CacheOnAppendPatchesPinnedAndDropsDerived) {
@@ -312,6 +313,71 @@ TEST(PliMergeAppendTest, CacheOnAppendPatchesPinnedAndDropsDerived) {
                     .Intersect(Pli::FromColumn(relation.GetColumn(1),
                                                relation.NumRows())),
                 "rebuilt derived");
+}
+
+// One column of `rows` rows cycling through `cardinality` values, so each
+// value occurs rows / cardinality or one more times.
+Relation CyclicColumn(int rows, int cardinality) {
+  std::vector<std::vector<std::string>> data;
+  for (int i = 0; i < rows; ++i) {
+    data.push_back({"v" + std::to_string(i % cardinality)});
+  }
+  return Relation::FromRows({"A"}, data);
+}
+
+bool DefaultHasSidecar(const Relation& r) {
+  return Pli::FromColumn(r.GetColumn(0), r.NumRows()).HasBitmap();
+}
+
+// The one sidecar attach rule every engine builds with: 1..256 clusters
+// and at least 64 rows.
+TEST(PliSidecarRuleTest, AttachesFromSixtyFourRows) {
+  EXPECT_EQ(Pli::kAutoSidecarMinRows, 64);
+  EXPECT_FALSE(DefaultHasSidecar(CyclicColumn(63, 4)));
+  EXPECT_TRUE(DefaultHasSidecar(CyclicColumn(64, 4)));
+  EXPECT_FALSE(Pli::ForEmptySet(63).HasBitmap());
+  EXPECT_TRUE(Pli::ForEmptySet(64).HasBitmap());
+}
+
+TEST(PliSidecarRuleTest, AttachesUpTo256Clusters) {
+  const Relation at_limit = CyclicColumn(512, 256);
+  const Relation over_limit = CyclicColumn(514, 257);
+  EXPECT_EQ(Pli::FromColumn(at_limit.GetColumn(0), 512).NumClusters(), 256);
+  EXPECT_EQ(Pli::FromColumn(over_limit.GetColumn(0), 514).NumClusters(), 257);
+  EXPECT_TRUE(DefaultHasSidecar(at_limit));
+  EXPECT_FALSE(DefaultHasSidecar(over_limit));
+}
+
+TEST(PliSidecarRuleTest, UniqueColumnHasNoSidecar) {
+  const Relation unique = CyclicColumn(100, 100);
+  EXPECT_EQ(Pli::FromColumn(unique.GetColumn(0), 100).NumClusters(), 0);
+  EXPECT_FALSE(DefaultHasSidecar(unique));
+}
+
+TEST(PliSidecarRuleTest, CachePinsAndAppendsFollowTheRule) {
+  // 600 rows: a 4-value column (sidecar), a 300-cluster column and a
+  // unique column (neither), and the one-cluster empty-set PLI (sidecar).
+  std::vector<std::vector<std::string>> rows;
+  for (int i = 0; i < 600; ++i) {
+    rows.push_back({std::to_string(i % 4), std::to_string(i % 300),
+                    std::to_string(i)});
+  }
+  const Relation wide = Relation::FromRows({"A", "B", "C"}, rows);
+  PliCache cache(wide);
+  EXPECT_TRUE(cache.Get(ColumnSet::Single(0))->HasBitmap());
+  EXPECT_FALSE(cache.Get(ColumnSet::Single(1))->HasBitmap());
+  EXPECT_FALSE(cache.Get(ColumnSet::Single(2))->HasBitmap());
+  EXPECT_TRUE(cache.Get(ColumnSet())->HasBitmap());
+
+  // 63 rows: no pin carries a sidecar; one appended row crosses the
+  // threshold, and OnAppend's patched pins pick it up.
+  Relation short_relation = CyclicColumn(63, 4);
+  PliCache short_cache(short_relation);
+  EXPECT_FALSE(short_cache.Get(ColumnSet::Single(0))->HasBitmap());
+  EXPECT_FALSE(short_cache.Get(ColumnSet())->HasBitmap());
+  short_cache.OnAppend(short_relation.AppendBatch(CyclicColumn(1, 4)));
+  EXPECT_TRUE(short_cache.Get(ColumnSet::Single(0))->HasBitmap());
+  EXPECT_TRUE(short_cache.Get(ColumnSet())->HasBitmap());
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 // ResultCatalog: content-hash keying, hit/miss/coalesce semantics, abort
 // promotion, LRU eviction — and the append path the server routes through
 // it (a submission with append batches must be interchangeable with the
-// profile of the concatenation).
+// profile of the concatenation). Hits, misses, coalesced waits and
+// evictions are read from the serve.catalog_* registry counters of each
+// test's own MetricsScope.
 
 #include "serve/catalog.h"
 
@@ -12,8 +14,10 @@
 #include <thread>
 #include <vector>
 
+#include "common/metrics.h"
 #include "core/profiler.h"
 #include "gtest/gtest.h"
+#include "test_util.h"
 
 namespace muds {
 namespace serve {
@@ -70,6 +74,7 @@ TEST(CatalogKeyTest, NearMissesGetDistinctKeys) {
 }
 
 TEST(CatalogTest, MissThenPublishThenHitReturnsSameValue) {
+  const MetricsScope scope;
   ResultCatalog catalog(8);
   const std::string key = ResultCatalog::KeyFor(kCsv, {}, ProfileOptions());
 
@@ -83,13 +88,13 @@ TEST(CatalogTest, MissThenPublishThenHitReturnsSameValue) {
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit.get(), value.get());
 
-  const ResultCatalog::Stats stats = catalog.GetStats();
-  EXPECT_EQ(stats.misses, 1);
-  EXPECT_EQ(stats.hits, 1);
-  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(ScopeValue(scope, "serve.catalog_misses"), 1);
+  EXPECT_EQ(ScopeValue(scope, "serve.catalog_hits"), 1);
+  EXPECT_EQ(catalog.NumEntries(), 1u);
 }
 
 TEST(CatalogTest, ConcurrentDuplicatesCoalesceOntoOneComputer) {
+  const MetricsScope scope;
   ResultCatalog catalog(8);
   const std::string key = "coalesce-key";
   ASSERT_EQ(catalog.FindOrBegin(key), nullptr);  // This thread computes.
@@ -97,7 +102,8 @@ TEST(CatalogTest, ConcurrentDuplicatesCoalesceOntoOneComputer) {
   std::vector<std::thread> waiters;
   std::vector<std::shared_ptr<const ResultCatalog::Value>> seen(4);
   for (size_t i = 0; i < seen.size(); ++i) {
-    waiters.emplace_back([&catalog, &key, &seen, i] {
+    waiters.emplace_back([&catalog, &key, &seen, &scope, i] {
+      const MetricsScope enter(scope.run());  // Count in the test's run.
       seen[i] = catalog.FindOrBegin(key);  // Blocks until Publish.
     });
   }
@@ -109,13 +115,12 @@ TEST(CatalogTest, ConcurrentDuplicatesCoalesceOntoOneComputer) {
     ASSERT_NE(hit, nullptr);
     EXPECT_EQ(hit.get(), value.get());
   }
-  const ResultCatalog::Stats stats = catalog.GetStats();
   // Exactly one computation no matter how the threads interleave; every
   // duplicate is a hit whether it blocked on the pending entry (coalesced)
   // or arrived after Publish (ready hit).
-  EXPECT_EQ(stats.misses, 1);
-  EXPECT_EQ(stats.hits, 4);
-  EXPECT_LE(stats.coalesced, 4);
+  EXPECT_EQ(ScopeValue(scope, "serve.catalog_misses"), 1);
+  EXPECT_EQ(ScopeValue(scope, "serve.catalog_hits"), 4);
+  EXPECT_LE(ScopeValue(scope, "serve.catalog_coalesced"), 4);
 }
 
 TEST(CatalogTest, AbortPromotesExactlyOneWaiter) {
@@ -144,23 +149,24 @@ TEST(CatalogTest, AbortPromotesExactlyOneWaiter) {
 }
 
 TEST(CatalogTest, AbortWithNoWaitersErasesTheEntry) {
+  const MetricsScope scope;
   ResultCatalog catalog(8);
   ASSERT_EQ(catalog.FindOrBegin("k"), nullptr);
   catalog.Abort("k");
   // The next lookup is a fresh miss, not a stranded pending entry.
   EXPECT_EQ(catalog.FindOrBegin("k"), nullptr);
-  EXPECT_EQ(catalog.GetStats().misses, 2);
+  EXPECT_EQ(ScopeValue(scope, "serve.catalog_misses"), 2);
 }
 
 TEST(CatalogTest, EvictsLeastRecentlyUsedReadyEntry) {
+  const MetricsScope scope;
   ResultCatalog catalog(/*max_entries=*/2);
   for (const char* key : {"a", "b", "c"}) {
     ASSERT_EQ(catalog.FindOrBegin(key), nullptr);
     catalog.Publish(key, std::make_shared<ResultCatalog::Value>());
   }
-  const ResultCatalog::Stats stats = catalog.GetStats();
-  EXPECT_EQ(stats.evictions, 1);
-  EXPECT_EQ(stats.entries, 2u);
+  EXPECT_EQ(ScopeValue(scope, "serve.catalog_evictions"), 1);
+  EXPECT_EQ(catalog.NumEntries(), 2u);
   // "a" was the LRU victim; "b" and "c" are still resident.
   EXPECT_NE(catalog.FindOrBegin("c"), nullptr);
   EXPECT_NE(catalog.FindOrBegin("b"), nullptr);

@@ -4,7 +4,8 @@
 // The deterministic tests use a 1-thread pool (Submit runs inline) plus
 // start_paused, so a backlog builds up and Resume() replays it in exactly
 // the order the priority queues dictate. The concurrent tests run under
-// the tsan label.
+// the tsan label. Job counts are read from the serve.* registry counters
+// of each test's own MetricsScope.
 
 #include "serve/job_scheduler.h"
 
@@ -13,9 +14,11 @@
 #include <thread>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "gtest/gtest.h"
+#include "test_util.h"
 
 namespace muds {
 namespace serve {
@@ -29,6 +32,7 @@ JobScheduler::Options Paused(size_t max_queued = 64) {
 }
 
 TEST(JobSchedulerTest, RunsHighestPriorityFirstFifoWithinLevel) {
+  const MetricsScope scope;
   ThreadPool pool(1);  // Inline: Resume() replays the backlog in order.
   JobScheduler scheduler(&pool, Paused());
 
@@ -55,14 +59,14 @@ TEST(JobSchedulerTest, RunsHighestPriorityFirstFifoWithinLevel) {
   scheduler.Drain();
   EXPECT_EQ(order, (std::vector<int>{5, 2, 4, 1, 3}));
 
-  const JobScheduler::Stats stats = scheduler.GetStats();
-  EXPECT_EQ(stats.submitted, 5);
-  EXPECT_EQ(stats.completed, 5);
-  EXPECT_EQ(stats.queued, 0u);
-  EXPECT_EQ(stats.running, 0u);
+  EXPECT_EQ(ScopeValue(scope, "serve.jobs_submitted"), 5);
+  EXPECT_EQ(ScopeValue(scope, "serve.jobs_completed"), 5);
+  EXPECT_EQ(scheduler.NumQueued(), 0u);
+  EXPECT_EQ(scheduler.NumRunning(), 0u);
 }
 
 TEST(JobSchedulerTest, RejectsWhenQueueFullWithOutOfRange) {
+  const MetricsScope scope;
   ThreadPool pool(1);
   JobScheduler scheduler(&pool, Paused(/*max_queued=*/2));
 
@@ -73,14 +77,14 @@ TEST(JobSchedulerTest, RejectsWhenQueueFullWithOutOfRange) {
   const Result<JobId> rejected = scheduler.Submit(noop);
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kOutOfRange);
-  EXPECT_EQ(scheduler.GetStats().rejected, 1);
+  EXPECT_EQ(ScopeValue(scope, "serve.jobs_rejected"), 1);
 
   scheduler.Resume();
   scheduler.Drain();
   // The backlog drained, so admission has room again.
   EXPECT_TRUE(scheduler.Submit(noop).ok());
   scheduler.Drain();
-  EXPECT_EQ(scheduler.GetStats().completed, 3);
+  EXPECT_EQ(ScopeValue(scope, "serve.jobs_completed"), 3);
 }
 
 TEST(JobSchedulerTest, RejectsAfterBeginShutdownWithUnavailable) {
@@ -96,6 +100,7 @@ TEST(JobSchedulerTest, RejectsAfterBeginShutdownWithUnavailable) {
 }
 
 TEST(JobSchedulerTest, CancelWhileQueuedNeverRunsTheBody) {
+  const MetricsScope scope;
   ThreadPool pool(1);
   JobScheduler scheduler(&pool, Paused());
 
@@ -112,7 +117,7 @@ TEST(JobSchedulerTest, CancelWhileQueuedNeverRunsTheBody) {
   EXPECT_FALSE(ran);
   ASSERT_TRUE(scheduler.GetInfo(id.value()).has_value());
   EXPECT_EQ(scheduler.GetInfo(id.value())->state, JobState::kCancelled);
-  EXPECT_EQ(scheduler.GetStats().cancelled, 1);
+  EXPECT_EQ(ScopeValue(scope, "serve.jobs_cancelled"), 1);
   // A job already terminal cannot be cancelled again.
   EXPECT_FALSE(scheduler.Cancel(id.value()));
 }
@@ -146,6 +151,7 @@ TEST(JobSchedulerTest, CancelMidPhaseStopsAtNextCheckAlive) {
 }
 
 TEST(JobSchedulerTest, DeadlineExpiryWhileQueuedDropsAtDispatch) {
+  const MetricsScope scope;
   ThreadPool pool(1);
   JobScheduler scheduler(&pool, Paused());
 
@@ -165,7 +171,7 @@ TEST(JobSchedulerTest, DeadlineExpiryWhileQueuedDropsAtDispatch) {
   scheduler.Drain();
   EXPECT_FALSE(ran);
   EXPECT_EQ(scheduler.GetInfo(id.value())->state, JobState::kExpired);
-  EXPECT_EQ(scheduler.GetStats().expired, 1);
+  EXPECT_EQ(ScopeValue(scope, "serve.jobs_expired"), 1);
 }
 
 TEST(JobSchedulerTest, DeadlineExpiryMidRunStopsAtCheckAlive) {
@@ -190,6 +196,7 @@ TEST(JobSchedulerTest, DeadlineExpiryMidRunStopsAtCheckAlive) {
 }
 
 TEST(JobSchedulerTest, FailedJobKeepsItsStatus) {
+  const MetricsScope scope;
   ThreadPool pool(1);
   JobScheduler scheduler(&pool, JobScheduler::Options{});
   const Result<JobId> id = scheduler.Submit([](JobContext&) {
@@ -201,10 +208,11 @@ TEST(JobSchedulerTest, FailedJobKeepsItsStatus) {
   ASSERT_TRUE(info.has_value());
   EXPECT_EQ(info->state, JobState::kFailed);
   EXPECT_EQ(info->status.code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(scheduler.GetStats().failed, 1);
+  EXPECT_EQ(ScopeValue(scope, "serve.jobs_failed"), 1);
 }
 
 TEST(JobSchedulerTest, QueueWaitIsAccounted) {
+  const MetricsScope scope;
   ThreadPool pool(1);
   JobScheduler scheduler(&pool, Paused());
   const Result<JobId> id =
@@ -214,7 +222,7 @@ TEST(JobSchedulerTest, QueueWaitIsAccounted) {
   scheduler.Resume();
   scheduler.Drain();
   EXPECT_GE(scheduler.GetInfo(id.value())->queue_wait_ns, 1000000);
-  EXPECT_GE(scheduler.GetStats().queue_wait_ns, 1000000);
+  EXPECT_GE(ScopeValue(scope, "serve.queue_wait_ns"), 1000000);
 }
 
 TEST(JobSchedulerTest, JobContextExposesBudget) {
@@ -238,7 +246,7 @@ TEST(JobSchedulerTest, WaitTerminalTimesOutAndUnknownIdsAreFalse) {
   ASSERT_TRUE(id.ok());
   EXPECT_FALSE(scheduler.WaitTerminal(id.value(), /*timeout_ms=*/10));
   EXPECT_FALSE(scheduler.WaitTerminal(9999, /*timeout_ms=*/10));
-  EXPECT_FALSE(scheduler.GetState(9999).has_value());
+  EXPECT_FALSE(scheduler.GetInfo(9999).has_value());
   scheduler.Resume();
   scheduler.Drain();
   EXPECT_TRUE(scheduler.WaitTerminal(id.value(), /*timeout_ms=*/10));
@@ -248,6 +256,7 @@ TEST(JobSchedulerTest, WaitTerminalTimesOutAndUnknownIdsAreFalse) {
 // producers submitting, cancelling, and waiting against a real worker
 // pool, with the scheduler's destructor draining whatever remains.
 TEST(JobSchedulerConcurrencyTest, ConcurrentSubmitCancelDrain) {
+  const MetricsScope scope;
   ThreadPool pool(4);
   JobScheduler::Options options;
   options.max_queued = 1024;
@@ -258,6 +267,9 @@ TEST(JobSchedulerConcurrencyTest, ConcurrentSubmitCancelDrain) {
   std::atomic<int> accepted{0};
   for (int t = 0; t < 4; ++t) {
     producers.emplace_back([&, t] {
+      // Producers are plain threads: re-enter the test's run so their
+      // submits (and the pumps they schedule) count in it.
+      const MetricsScope enter(scope.run());
       for (int i = 0; i < 32; ++i) {
         JobConfig config;
         config.priority = (t + i) % 3;
@@ -280,13 +292,15 @@ TEST(JobSchedulerConcurrencyTest, ConcurrentSubmitCancelDrain) {
   for (std::thread& producer : producers) producer.join();
   scheduler.Drain();
 
-  const JobScheduler::Stats stats = scheduler.GetStats();
-  EXPECT_EQ(stats.submitted, accepted.load());
-  EXPECT_EQ(stats.completed + stats.cancelled + stats.failed + stats.expired,
+  const int64_t completed = ScopeValue(scope, "serve.jobs_completed");
+  EXPECT_EQ(ScopeValue(scope, "serve.jobs_submitted"), accepted.load());
+  EXPECT_EQ(completed + ScopeValue(scope, "serve.jobs_cancelled") +
+                ScopeValue(scope, "serve.jobs_failed") +
+                ScopeValue(scope, "serve.jobs_expired"),
             accepted.load());
-  EXPECT_EQ(stats.completed, executed.load());
-  EXPECT_EQ(stats.queued, 0u);
-  EXPECT_EQ(stats.running, 0u);
+  EXPECT_EQ(completed, executed.load());
+  EXPECT_EQ(scheduler.NumQueued(), 0u);
+  EXPECT_EQ(scheduler.NumRunning(), 0u);
 }
 
 }  // namespace

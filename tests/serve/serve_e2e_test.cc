@@ -9,6 +9,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdint>
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "common/json.h"
+#include "common/metrics.h"
 #include "core/profiler.h"
 #include "core/report.h"
 #include "gtest/gtest.h"
@@ -200,7 +202,33 @@ TEST_F(ServeE2eTest, SubmitResultMatchesInProcessProfileAndDuplicateHits) {
   ASSERT_TRUE(stats.Find("ok")->boolean);
   EXPECT_GE(Number(*stats.Find("serve"), "serve.jobs_completed"), 2);
   EXPECT_GE(Number(*stats.Find("serve"), "serve.catalog_hits"), 1);
-  EXPECT_GE(Number(*stats.Find("catalog"), "hits"), 1);
+
+  // Both frames carry every registered serve.* counter, zeros included:
+  // they walk the registry, the one count of jobs and catalog events.
+  std::vector<std::string> registered;
+  for (const auto& [name, value] : MetricsRegistry::Global().Snapshot()) {
+    if (name.rfind("serve.", 0) == 0) registered.push_back(name);
+  }
+  for (const char* name : {"serve.catalog_evictions", "serve.jobs_expired"}) {
+    EXPECT_NE(std::find(registered.begin(), registered.end(), name),
+              registered.end())
+        << name;
+  }
+  for (const json::Value* frame : {done.Find("serve"), stats.Find("serve")}) {
+    ASSERT_NE(frame, nullptr);
+    EXPECT_EQ(frame->object.size(), registered.size());
+    for (const std::string& name : registered) {
+      EXPECT_NE(frame->Find(name), nullptr) << name;
+    }
+  }
+  // Live state rides next to the counters; the catalog's events are the
+  // serve.catalog_* counters, so its object holds only `entries`.
+  ASSERT_NE(stats.Find("catalog"), nullptr);
+  EXPECT_EQ(stats.Find("catalog")->object.size(), 1u);
+  EXPECT_GE(Number(*stats.Find("catalog"), "entries"), 1);
+  ASSERT_NE(stats.Find("scheduler"), nullptr);
+  EXPECT_GE(Number(*stats.Find("scheduler"), "queued"), 0);
+  EXPECT_GE(Number(*stats.Find("scheduler"), "running"), 0);
 }
 
 TEST_F(ServeE2eTest, AppendSubmissionUsesFastPathAndMatchesConcatenation) {

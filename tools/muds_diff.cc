@@ -6,17 +6,16 @@
 // sequential SPIDER+DUCC+FUN baseline, and TANE — across the full
 // {threads: 1,2,8} x {pli-budget: tiny,unlimited} x {io: stream,buffered}
 // configuration matrix (io=stream parses with the reference CSV reader and
-// profiles the relation) — plus a PLI-implementation axis
-// {csr,bitmap} x {native,forced-scalar SIMD} x {threads: 1,8} — and a
-// spill axis (tiny PLI budget + disk spill tier + external sort-merge
-// SPIDER) — and a sampling axis ({1K,64K} sampled pairs x {threads: 1,8}
-// x {default, tiny budget + spill}, asserting the refutation-only
-// invariant: result sets are bit-identical at every --sample-pairs
-// setting) — and diffs all result sets against the oracle. kAuto (the
-// column-count rule picking MUDS or HFUN) is diffed too, at {threads: 1,8}
-// x {budget: unlimited, tiny+spill}. Every engine run goes through the CSV
-// surface (CsvWriter -> a CSV reader), so both readers are part of the
-// contract under test.
+// profiles the relation) — plus a forced-scalar SIMD axis {threads: 1,8}
+// — and a spill axis (tiny PLI budget + disk spill tier + external
+// sort-merge SPIDER, {threads: 1,8}) — and a sampling axis ({1K,64K}
+// sampled pairs x {threads: 1,8} x {default, tiny budget + spill},
+// asserting the refutation-only invariant: result sets are bit-identical
+// at every --sample-pairs setting) — and diffs all result sets against
+// the oracle. kAuto (the column-count rule picking MUDS or HFUN) is
+// diffed too, at {threads: 1,8} x {budget: unlimited, tiny+spill}. Every
+// engine run goes through the CSV surface (CsvWriter -> a CSV reader), so
+// both readers are part of the contract under test.
 //
 // On a mismatch the driver shrinks the instance (drop columns, then chop
 // row chunks, while the mismatch persists) and prints a reproducer: the
@@ -96,7 +95,6 @@ struct DiffConfig {
   // and profiles the relation; io=buffered runs the engines' CSV entry
   // points on the parallel ingest engine.
   bool stream_io = false;
-  PliImpl impl = PliImpl::kAuto;
   bool force_scalar_simd = false;
   bool spill = false;
   int64_t sample_pairs = 0;  // 0 = sampling disabled
@@ -105,10 +103,6 @@ struct DiffConfig {
     std::string out = "threads=" + std::to_string(threads);
     out += pli_budget_bytes == 0 ? " budget=unlimited" : " budget=tiny";
     out += stream_io ? " io=stream" : " io=buffered";
-    if (impl != PliImpl::kAuto) {
-      out += " impl=";
-      out += ToString(impl);
-    }
     if (force_scalar_simd) out += " simd=scalar";
     if (spill) out += " spill=on";
     if (sample_pairs != 0) {
@@ -127,33 +121,23 @@ std::vector<DiffConfig> ConfigMatrix() {
       }
     }
   }
-  // PLI implementation axis: pinned CSR and pinned bitmap, each with the
-  // native SIMD level and with the runtime scalar kill switch, single- and
-  // multi-threaded. All variants must produce identical result sets.
-  for (PliImpl impl : {PliImpl::kCsr, PliImpl::kBitmap}) {
-    for (bool scalar : {false, true}) {
-      for (int threads : {1, 8}) {
-        DiffConfig config;
-        config.threads = threads;
-        config.impl = impl;
-        config.force_scalar_simd = scalar;
-        configs.push_back(config);
-      }
-    }
-  }
-  // Spill axis: tiny PLI budget plus the disk tier, so evictions demote to
-  // the spill file and cache probes reload from it, and SPIDER runs its
-  // external sort-merge — single- and multi-threaded, both PLI impls. The
-  // out-of-core path must be invisible in the result sets.
-  for (PliImpl impl : {PliImpl::kAuto, PliImpl::kCsr, PliImpl::kBitmap}) {
-    for (int threads : {1, 8}) {
-      DiffConfig config;
-      config.threads = threads;
-      config.pli_budget_bytes = kTinyBudgetBytes;
-      config.impl = impl;
-      config.spill = true;
-      configs.push_back(config);
-    }
+  for (int threads : {1, 8}) {
+    // SIMD axis: the runtime scalar kill switch, single- and
+    // multi-threaded. The native and scalar kernels must produce identical
+    // result sets (the native level runs in every other configuration).
+    DiffConfig scalar;
+    scalar.threads = threads;
+    scalar.force_scalar_simd = true;
+    configs.push_back(scalar);
+    // Spill axis: tiny PLI budget plus the disk tier, so evictions demote
+    // to the spill file and cache probes reload from it, and SPIDER runs
+    // its external sort-merge. The out-of-core path must be invisible in
+    // the result sets.
+    DiffConfig spill;
+    spill.threads = threads;
+    spill.pli_budget_bytes = kTinyBudgetBytes;
+    spill.spill = true;
+    configs.push_back(spill);
   }
   // Sampling axis: evidence-store pre-validation at a small and a large
   // pair budget, sequential and parallel, with and without memory pressure
@@ -238,7 +222,6 @@ EngineAnswer RunEngine(Engine engine, const std::string& csv_text,
   options.seed = seed;
   options.num_threads = config.threads;
   options.pli_budget_bytes = config.pli_budget_bytes;
-  options.pli_impl = config.impl;
   if (config.spill) {
     options.spill.dir = std::filesystem::temp_directory_path().string();
   }
@@ -396,13 +379,13 @@ void PrintReproducer(Engine engine, const DiffConfig& config,
   std::fputs("\n", stderr);
 }
 
-// Whether `engine` runs under `config`. TANE has no thread/budget/impl/
-// sampling knobs, so it runs once per io mode. kAuto only dispatches to the
-// MUDS and HFUN runs the matrix already covers, so it runs at threads 1 and
-// 8, each with an unlimited budget and with a tiny budget + spill.
+// Whether `engine` runs under `config`. TANE has no thread/budget/
+// sampling knobs, so it runs once per io mode at the native SIMD level.
+// kAuto only dispatches to the MUDS and HFUN runs the matrix already
+// covers, so it runs at threads 1 and 8, each with an unlimited budget and
+// with a tiny budget + spill.
 bool Runs(Engine engine, const DiffConfig& config) {
-  const bool plain = config.impl == PliImpl::kAuto &&
-                     !config.force_scalar_simd && config.sample_pairs == 0;
+  const bool plain = !config.force_scalar_simd && config.sample_pairs == 0;
   switch (engine) {
     case Engine::kTane:
       return plain && config.threads == 1 && config.pli_budget_bytes == 0 &&
@@ -566,7 +549,6 @@ int RunAppendSeed(int seed, const CliOptions& cli,
     options.seed = static_cast<uint64_t>(seed) + 17;
     options.num_threads = config.threads;
     options.pli_budget_bytes = config.pli_budget_bytes;
-    options.pli_impl = config.impl;
     if (config.spill) {
       options.spill.dir = std::filesystem::temp_directory_path().string();
     }

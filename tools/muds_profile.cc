@@ -28,13 +28,6 @@
 //                                         (0 = unlimited, default 1024);
 //                                         results are identical for every
 //                                         budget
-//   --pli-impl=auto|csr|bitmap            PLI representation (default auto:
-//                                         CSR plus the low-cardinality
-//                                         bitmap sidecar where it pays off;
-//                                         csr = flat CSR only; bitmap =
-//                                         sidecar whenever representable);
-//                                         results are identical for every
-//                                         impl
 //   --spill-dir=DIR                       enable the out-of-core tier:
 //                                         evicted PLIs spill to an unlinked
 //                                         temp file in DIR instead of being
@@ -113,7 +106,7 @@ void PrintUsage(FILE* out) {
       "                    [--append=FILE ...]\n"
       "                    [--null-token=S] [--null-unequal] [--seed=N]\n"
       "                    [--threads=N]\n"
-      "                    [--pli-budget-mb=N] [--pli-impl=auto|csr|bitmap]\n"
+      "                    [--pli-budget-mb=N]\n"
       "                    [--spill-dir=DIR] [--spill-budget-mb=N]\n"
       "                    [--sample-pairs=N] [--sample-seed=N]\n"
       "                    [--json]\n"
@@ -254,12 +247,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* options) {
       if (!ParseUint64Strict(arg.c_str() + 14,
                              &options->profile.sampling.seed)) {
         std::fprintf(stderr, "--sample-seed expects a non-negative integer\n");
-        return false;
-      }
-    } else if (arg.rfind("--pli-impl=", 0) == 0) {
-      const std::string name = arg.substr(11);
-      if (!ParsePliImpl(name, &options->profile.pli_impl)) {
-        std::fprintf(stderr, "unknown pli impl: %s\n", name.c_str());
         return false;
       }
     } else if (arg == "--json") {
