@@ -5,7 +5,9 @@
 // Intersect, Refines, RefinesAll, ForEmptySet — is checked against a naive
 // map-based partition oracle computed straight from the codes, and the
 // bitmap-sidecar implementation (plus the runtime-scalar SIMD variant of
-// both) is cross-checked against the scalar CSR answers.
+// both) is cross-checked against the scalar CSR answers. The refutations
+// that run before any PLI work (the cardinality bound and the row probe
+// of data/projection_probe.h) are checked against IsUnique and Refines.
 
 #include <algorithm>
 #include <cstdint>
@@ -16,6 +18,7 @@
 #include <vector>
 
 #include "common/simd.h"
+#include "data/projection_probe.h"
 #include "data/relation.h"
 #include "fuzz_util.h"
 #include "pli/position_list_index.h"
@@ -173,6 +176,36 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   for (size_t k = 0; k < candidate_columns.size(); ++k) {
     FUZZ_ASSERT((valid[k] != 0) ==
                 intersected.Refines(*candidate_columns[k]));
+  }
+
+  // Refute before intersecting: a cardinality-bound refutation needs a
+  // non-unique PLI, and every row-probe refutation a failing Refines and a
+  // witness pair that agrees on the lhs. Within the scan cap the probe sees
+  // every row, so there it must match Refines exactly.
+  const std::pair<ColumnSet, const Pli*> lhs_plis[] = {
+      {ColumnSet(), &empty_set},
+      {ColumnSet::Single(0), &pli_a},
+      {ColumnSet::Single(1), &pli_b},
+      {ColumnSet::FromIndices({0, 1}), &intersected}};
+  const ColumnSet all_columns = ColumnSet::FirstN(relation.NumColumns());
+  for (const auto& [lhs, pli] : lhs_plis) {
+    if (CardinalityBoundRefutesUcc(relation, lhs)) {
+      FUZZ_ASSERT(!pli->IsUnique());
+    }
+    const ColumnSet probed = all_columns.Difference(lhs);
+    std::vector<std::pair<RowId, RowId>> witnesses;
+    const ColumnSet refuted =
+        ProbeFdViolations(relation, lhs, probed, &witnesses);
+    for (const auto& [first, second] : witnesses) {
+      for (int c = lhs.First(); c >= 0; c = lhs.NextAtLeast(c + 1)) {
+        FUZZ_ASSERT(relation.Code(first, c) == relation.Code(second, c));
+      }
+    }
+    for (int c = probed.First(); c >= 0; c = probed.NextAtLeast(c + 1)) {
+      const bool holds = pli->Refines(relation.GetColumn(c));
+      if (refuted.Contains(c)) FUZZ_ASSERT(!holds);
+      if (rows <= kProbeMinRows) FUZZ_ASSERT(refuted.Contains(c) == !holds);
+    }
   }
 
   // Implementation axis: pinned-bitmap and forced-scalar variants must

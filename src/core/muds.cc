@@ -13,6 +13,7 @@
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "core/evidence.h"
+#include "data/projection_probe.h"
 #include "fd/fd_util.h"
 #include "ind/spider.h"
 #include "pli/pli_cache.h"
@@ -168,6 +169,8 @@ struct MudsCounters {
   Counter* fd_checks_minimize;  // "minimizeFDs" (§5.1).
   Counter* fd_checks_rz;        // "calculateRZ" (§5.2).
   Counter* fd_checks_shadowed;  // §5.3 and the exhaustive completion.
+  Counter* fd_probe_scans;      // Row probes run (see ProbeRefutedRhs).
+  Counter* fd_probe_refuted;    // Candidates a probe refuted.
   Counter* refines_all_batches;
   Counter* refines_all_candidates;
   Counter* rz_nodes_visited;
@@ -187,6 +190,8 @@ struct MudsCounters {
       c.fd_checks_minimize = registry.GetCounter("muds.fd_checks.minimize");
       c.fd_checks_rz = registry.GetCounter("muds.fd_checks.rz");
       c.fd_checks_shadowed = registry.GetCounter("muds.fd_checks.shadowed");
+      c.fd_probe_scans = registry.GetCounter("muds.fd_probe.scans");
+      c.fd_probe_refuted = registry.GetCounter("muds.fd_probe.refuted");
       c.refines_all_batches = registry.GetCounter("muds.refines_all.batches");
       c.refines_all_candidates =
           registry.GetCounter("muds.refines_all.candidates");
@@ -277,8 +282,10 @@ class MudsRunner {
   // revisit the same candidates from different directions, so repeat
   // queries cost one hash look-up plus bit algebra. (An antichain-based
   // inference cache was tried and lost: superset queries on dense tries
-  // cost more than the PLI checks they saved.) muds.fd_checks and the
-  // phase's `phase_checks` count actual data validations.
+  // cost more than the PLI checks they saved.) Candidates go through the
+  // evidence probe, then the row probe, and only what both leave open
+  // reaches the PLI. muds.fd_checks and the phase's `phase_checks` count
+  // those PLI validations.
   ColumnSet CheckFds(const ColumnSet& lhs, const ColumnSet& candidates,
                      Counter* phase_checks) {
     RhsKnowledge& knowledge = check_memo_[lhs];
@@ -291,6 +298,12 @@ class MudsRunner {
     if (!unchecked.Empty() && evidence_) {
       const ColumnSet refuted =
           evidence_->RefutedRhs(lhs).Intersect(unchecked);
+      knowledge.checked = knowledge.checked.Union(refuted);
+      unchecked = unchecked.Difference(refuted);
+    }
+    // Refute before intersecting; recorded exactly like evidence hits.
+    if (!unchecked.Empty()) {
+      const ColumnSet refuted = ProbeRefutedRhs(lhs, unchecked);
       knowledge.checked = knowledge.checked.Union(refuted);
       unchecked = unchecked.Difference(refuted);
     }
@@ -325,6 +338,29 @@ class MudsRunner {
       knowledge.checked = knowledge.checked.Union(unchecked);
     }
     return candidates.Intersect(knowledge.valid);
+  }
+
+  // Refute before intersecting: when the cardinality bound proves `lhs`
+  // non-unique, a bounded early-exit row scan (ProbeFdViolations) looks
+  // for pairs that agree on `lhs` and differ on a candidate, with no PLI
+  // built or looked up. Returns the refuted candidates, all definite
+  // non-FDs; with sampling on, their witness pairs feed the evidence store
+  // like a failed PLI check's would. Thread-safe. A lhs that may be unique
+  // is not probed: its duplicates are rare, so a probe would mostly scan to
+  // its cap for nothing.
+  ColumnSet ProbeRefutedRhs(const ColumnSet& lhs,
+                            const ColumnSet& candidates) {
+    if (!CardinalityBoundRefutesUcc(relation_, lhs)) return ColumnSet();
+    const MudsCounters& counters = MudsCounters::Get();
+    counters.fd_probe_scans->Increment();
+    std::vector<std::pair<RowId, RowId>> witnesses;
+    const ColumnSet refuted = ProbeFdViolations(
+        relation_, lhs, candidates, evidence_ ? &witnesses : nullptr);
+    counters.fd_probe_refuted->Add(refuted.Count());
+    for (const auto& [first, second] : witnesses) {
+      evidence_->AddPair(first, second, /*fed_back=*/true);
+    }
+    return refuted;
   }
 
   bool CheckFd(const ColumnSet& lhs, int rhs, Counter* phase_checks) {
@@ -384,6 +420,10 @@ class MudsRunner {
     // Sampling-first: probe the (thread-safe) evidence store before
     // touching the PLI. A hit is a definite non-FD.
     if (evidence_ && evidence_->RefutesFd(lhs, rhs)) {
+      local.checked.Add(rhs);
+      return false;
+    }
+    if (!ProbeRefutedRhs(lhs, ColumnSet::Single(rhs)).Empty()) {
       local.checked.Add(rhs);
       return false;
     }

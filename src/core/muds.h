@@ -57,7 +57,8 @@ struct MudsOptions {
 /// breakdown that drives the Figure 8 experiment. What the run
 /// did is counted in the metrics registry (muds.*; §6.4 attributes the cost
 /// to FD checks, split per phase as muds.fd_checks.{minimize,rz,shadowed},
-/// and PLI intersects, pli_cache.intersects).
+/// and PLI intersects, pli_cache.intersects; candidates refuted by the row
+/// probe before any PLI work count on muds.fd_probe.refuted).
 struct MudsResult {
   std::vector<Ind> inds;
   std::vector<ColumnSet> uccs;

@@ -6,6 +6,7 @@
 
 #include "common/metrics.h"
 #include "common/thread_pool.h"
+#include "data/projection_probe.h"
 
 namespace muds {
 
@@ -20,24 +21,6 @@ constexpr int64_t kChunkRows = int64_t{1} << 16;
 constexpr int64_t kPartitionRows = int64_t{1} << 13;
 constexpr int kMaxPartitionBits = 10;
 
-// SplitMix64 finalizer. A bijection, so mixing a packed row loses nothing:
-// equal mixed keys still mean equal rows.
-uint64_t Mix(uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ull;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBull;
-  x ^= x >> 31;
-  return x;
-}
-
-bool SameRow(const Relation& relation, RowId a, RowId b) {
-  for (int c = 0; c < relation.NumColumns(); ++c) {
-    if (relation.Code(a, c) != relation.Code(b, c)) return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 std::vector<RowId> DistinctRowIds(const Relation& relation,
@@ -48,41 +31,14 @@ std::vector<RowId> DistinctRowIds(const Relation& relation,
     return std::min(n, (chunk + 1) * kChunkRows);
   };
 
-  // Step 1: a 64-bit key per row, built column by column over each chunk.
-  // When the codes fit side by side at ceil(log2 cardinality) bits each,
-  // the key is the packed row, so equal keys are equal rows. Otherwise it
-  // is a hash of the codes and a key match is confirmed on the codes.
-  // Constant columns take 0 bits and are skipped either way.
-  std::vector<int> shift(static_cast<size_t>(relation.NumColumns()));
-  int total_bits = 0;
-  for (int c = 0; c < relation.NumColumns(); ++c) {
-    shift[static_cast<size_t>(c)] = total_bits;
-    const int64_t card = relation.Cardinality(c);
-    if (card > 1) total_bits += std::bit_width(static_cast<uint64_t>(card - 1));
-  }
-  const bool packed = total_bits <= 64;
+  // Step 1: a 64-bit key per row, one RowKeys fill per chunk. Exact keys
+  // are the packed rows; hashed keys are confirmed on the codes below.
+  const RowKeys row_keys(relation, ColumnSet::FirstN(relation.NumColumns()));
   std::unique_ptr<uint64_t[]> keys(new uint64_t[static_cast<size_t>(n)]);
   ParallelForOrInline(pool, num_chunks, [&](int64_t chunk) {
-    uint64_t* const begin = keys.get() + chunk * kChunkRows;
-    uint64_t* const end = keys.get() + chunk_end(chunk);
-    std::fill(begin, end, 0);
-    for (int c = 0; c < relation.NumColumns(); ++c) {
-      if (relation.Cardinality(c) <= 1) continue;
-      const int32_t* code = relation.GetColumn(c).codes.data() +
-                            chunk * kChunkRows;
-      if (packed) {
-        const int s = shift[static_cast<size_t>(c)];
-        for (uint64_t* key = begin; key < end; ++key, ++code) {
-          *key |= static_cast<uint64_t>(static_cast<uint32_t>(*code)) << s;
-        }
-      } else {
-        for (uint64_t* key = begin; key < end; ++key, ++code) {
-          *key = (std::rotl(*key, 27) ^ static_cast<uint32_t>(*code)) *
-                 0x9E3779B97F4A7C15ull;
-        }
-      }
-    }
-    for (uint64_t* key = begin; key < end; ++key) *key = Mix(*key);
+    row_keys.Fill(static_cast<RowId>(chunk * kChunkRows),
+                  static_cast<RowId>(chunk_end(chunk)),
+                  keys.get() + chunk * kChunkRows);
   });
 
   // Step 2: stable radix scatter of (row, key) by the key's top bits.
@@ -159,7 +115,7 @@ std::vector<RowId> DistinctRowIds(const Relation& relation,
           break;
         }
         if (part[j] == part[i] &&
-            (packed || SameRow(relation, rows[j], rows[i]))) {
+            (row_keys.exact() || row_keys.SameProjection(rows[j], rows[i]))) {
           is_first[static_cast<size_t>(rows[i])] = 0;
           break;
         }

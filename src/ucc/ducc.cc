@@ -3,6 +3,7 @@
 #include "common/check.h"
 #include "common/metrics.h"
 #include "core/evidence.h"
+#include "data/projection_probe.h"
 
 namespace muds {
 
@@ -17,9 +18,17 @@ std::vector<ColumnSet> Ducc::Discover(const Relation& relation,
 
   LatticeTraversal::Options traversal_options;
   traversal_options.seed = options.seed;
+  int64_t refuted_by_cardinality = 0;
   LatticeTraversal traversal(
       relation.ActiveColumns(),
-      [cache, evidence](const ColumnSet& candidate) {
+      [&relation, cache, evidence,
+       &refuted_by_cardinality](const ColumnSet& candidate) {
+        // Refute before intersecting: fewer projection values than rows
+        // means a duplicate, with no row work and no cache access.
+        if (CardinalityBoundRefutesUcc(relation, candidate)) {
+          ++refuted_by_cardinality;
+          return false;
+        }
         // Sampling-first: a recorded pair agreeing on all of `candidate`
         // is a definite duplicate — refute without touching a PLI.
         if (evidence != nullptr && evidence->RefutesUcc(candidate)) {
@@ -39,6 +48,7 @@ std::vector<ColumnSet> Ducc::Discover(const Relation& relation,
   metrics::Add("ducc.uniqueness_checks", traversal.stats().predicate_calls);
   metrics::Add("ducc.walk_steps", traversal.stats().walk_steps);
   metrics::Add("ducc.holes_checked", traversal.stats().holes_checked);
+  metrics::Add("ducc.refuted_by_cardinality", refuted_by_cardinality);
   return uccs;
 }
 

@@ -17,8 +17,13 @@ class EvidenceStore;
 /// random-walk traversal of the attribute lattice with bidirectional
 /// pruning and hole filling.
 ///
-/// The uniqueness check builds the candidate's PLI (through the shared
-/// PliCache) and tests whether any stripped cluster remains.
+/// The uniqueness check refutes before it intersects: a candidate whose
+/// column cardinalities multiply to fewer than |r| cannot be unique
+/// (CardinalityBoundRefutesUcc), and is rejected with no row work and no
+/// cache access. Only the candidates that pass this bound (and, with
+/// sampling, the evidence probe) build their PLI through the shared
+/// PliCache, and are unique iff no stripped cluster remains. Confirmations
+/// always take the PLI path.
 ///
 /// The input relation is expected to be duplicate-row free (§3); the
 /// Profiler facade guarantees this. A relation with fewer than two rows has
@@ -31,8 +36,9 @@ class Ducc {
   };
 
   /// Discovers all minimal UCCs of `relation`, using (and filling) `cache`.
-  /// Counts `ducc.uniqueness_checks`, `ducc.walk_steps` and
-  /// `ducc.holes_checked` in the metrics registry.
+  /// Counts `ducc.uniqueness_checks` (predicate calls), `ducc.walk_steps`,
+  /// `ducc.holes_checked` and `ducc.refuted_by_cardinality` (checks the
+  /// cardinality bound settled) in the metrics registry.
   /// With a non-null `evidence` store, each candidate is probed against the
   /// recorded violating pairs first — a probe hit refutes it with zero PLI
   /// work, and a full check that fails anyway feeds its duplicate pair back

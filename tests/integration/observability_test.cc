@@ -43,8 +43,10 @@ TEST(ObservabilityTest, ProfilingResultCarriesSubsystemMetrics) {
   for (const char* name :
        {"pli_cache.hits", "pli_cache.misses", "pli_cache.bytes_cached",
         "thread_pool.tasks_executed", "spider.cursor_advances",
-        "ducc.uniqueness_checks", "muds.fd_checks", "muds.rz.nodes_visited",
-        "muds.completion.nodes_visited", "muds.refines_all.batches"}) {
+        "ducc.uniqueness_checks", "ducc.refuted_by_cardinality",
+        "muds.fd_checks", "muds.fd_probe.scans", "muds.fd_probe.refuted",
+        "muds.rz.nodes_visited", "muds.completion.nodes_visited",
+        "muds.refines_all.batches"}) {
     EXPECT_TRUE(metrics.count(name) > 0) << "missing metric: " << name;
   }
   // The run did real work through the registry.
