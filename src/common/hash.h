@@ -1,11 +1,35 @@
 #ifndef MUDS_COMMON_HASH_H_
 #define MUDS_COMMON_HASH_H_
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string_view>
 
 namespace muds {
+
+/// The n <= 8 bytes at `data` as one zero-extended little-endian word, read
+/// with fixed-size loads that never pass data + n: a variable-length memcpy
+/// is a library call, which on short keys (the ingest interning probe)
+/// costs more than the hash itself. Distinct byte strings of one length
+/// give distinct words.
+inline uint64_t LoadShortWord(const char* data, size_t n) {
+  if (n >= 4) {
+    uint32_t low;
+    uint32_t high;
+    std::memcpy(&low, data, 4);
+    std::memcpy(&high, data + n - 4, 4);
+    return low | (static_cast<uint64_t>(high) << (8 * (n - 4)));
+  }
+  if (n == 0) return 0;
+  const auto byte = [data](size_t i) {
+    return static_cast<uint64_t>(static_cast<unsigned char>(data[i]))
+           << (8 * i);
+  };
+  return byte(0) | byte(n / 2) | byte(n - 1);
+}
+static_assert(std::endian::native == std::endian::little,
+              "LoadShortWord's overlapping loads assume a little-endian host");
 
 /// 64-bit string hash over 8-byte chunks (multiply-xor mixing, wyhash-lite
 /// constants). Originally the ingest interning hash; shared here so the
@@ -26,24 +50,7 @@ inline uint64_t HashBytes(const char* data, size_t n,
     n -= 8;
   }
   if (n > 0) {
-    // The 1-7 tail bytes as a zero-extended little-endian word, read with
-    // fixed-size loads: a variable-length memcpy here is a library call,
-    // which on short keys (the ingest interning probe) costs more than
-    // the rest of the hash.
-    uint64_t k;
-    if (n >= 4) {
-      uint32_t low;
-      uint32_t high;
-      std::memcpy(&low, data, 4);
-      std::memcpy(&high, data + n - 4, 4);
-      k = low | (static_cast<uint64_t>(high) << (8 * (n - 4)));
-    } else {
-      const auto byte = [data](size_t i) {
-        return static_cast<uint64_t>(static_cast<unsigned char>(data[i]))
-               << (8 * i);
-      };
-      k = byte(0) | byte(n / 2) | byte(n - 1);
-    }
+    uint64_t k = LoadShortWord(data, n);  // The 1-7 tail bytes.
     k *= 0x9DDFEA08EB382D69ull;
     k ^= k >> 32;
     h = (h ^ k) * 0xC2B2AE3D27D4EB4Full;

@@ -32,6 +32,10 @@ constexpr size_t kMinAutoChunkBytes = size_t{256} << 10;
 // between chunks balances out through the pool's dynamic claiming.
 constexpr int kChunksPerThread = 4;
 
+// Records whose byte length sizes a chunk's code vectors: a sample, so
+// that one short first record cannot inflate the reservation.
+constexpr int64_t kSizingRecords = 64;
+
 // SwissTable-style flat interning table for the chunk-local dictionary
 // encode: one control byte (7 hash bits) per slot, probed 16 slots at a
 // time with simd::MatchTag16, open addressing over groups, no deletions.
@@ -39,6 +43,9 @@ constexpr int kChunksPerThread = 4;
 // (almost always) at most one full key compare. The table starts small
 // and doubles when 7/8 full, so a column pays only for the distinct values
 // it actually holds.
+// A value of at most 8 bytes is keyed by its exact word plus its length
+// (LoadShortWord): integer hash and compare. A longer one keeps HashBytes
+// and the string compare, behind a check of its first 8 bytes.
 class InternTable {
  public:
   static constexpr size_t kGroup = 16;
@@ -49,18 +56,21 @@ class InternTable {
   // Returns the id of `value`, inserting it with id `next_id` when absent;
   // *inserted reports which happened.
   int32_t Intern(std::string_view value, int32_t next_id, bool* inserted) {
-    const uint64_t hash = HashBytes(value.data(), value.size());
+    const uint64_t word =
+        LoadShortWord(value.data(), std::min<size_t>(value.size(), 8));
+    const uint64_t hash = Hash(value, word);
     const uint8_t tag = static_cast<uint8_t>(hash & 0x7F);
     size_t group = (hash >> 7) & group_mask_;
     for (;;) {
       const uint8_t* tags = tags_.data() + group * kGroup;
       uint32_t match = simd::MatchTag16(tags, tag);
       while (match != 0) {
-        const size_t slot =
-            group * kGroup + static_cast<size_t>(std::countr_zero(match));
-        if (keys_[slot] == value) {
+        const Slot& slot = slots_[group * kGroup +
+                                  static_cast<size_t>(std::countr_zero(match))];
+        if (slot.word == word && slot.key.size() == value.size() &&
+            (value.size() <= 8 || slot.key == value)) {
           *inserted = false;
-          return ids_[slot];
+          return slot.id;
         }
         match &= match - 1;
       }
@@ -68,7 +78,7 @@ class InternTable {
         // With no deletions, the first group holding an empty slot ends the
         // probe chain: the key cannot live further along.
         if (size_ == max_size_) Grow();
-        Place(hash, value, next_id);
+        Place(hash, Slot{word, value, next_id});
         *inserted = true;
         return next_id;
       }
@@ -77,19 +87,32 @@ class InternTable {
   }
 
  private:
+  struct Slot {
+    uint64_t word;
+    std::string_view key;
+    int32_t id;
+  };
+
+  // Bijective on a short key, so values of at most 7 bytes never collide.
+  static uint64_t Hash(std::string_view value, uint64_t word) {
+    if (value.size() > 8) return HashBytes(value.data(), value.size());
+    const uint64_t h =
+        (word ^ (uint64_t{value.size()} << 56)) * 0x9DDFEA08EB382D69ull;
+    return h ^ (h >> 32);
+  }
+
   // Empties the table at `capacity` slots (a power of two >= kGroup). The
   // 7/8 load cap keeps an empty slot in every probe chain.
   void Allocate(size_t capacity) {
     tags_.assign(capacity, kEmpty);
-    keys_.resize(capacity);
-    ids_.resize(capacity);
+    slots_.resize(capacity);
     group_mask_ = capacity / kGroup - 1;
     size_ = 0;
     max_size_ = capacity - capacity / 8;
   }
 
   // Puts an absent key into the first empty slot of its probe chain.
-  void Place(uint64_t hash, std::string_view key, int32_t id) {
+  void Place(uint64_t hash, const Slot& entry) {
     size_t group = (hash >> 7) & group_mask_;
     for (;;) {
       const uint32_t empty =
@@ -98,8 +121,7 @@ class InternTable {
         const size_t slot =
             group * kGroup + static_cast<size_t>(std::countr_zero(empty));
         tags_[slot] = static_cast<uint8_t>(hash & 0x7F);
-        keys_[slot] = key;
-        ids_[slot] = id;
+        slots_[slot] = entry;
         ++size_;
         return;
       }
@@ -109,20 +131,15 @@ class InternTable {
 
   void Grow() {
     const std::vector<uint8_t> tags = std::move(tags_);
-    const std::vector<std::string_view> keys = std::move(keys_);
-    const std::vector<int32_t> ids = std::move(ids_);
+    const std::vector<Slot> slots = std::move(slots_);
     Allocate(2 * tags.size());
-    for (size_t slot = 0; slot < tags.size(); ++slot) {
-      if (tags[slot] != kEmpty) {
-        Place(HashBytes(keys[slot].data(), keys[slot].size()), keys[slot],
-              ids[slot]);
-      }
+    for (size_t i = 0; i < tags.size(); ++i) {
+      if (tags[i] != kEmpty) Place(Hash(slots[i].key, slots[i].word), slots[i]);
     }
   }
 
   std::vector<uint8_t> tags_;
-  std::vector<std::string_view> keys_;
-  std::vector<int32_t> ids_;
+  std::vector<Slot> slots_;
   size_t group_mask_ = 0;
   size_t size_ = 0;
   size_t max_size_ = 0;
@@ -198,7 +215,7 @@ class FieldBuilder {
   bool empty_ = true;
 };
 
-// Zero-copy record scanner over one chunk [begin, end) of the buffer. The
+// Zero-copy field scanner over one chunk [begin, end) of the buffer. The
 // state machine is byte-for-byte the one in csv.cc's RecordScanner (quote
 // opens only on an empty field, doubled quote is a literal, \r\n is one
 // break, fully-blank lines are skipped) so that chunked parses agree with
@@ -208,6 +225,8 @@ class FieldBuilder {
 class ChunkParser {
  public:
   enum class Next { kRecord, kEnd, kUnterminatedQuote };
+  // What ended a field.
+  enum class End { kSeparator, kLineBreak, kEnd, kUnterminatedQuote };
 
   ChunkParser(std::string_view text, size_t begin, size_t end,
               const CsvOptions& options, std::deque<std::string>* arena)
@@ -223,37 +242,47 @@ class ChunkParser {
     plain_[static_cast<unsigned char>('\r')] = false;
   }
 
+  // Skips blank lines at a record start; false when no record is left. A
+  // record starts at a quote, a separator or any byte but a line break.
+  bool StartRecord() {
+    while (pos_ < end_) {
+      const char c = text_[pos_];
+      if (c == options_.quote || c == options_.separator ||
+          (c != '\n' && c != '\r')) {
+        return true;
+      }
+      ++pos_;
+      if (c == '\r' && pos_ < end_ && text_[pos_] == '\n') ++pos_;
+    }
+    return false;
+  }
+
+  // Scans the field at pos_ into *field and consumes what ended it (a
+  // "\r\n" break as one).
+  End NextField(std::string_view* field) {
+    const size_t begin = pos_;
+    pos_ = PlainRunEnd(pos_);
+    *field = std::string_view(text_.data() + begin, pos_ - begin);
+    if (pos_ < end_ && text_[pos_] == options_.quote &&
+        !ScanQuotedField(begin, field)) {
+      return End::kUnterminatedQuote;
+    }
+    if (pos_ == end_) return End::kEnd;
+    const char c = text_[pos_++];
+    if (c == options_.separator) return End::kSeparator;
+    if (c == '\r' && pos_ < end_ && text_[pos_] == '\n') ++pos_;
+    return End::kLineBreak;
+  }
+
   Next NextRecord(std::vector<std::string_view>* fields) {
     fields->clear();
-    bool saw_content = false;
+    if (!StartRecord()) return Next::kEnd;
     for (;;) {
-      // pos_ is at the start of a field.
-      const size_t begin = pos_;
-      pos_ = PlainRunEnd(pos_);
-      std::string_view field(text_.data() + begin, pos_ - begin);
-      if (pos_ < end_ && text_[pos_] == options_.quote) {
-        if (!ScanQuotedField(begin, &field)) return Next::kUnterminatedQuote;
-        saw_content = true;
-      } else if (pos_ > begin) {
-        saw_content = true;
-      }
-      if (pos_ == end_) {
-        if (!saw_content) return Next::kEnd;
-        fields->push_back(field);
-        return Next::kRecord;
-      }
-      // The field ends at a separator or a line break.
-      const char c = text_[pos_++];
-      if (c == options_.separator) {
-        fields->push_back(field);
-        saw_content = true;
-        continue;
-      }
-      // Consume the line break ("\r\n" counts as one).
-      if (c == '\r' && pos_ < end_ && text_[pos_] == '\n') ++pos_;
-      if (!saw_content) continue;  // Blank line: skip, keep scanning.
+      std::string_view field;
+      const End end = NextField(&field);
+      if (end == End::kUnterminatedQuote) return Next::kUnterminatedQuote;
       fields->push_back(field);
-      return Next::kRecord;
+      if (end != End::kSeparator) return Next::kRecord;
     }
   }
 
@@ -411,7 +440,9 @@ struct ChunkColumn {
 };
 
 // Everything one chunk's parse produces; written by exactly one pool task.
-struct ChunkData {
+// Cache-line aligned: the record count is written once per record, and
+// chunks that share a line would stall each other's parse.
+struct alignas(64) ChunkData {
   std::vector<ChunkColumn> encoded;  // [col], valid records only
   // Owns unescaped fields and synthesized NULL values (stable addresses).
   std::deque<std::string> arena;
@@ -432,34 +463,34 @@ struct ChunkData {
   bool unterminated = false;
 };
 
-// Parses one chunk and dictionary-encodes each record as it is parsed:
-// every field is interned into its column's chunk-local table, one hash
-// probe per cell, while the record's bytes are still in cache.
+// Parses one chunk and dictionary-encodes it field by field: each field is
+// interned into its column's chunk-local table, one hash probe per cell, as
+// it is scanned. A record that does not complete (wrong arity, unterminated
+// quote) ends the parse and leaves no trace: its cells are taken back out
+// of `codes`, `distinct` and `null_cells`, since a max_rows cut exactly at
+// it keeps every earlier row and so would drop none of its values.
 void ParseChunk(std::string_view text, size_t begin, size_t end,
                 const CsvOptions& options, int num_columns, ChunkData* out) {
+  using End = ChunkParser::End;
   const size_t width = static_cast<size_t>(num_columns);
   out->encoded.resize(width);
   std::vector<InternTable> tables(width);
   std::vector<bool> near_unique(width, false);
+  std::vector<size_t> grew;  // Columns the current record added a value to.
   ChunkParser parser(text, begin, end, options, &out->arena);
-  std::vector<std::string_view> fields;
   const bool scan_nulls = options.nulls == NullSemantics::kNullUnequal;
-  for (;;) {
-    const ChunkParser::Next next = parser.NextRecord(&fields);
-    if (next == ChunkParser::Next::kEnd) return;
-    if (next == ChunkParser::Next::kUnterminatedQuote) {
-      out->unterminated = true;
-      return;
-    }
-    if (fields.size() != width) {
-      out->bad_local = out->num_records;
-      out->bad_fields = fields.size();
-      return;
-    }
+  while (parser.StartRecord()) {
     const int64_t row = out->num_records;
-    for (size_t c = 0; c < width; ++c) {
+    grew.clear();
+    size_t fields = 0;
+    End ended = End::kSeparator;
+    while (ended == End::kSeparator) {
+      std::string_view value;
+      ended = parser.NextField(&value);
+      if (ended == End::kUnterminatedQuote) break;
+      const size_t c = fields++;
+      if (c >= width) continue;  // Over-wide: counted, not encoded.
       ChunkColumn& column = out->encoded[c];
-      const std::string_view value = fields[c];
       const int32_t fresh = static_cast<int32_t>(column.distinct.size());
       int32_t id = fresh;
       if (scan_nulls && value == options.null_token) {
@@ -481,9 +512,29 @@ void ParseChunk(std::string_view text, size_t begin, size_t end,
                                static_cast<size_t>(row + 1) * 3;
         }
       }
+      if (id == fresh) grew.push_back(c);
       column.codes.push_back(id);
     }
-    ++out->num_records;
+    if (ended != End::kUnterminatedQuote && fields == width) {
+      if (++out->num_records == kSizingRecords) {
+        // Sized from the chunk's first records, code vectors seldom regrow.
+        const size_t records =
+            (end - begin) * kSizingRecords / (parser.pos() - begin) + 1;
+        for (ChunkColumn& column : out->encoded) column.codes.reserve(records);
+      }
+      continue;
+    }
+    for (size_t c = 0; c < std::min(fields, width); ++c) {
+      out->encoded[c].codes.pop_back();
+    }
+    for (const size_t c : grew) out->encoded[c].distinct.pop_back();
+    while (!out->null_cells.empty() && out->null_cells.back().row == row) {
+      out->null_cells.pop_back();
+    }
+    out->unterminated = ended == End::kUnterminatedQuote;
+    out->bad_local = out->unterminated ? -1 : row;
+    out->bad_fields = fields;
+    return;
   }
 }
 

@@ -18,7 +18,7 @@ namespace muds {
 /// chunk is parsed and dictionary-encoded concurrently in one pass: every
 /// field, a string_view of the input buffer (fields that need unescaping or
 /// NULL rewriting are the only copies, into a per-chunk arena), is interned
-/// into a per-chunk, per-column table as its record is parsed. The chunk
+/// into a per-chunk, per-column table as soon as it is scanned. The chunk
 /// dictionaries are merged into the global sorted dictionary with a
 /// code-remap pass.
 ///

@@ -263,13 +263,6 @@ std::shared_ptr<const Pli> PliCache::Get(const ColumnSet& columns) {
   return pli;
 }
 
-std::shared_ptr<const Pli> PliCache::GetIfCached(const ColumnSet& columns) {
-  std::shared_ptr<const Pli> hit = Find(columns);
-  const CacheCounters& counters = CacheCounters::Get();
-  (hit != nullptr ? counters.hits : counters.misses)->Increment();
-  return hit;
-}
-
 void PliCache::Put(const ColumnSet& columns, std::shared_ptr<const Pli> pli) {
   Insert(columns, std::move(pli));
 }

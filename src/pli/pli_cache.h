@@ -54,14 +54,14 @@ namespace muds {
 /// and the round-trip is exact (sidecar included).
 ///
 /// Counters: every probe, build, eviction and spill is counted on the
-/// pli_cache.* registry metrics (common/metrics.h). A Get or GetIfCached is
-/// one hit or one miss (the prefix look-ups of a build are not counted); a
-/// probe satisfied by a spill reload is a hit and one spill_reload.
+/// pli_cache.* registry metrics (common/metrics.h). A Get is one hit or one
+/// miss (the prefix look-ups of a build are not counted); a probe satisfied
+/// by a spill reload is a hit and one spill_reload.
 ///
-/// Thread safety: the cache is safe for concurrent Get/GetIfCached/Put/
-/// Size. Entries live in a fixed number of hash-sharded maps, each behind
-/// its own mutex, so concurrent sub-lattice traversals (which probe mostly
-/// disjoint column sets) rarely contend.
+/// Thread safety: the cache is safe for concurrent Get/Put/Size. Entries
+/// live in a fixed number of hash-sharded maps, each behind its own mutex,
+/// so concurrent sub-lattice traversals (which probe mostly disjoint column
+/// sets) rarely contend.
 /// Eviction (and spilling) runs under the inserting shard's mutex and only
 /// touches that shard, so the byte budget is enforced approximately across
 /// shards; reloads also run under the shard mutex, serializing reloads of
@@ -101,10 +101,6 @@ class PliCache {
   /// intersection if absent — or reloading it from the spill tier if cold.
   /// `columns` may be empty.
   std::shared_ptr<const Pli> Get(const ColumnSet& columns);
-
-  /// Returns the cached PLI for `columns`, or nullptr if not cached. A
-  /// cold (spilled) entry counts as cached and is reloaded.
-  std::shared_ptr<const Pli> GetIfCached(const ColumnSet& columns);
 
   /// Inserts an externally built PLI (e.g. from a traversal that combined
   /// two cached entries itself). If an entry for `columns` already exists

@@ -7,6 +7,7 @@
 // edge cases (quoted newlines, \r\n breaks, doubled quotes, blank lines,
 // separators at chunk edges) and assert exact equality.
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <string_view>
@@ -339,6 +340,142 @@ TEST(IngestSinglePassTest, NearUniqueBailOutMidChunk) {
   options.null_token = "g3";
   options.max_rows = 6000;
   ExpectParityAtAllChunkings(text, options, {text.size(), 40000, 4096});
+}
+
+bool Holds(const Column& column, const std::string& value) {
+  return std::find(column.dictionary.begin(), column.dictionary.end(),
+                   value) != column.dictionary.end();
+}
+
+// Parity at every chunking (ExpectParityAtAllChunkings), after checking
+// that the reference relation holds none of `absent` in any dictionary:
+// the engine, equal to it, then holds none either.
+void ExpectParityWithout(const std::string& text, const CsvOptions& options,
+                         const std::vector<std::string>& absent) {
+  const Result<Relation> want = ReferenceCsvReader::ReadString(text, options);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  for (int c = 0; c < want.value().NumColumns(); ++c) {
+    for (const std::string& value : absent) {
+      EXPECT_FALSE(Holds(want.value().GetColumn(c), value)) << "column " << c;
+    }
+  }
+  ExpectParityAtAllChunkings(text, options);
+}
+
+// A record that does not complete is never encoded: the cells interned
+// before it failed are taken back out, so a max_rows cut exactly at it
+// (which keeps every earlier row and drops no value) leaves no trace of it.
+TEST(IngestRollbackTest, ShortRecordOfNewValuesAtTheCut) {
+  CsvOptions options;
+  const std::string text = "A,B,C\n1,x,p\n2,y,q\nN1,N2\n";
+  ExpectParityAtAllChunkings(text, options);  // Arity error.
+  options.max_rows = 2;
+  ExpectParityWithout(text, options, {"N1", "N2"});
+  // NULL != NULL: the failed record's NULL cell has taken a fresh id too.
+  options.nulls = NullSemantics::kNullUnequal;
+  const std::string nulls = "A,B,C\n1,,p\n,y,q\nN1,\n";
+  ExpectParityWithout(nulls, options, {"N1", "", "\x01null#2"});
+  options.max_rows = -1;
+  ExpectParityAtAllChunkings(nulls, options);
+}
+
+TEST(IngestRollbackTest, OverWideRecordOfNewValuesAtTheCut) {
+  CsvOptions options;
+  const std::string text = "A,B\n1,x\n2,y\nN1,N2,N3\n";
+  ExpectParityAtAllChunkings(text, options);  // Arity error.
+  options.max_rows = 2;
+  ExpectParityWithout(text, options, {"N1", "N2", "N3"});
+}
+
+TEST(IngestRollbackTest, UnterminatedQuoteAfterNewValues) {
+  CsvOptions options;
+  const std::string text = "A,B,C\n1,x,p\n2,y,q\nN1,N2,\"open\nN3,N4,N5\n";
+  ExpectParityAtAllChunkings(text, options);  // Unterminated quote.
+  options.max_rows = 2;  // The reference still reaches the third record.
+  ExpectParityAtAllChunkings(text, options);
+  // A cut before it: the failed record may sit in a chunk of its own,
+  // whose kept row count (0) equals its complete record count.
+  options.max_rows = 1;
+  ExpectParityWithout(text, options, {"N1", "N2", "N3", "2", "y"});
+}
+
+// Values of at most 8 bytes are interned by their exact word and length,
+// longer ones by their bytes: neighbors across that line must stay apart.
+TEST(IngestShortKeyTest, SevenEightAndNineByteValuesSharingAPrefix) {
+  const std::string text =
+      "A,B\nabcdefg,abcdefgh\nabcdefgh,abcdefghi\nabcdefghi,abcdefg\n"
+      "abcdefg,abcdefgh\nabcdefgX,abcdefghX\nabcdefgh,abcdefgh\n";
+  ExpectParityAtAllChunkings(text, {});
+  const Result<Relation> got = CsvReader::ReadString(text, {});
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got.value().GetColumn(0).dictionary,
+            (std::vector<std::string>{"abcdefg", "abcdefgX", "abcdefgh",
+                                      "abcdefghi"}));
+  EXPECT_EQ(got.value().GetColumn(1).codes,
+            (std::vector<int32_t>{1, 3, 0, 1, 2, 1}));
+}
+
+TEST(IngestShortKeyTest, ValuesDifferingOnlyInTrailingNulBytes) {
+  // "a", "a\0", "a" + 7 NULs (8 bytes, one word) and "a" + 8 NULs: the
+  // same zero-extended word, four lengths, four values.
+  const std::string a1 = "a";
+  const std::string a2("a\0", 2);
+  const std::string a8 = "a" + std::string(7, '\0');
+  const std::string a9 = "a" + std::string(8, '\0');
+  const std::string nul(1, '\0');
+  const std::string text = "A,B\n" + a1 + "," + a8 + "\n" + a2 + "," + a9 +
+                           "\n" + a8 + "," + a1 + "\n" + a9 + "," + a2 +
+                           "\n" + a1 + ",\n" + nul + "," + nul + "\n";
+  ExpectParityAtAllChunkings(text, {});
+  const Result<Relation> got = CsvReader::ReadString(text, {});
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got.value().GetColumn(0).dictionary,
+            (std::vector<std::string>{nul, a1, a2, a8, a9}));
+  EXPECT_EQ(got.value().GetColumn(1).dictionary,
+            (std::vector<std::string>{"", nul, a1, a2, a8, a9}));
+}
+
+TEST(IngestShortKeyTest, EmptyFieldNextToEmptyNullToken) {
+  // The empty value (word 0, length 0) next to "\0" (word 0, length 1),
+  // with the empty string as the NULL token under both semantics.
+  const std::string nul(1, '\0');
+  const std::string text = "A,B,C\n," + nul + ",\n" + nul + ",," + nul +
+                           "\n,,\n" + nul + "," + nul + "," + nul + "\n";
+  CsvOptions options;
+  options.null_token = "";
+  ExpectParityAtAllChunkings(text, options);
+  options.nulls = NullSemantics::kNullUnequal;
+  ExpectParityAtAllChunkings(text, options);
+}
+
+TEST(IngestShortKeyTest, NearUniqueSwitchMidChunkThenShortRecordAtTheCut) {
+  // Column `key` holds 7-, 8- and 9-byte values (5000 distinct, then
+  // repeats), so the 4,096-distinct switch falls inside a chunk; a short
+  // record of new values follows the last row and the cut lands on it.
+  std::string text = "key,group\n";
+  for (int i = 0; i < 6000; ++i) {
+    const std::string digits = std::to_string(100000 + i % 5000);
+    text += std::string(1 + i % 3, 'k') + digits + ",g" +
+            std::to_string(i % 5) + "\n";
+  }
+  text += "newkey\n";
+  CsvOptions options;
+  options.max_rows = 6000;
+  for (const size_t bytes : {text.size(), text.size() / 2, size_t{40000}}) {
+    for (const int threads : {1, 4}) {
+      options.num_threads = threads;
+      options.chunk_bytes = bytes;
+      const Result<Relation> got = CsvReader::ReadString(text, options);
+      const Result<Relation> want =
+          ReferenceCsvReader::ReadString(text, options);
+      ASSERT_TRUE(got.ok() && want.ok());
+      ExpectIdentical(got.value(), want.value(),
+                      "bytes=" + std::to_string(bytes));
+      EXPECT_FALSE(Holds(got.value().GetColumn(0), "newkey"));
+    }
+  }
+  options.max_rows = -1;
+  ExpectParityAtAllChunkings(text, options, {text.size(), 40000});
 }
 
 TEST(IngestDeterminismTest, BitIdenticalAcrossThreadCounts) {

@@ -34,6 +34,14 @@ size_t PinnedBytes(const Relation& r) {
   return static_cast<size_t>(ScopeValue(scope, "pli_cache.pinned_bytes"));
 }
 
+// Whether `columns` was cached when asked for: its Get counts one hit.
+// (A miss builds and caches the set.)
+bool GetHits(PliCache& cache, const ColumnSet& columns) {
+  const MetricsScope scope;
+  cache.Get(columns);
+  return ScopeValue(scope, "pli_cache.hits") == 1;
+}
+
 std::vector<ColumnSet> AllPairsAndTriples(int n) {
   std::vector<ColumnSet> sets;
   for (int a = 0; a < n; ++a) {
@@ -87,8 +95,9 @@ TEST(PliCacheLruTest, EvictedSetRebuildsIdentically) {
   for (const ColumnSet& set : AllPairsAndTriples(r.NumColumns())) {
     cache.Get(set);
   }
-  EXPECT_EQ(cache.GetIfCached(probe), nullptr);
+  const MetricsScope scope;
   const Pli second = *cache.Get(probe);
+  EXPECT_EQ(ScopeValue(scope, "pli_cache.hits"), 0);
   ASSERT_EQ(first.rows().size(), second.rows().size());
   for (size_t i = 0; i < first.rows().size(); ++i) {
     EXPECT_EQ(first.rows()[i], second.rows()[i]);
@@ -108,10 +117,9 @@ TEST(PliCacheLruTest, PinnedSinglesSurviveAnyBudget) {
   }
   // Every single-column PLI and the empty set are still resident.
   for (int c = 0; c < r.NumColumns(); ++c) {
-    EXPECT_NE(cache.GetIfCached(ColumnSet::Single(c)), nullptr)
-        << "column " << c;
+    EXPECT_TRUE(GetHits(cache, ColumnSet::Single(c))) << "column " << c;
   }
-  EXPECT_NE(cache.GetIfCached(ColumnSet()), nullptr);
+  EXPECT_TRUE(GetHits(cache, ColumnSet()));
   EXPECT_EQ(cache.Size(), static_cast<size_t>(r.NumColumns()) + 1);
 }
 
@@ -126,8 +134,8 @@ TEST(PliCacheLruTest, CountersAddUp) {
   cache.Get(ab);                       // miss (built)
   cache.Get(ab);                       // hit
   cache.Get(ColumnSet::Single(0));     // hit (pinned, prebuilt)
-  cache.GetIfCached(ab);               // hit
-  cache.GetIfCached(ColumnSet::FromIndices({2, 3}));  // miss (not cached)
+  cache.Get(ab);                       // hit
+  cache.Get(ColumnSet::FromIndices({2, 3}));          // miss (built)
   cache.Get(ColumnSet::FromIndices({0, 1, 2}));       // miss (built; the
   // internal prefix look-up of {0,1} during the build is not a probe).
 
@@ -178,7 +186,7 @@ TEST(PliCacheLruTest, SecondChanceKeepsRecentlyHitEntries) {
     cache.Get(set);
     // Re-touch the hot set: the reference bit must earn it a second chance
     // often enough to register hits even while churn evicts cold entries.
-    if (cache.GetIfCached(hot) != nullptr) ++hot_hits;
+    if (GetHits(cache, hot)) ++hot_hits;
   }
   EXPECT_GT(hot_hits, 0);
 }

@@ -182,8 +182,8 @@ TEST(PliCacheTest, SinglesPrebuiltAndMultisBuiltOnDemand) {
   const MetricsScope scope;
   PliCache cache(r);
   EXPECT_EQ(ScopeValue(scope, "pli_cache.intersects"), 0);
-  auto a = cache.GetIfCached(ColumnSet::Single(0));
-  ASSERT_NE(a, nullptr);
+  cache.Get(ColumnSet::Single(0));
+  EXPECT_EQ(ScopeValue(scope, "pli_cache.hits"), 1);
 
   auto ac = cache.Get(ColumnSet::FromIndices({0, 2}));
   EXPECT_TRUE(ac->IsUnique());
@@ -204,8 +204,11 @@ TEST(PliCacheTest, PrefixesAreCached) {
   Relation r = SampleRelation();
   PliCache cache(r);
   cache.Get(ColumnSet::FromIndices({0, 1, 2}));
-  EXPECT_NE(cache.GetIfCached(ColumnSet::FromIndices({0, 1})), nullptr);
-  EXPECT_EQ(cache.GetIfCached(ColumnSet::FromIndices({1, 2})), nullptr);
+  const MetricsScope scope;
+  cache.Get(ColumnSet::FromIndices({0, 1}));
+  EXPECT_EQ(ScopeValue(scope, "pli_cache.hits"), 1);
+  cache.Get(ColumnSet::FromIndices({1, 2}));
+  EXPECT_EQ(ScopeValue(scope, "pli_cache.hits"), 1);
 }
 
 TEST(PliCacheTest, PutAndSize) {
@@ -217,7 +220,9 @@ TEST(PliCacheTest, PutAndSize) {
                 Pli::FromColumn(r.GetColumn(1), r.NumRows())
                     .Intersect(Pli::FromColumn(r.GetColumn(2), r.NumRows()))));
   EXPECT_EQ(cache.Size(), initial + 1);
-  EXPECT_NE(cache.GetIfCached(ColumnSet::FromIndices({1, 2})), nullptr);
+  const MetricsScope scope;
+  cache.Get(ColumnSet::FromIndices({1, 2}));
+  EXPECT_EQ(ScopeValue(scope, "pli_cache.hits"), 1);
 }
 
 void ExpectSamePli(const Pli& a, const Pli& b, const std::string& what) {
