@@ -54,7 +54,12 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   if (data[0] & 16) options.max_rows = data[1] % 16;
   if (data[0] & 32) options.quote = '\'';
   const int num_threads = 1 + (data[1] >> 4) % 3;
-  const size_t chunk_bytes = 1 + data[2];  // tiny chunks force boundaries
+  // Low bytes give tiny chunks, which force record boundaries everywhere;
+  // 0xF0-0xFE give 256 B to 4 MiB, enough for one chunk to cross the
+  // 4,096-distinct near-unique switch; 0xFF gives 0, the automatic size.
+  const size_t chunk_bytes = data[2] < 0xF0   ? size_t{1} + data[2]
+                             : data[2] < 0xFF ? size_t{1} << (data[2] - 0xE8)
+                                              : 0;
 
   const std::string_view text(reinterpret_cast<const char*>(data + 3),
                               size - 3);

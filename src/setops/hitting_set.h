@@ -11,10 +11,11 @@ namespace muds {
 /// {0, ..., num_columns-1}: the inclusion-minimal sets that intersect every
 /// set in `family`.
 ///
-/// Used for the lattice "hole" detection inherited from DUCC (§2.2): the
-/// minimal sets with a monotone property are exactly the minimal hitting
-/// sets of the complements of the maximal sets without the property, so
-/// comparing the two reveals unvisited candidates after a random walk.
+/// Its caller is MUDS' Algorithm 3 (removeUCCs): the maximal UCC-free
+/// reductions of a left-hand side are the complements of the minimal
+/// hitting sets of the UCCs it contains. (The lattice traversal's hole
+/// filling, which §2.2 phrases with hitting sets, is a branch-and-bound
+/// sweep instead; see LatticeTraversal::FillHoles.)
 ///
 /// If `family` contains an empty set no hitting set exists and the result is
 /// empty. If `family` itself is empty, the empty set is the unique minimal

@@ -5,7 +5,6 @@
 
 #include "common/check.h"
 #include "data/metadata.h"
-#include "setops/hitting_set.h"
 
 namespace muds {
 

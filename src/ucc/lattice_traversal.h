@@ -16,8 +16,10 @@ namespace muds {
 /// lattice of `universe`, using DUCC's strategy (§2.2): a random walk that
 /// alternates between climbing from non-satisfying nodes and descending from
 /// satisfying ones, with subset/superset pruning, followed by "hole"
-/// detection that compares the found minimal positives against the minimal
-/// hitting sets of the complements of the found maximal negatives.
+/// filling: one branch-and-bound sweep classifies every node that neither
+/// a found minimal positive nor a found maximal negative covers (FillHoles).
+/// It stands in for §2.2's comparison with the minimal hitting sets of the
+/// complements of the maximal negatives, and computes no hitting sets.
 ///
 /// The same engine runs DUCC itself (predicate = "is unique") and MUDS'
 /// graph traversal for right-hand sides in R\Z (§5.2, predicate =
@@ -30,10 +32,11 @@ class LatticeTraversal {
  public:
   struct Options {
     uint64_t seed = 1;
-    /// Sets known to satisfy P before the walk starts (need not be minimal;
-    /// used by MUDS for key pruning: any superset of a minimal UCC
-    /// determines every attribute). They suppress predicate evaluations but
-    /// are never reported as minimal without verification.
+    /// Sets known to satisfy P before the walk starts (need not be minimal).
+    /// MUDS passes its minimal UCCs for key pruning (any superset of a UCC
+    /// determines every attribute); DUCC passes the full active column set,
+    /// which deduplication has proved unique. They suppress predicate
+    /// evaluations but are never reported as minimal without verification.
     std::vector<ColumnSet> known_positive;
     /// Sets known to violate P before the walk starts.
     std::vector<ColumnSet> known_negative;

@@ -165,7 +165,10 @@ TEST(ProfilerTest, TinyPliBudgetDoesNotChangeResults) {
   // a field that stopped being passed on, so the run's metric deltas are
   // checked too: the sampler must have drawn pairs, and the engines that
   // own a PLI cache must have spilled under the eviction-forcing budget.
-  const Relation r = RandomRelation(11, 6, 120, 3);
+  // The relation needs real lattice work: at cardinality <= 3 it dedups to
+  // 4 rows, every check is settled without an intersect, and nothing is
+  // ever cached to spill.
+  const Relation r = RandomRelation(11, 6, 120, 8);
   EngineConfig config;
   config.seed = 7;
   config.pli_budget_bytes = 1;
@@ -189,6 +192,7 @@ TEST(ProfilerTest, TinyPliBudgetDoesNotChangeResults) {
     EXPECT_EQ(a.fds, b.fds) << label;
     EXPECT_GT(Metric(b, "sampling.pairs"), 0) << label;
     if (b.algorithm_used != Algorithm::kHolisticFun) {
+      ASSERT_GT(Metric(b, "pli_cache.intersects"), 0) << label;
       EXPECT_GT(Metric(b, "pli_cache.spill_writes"), 0) << label;
     }
   }

@@ -174,21 +174,73 @@ TEST(PliCacheLruTest, PinnedOverBudgetIsCountedNotPrinted) {
   EXPECT_EQ(ScopeValue(scope, "pli_cache.pinned_over_budget"), 1);
 }
 
+// Builds `older`, then `newer`, then `fresh` (column pairs, so no derived
+// prefix is cached along the way) in a cache whose budget holds the
+// `pinned_bytes` and all three but one byte, so building `fresh` evicts
+// exactly one entry of its shard. With `touch_older`, `older` is hit
+// before `fresh` is built.
+std::unique_ptr<PliCache> SweepAfter(const Relation& r, size_t pinned_bytes,
+                                     const ColumnSet& older,
+                                     const ColumnSet& newer,
+                                     const ColumnSet& fresh,
+                                     bool touch_older) {
+  size_t derived_bytes = 0;
+  {
+    PliCache sizes(r, PliCache::kUnlimitedBudget);
+    for (const ColumnSet& set : {older, newer, fresh}) {
+      derived_bytes += sizes.Get(set)->MemoryBytes();
+    }
+  }
+  auto cache = std::make_unique<PliCache>(r, pinned_bytes + derived_bytes - 1);
+  cache->Get(older);
+  cache->Get(newer);
+  if (touch_older) cache->Get(older);
+  cache->Get(fresh);
+  return cache;
+}
+
+// Finds column pairs `hot`, `cold` and `fresh` such that, with no hits,
+// building `fresh` evicts whichever of the other two was built first: all
+// three share one shard, and the clock hand reaches the older one first.
+// (The first check after each sweep is a hit, so it cannot disturb the
+// second.)
+bool FindOldestFirstSweep(const Relation& r, ColumnSet* hot, ColumnSet* cold,
+                          ColumnSet* fresh) {
+  const size_t pinned_bytes = PinnedBytes(r);
+  std::vector<ColumnSet> pairs;
+  for (const ColumnSet& set : AllPairsAndTriples(r.NumColumns())) {
+    if (set.Count() == 2) pairs.push_back(set);
+  }
+  for (const ColumnSet& a : pairs) {
+    for (const ColumnSet& b : pairs) {
+      for (const ColumnSet& c : pairs) {
+        if (a == b || a == c || b == c) continue;
+        const auto a_first = SweepAfter(r, pinned_bytes, a, b, c, false);
+        if (!GetHits(*a_first, b) || GetHits(*a_first, a)) continue;
+        const auto b_first = SweepAfter(r, pinned_bytes, b, a, c, false);
+        if (!GetHits(*b_first, a) || GetHits(*b_first, b)) continue;
+        *hot = a;
+        *cold = b;
+        *fresh = c;
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
 TEST(PliCacheLruTest, SecondChanceKeepsRecentlyHitEntries) {
   const Relation r = LruTestRelation();
-  // Budget that fits the pinned set plus roughly one derived entry.
-  PliCache cache(r, PinnedBytes(r) + (size_t{64} << 10));
-  const ColumnSet hot = ColumnSet::FromIndices({0, 1});
-  cache.Get(hot);
-  int64_t hot_hits = 0;
-  for (const ColumnSet& set : AllPairsAndTriples(r.NumColumns())) {
-    if (set == hot) continue;
-    cache.Get(set);
-    // Re-touch the hot set: the reference bit must earn it a second chance
-    // often enough to register hits even while churn evicts cold entries.
-    if (GetHits(cache, hot)) ++hot_hits;
-  }
-  EXPECT_GT(hot_hits, 0);
+  ColumnSet hot;
+  ColumnSet cold;
+  ColumnSet fresh;
+  ASSERT_TRUE(FindOldestFirstSweep(r, &hot, &cold, &fresh));
+  // The same order, but `hot` is hit after `cold` is built: its reference
+  // bit sends the clock hand past it, and `cold`, built later and never
+  // hit, is evicted instead.
+  const auto cache = SweepAfter(r, PinnedBytes(r), hot, cold, fresh, true);
+  EXPECT_TRUE(GetHits(*cache, hot)) << hot.ToString();
+  EXPECT_FALSE(GetHits(*cache, cold)) << cold.ToString();
 }
 
 TEST(PliCacheLruTest, ConcurrentEvictionStormStaysConsistent) {

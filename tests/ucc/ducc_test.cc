@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/metrics.h"
 #include "data/preprocess.h"
 #include "test_util.h"
@@ -68,6 +71,52 @@ TEST(DuccTest, WholeRelationIsTheOnlyKey) {
   EXPECT_EQ(RunDucc(r),
             (std::vector<ColumnSet>{ColumnSet::FromIndices({0, 1, 2})}));
 }
+
+// Runs DUCC on `relation` and returns how many PLI intersects it made.
+int64_t DuccIntersects(const Relation& relation) {
+  PliCache cache(relation);
+  const MetricsScope scope;
+  Ducc::Discover(relation, &cache);
+  return ScopeValue(scope, "pli_cache.intersects");
+}
+
+TEST(DuccTest, DedupCertifiesTheActiveSetWithoutIntersects) {
+  // Every row of the 2 x 2 x 2 product: only all three columns are unique,
+  // and every proper subset has fewer value combinations than rows. The
+  // cardinality bound refutes the subsets and dedup already proved the
+  // whole set, so no PLI is ever intersected.
+  std::vector<std::vector<std::string>> rows;
+  for (int i = 0; i < 8; ++i) {
+    rows.push_back({std::to_string(i & 1), std::to_string((i >> 1) & 1),
+                    std::to_string(i >> 2)});
+  }
+  const Relation r = Relation::FromRows({"A", "B", "C"}, rows);
+  const std::vector<ColumnSet> uccs = RunDucc(r);
+  EXPECT_EQ(uccs, ReferenceProfiler::DiscoverUccs(r));
+  EXPECT_EQ(uccs, std::vector<ColumnSet>{ColumnSet::FromIndices({0, 1, 2})});
+  EXPECT_EQ(DuccIntersects(r), 0);
+}
+
+TEST(DuccTest, DedupCertifiesOnlyTheActiveColumns) {
+  // The constant column is in no minimal UCC; the set known unique is the
+  // active {A, B}, which still needs no intersect.
+  const Relation r = Relation::FromRows(
+      {"K", "A", "B"},
+      {{"k", "1", "1"}, {"k", "1", "2"}, {"k", "2", "1"}, {"k", "2", "2"}});
+  const std::vector<ColumnSet> uccs = RunDucc(r);
+  EXPECT_EQ(uccs, ReferenceProfiler::DiscoverUccs(r));
+  EXPECT_EQ(uccs, std::vector<ColumnSet>{ColumnSet::FromIndices({1, 2})});
+  EXPECT_EQ(DuccIntersects(r), 0);
+}
+
+#ifndef NDEBUG
+TEST(DuccDeathTest, DuplicateRowsTripThePrecondition) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const Relation r =
+      Relation::FromRows({"A", "B"}, {{"1", "x"}, {"2", "y"}, {"1", "x"}});
+  EXPECT_DEATH(RunDucc(r), "IsDuplicateFree");
+}
+#endif
 
 TEST(DuccTest, StatsAreReported) {
   Relation r = RandomRelation(3, 5, 40, 6);
