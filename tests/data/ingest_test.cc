@@ -229,6 +229,33 @@ TEST(IngestMaxRowsTest, PrefixCutsAcrossChunks) {
   }
 }
 
+// The first chunk's code vector becomes the column's. A cut leaves that
+// chunk's parsed rows past it in the vector's capacity; the relation must
+// not keep them.
+TEST(IngestMaxRowsTest, CutColumnKeepsNoCapacityForCutRows) {
+  std::string text = "A,B\n";
+  for (int i = 0; i < 5000; ++i) {
+    text += std::to_string(i % 7) + "," + std::to_string(i) + "\n";
+  }
+  CsvOptions options;
+  options.max_rows = 100;
+  for (const int threads : {1, 4}) {
+    options.num_threads = threads;
+    options.chunk_bytes = threads == 1 ? 0 : 4096;
+    const Result<Relation> got = CsvReader::ReadString(text, options);
+    ASSERT_TRUE(got.ok());
+    for (int c = 0; c < 2; ++c) {
+      const std::vector<int32_t>& codes = got.value().GetColumn(c).codes;
+      EXPECT_EQ(codes.size(), 100u);
+      EXPECT_LE(codes.capacity(), 200u) << "threads=" << threads;
+    }
+  }
+  CsvOptions one_thread;
+  one_thread.num_threads = 1;
+  EXPECT_EQ(ChunkCount(text, one_thread, 0), 1);
+  EXPECT_GT(ChunkCount(text, one_thread, 4096), 1);
+}
+
 TEST(IngestNullSemanticsTest, NullUnequalNumbersCellsInRowMajorOrder) {
   CsvOptions options;
   options.nulls = NullSemantics::kNullUnequal;
