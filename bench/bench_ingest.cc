@@ -15,6 +15,7 @@
 // 1M x 8 long-narrow shape against a node-based unordered_set reference
 // kept in this file, after checking both keep the same rows.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -179,8 +180,11 @@ Result<Relation> ReadBuffered(const std::string& path,
 constexpr auto kStream = &ReferenceCsvReader::ReadFile;
 constexpr auto kBuffered = &ReadBuffered;
 
-// Times `read_file` on `text` for each config, best of `reps`, and adds one
-// row per config named `prefix` + "<engine>/threads=<n>". The first config
+// Times `read_file` on `text` for each config over `reps` runs, and adds one
+// row per config named `prefix` + "<engine>/threads=<n>": its best run (the
+// wall time and every rate) and its median run (median_us), since on a
+// shared machine the best alone can hide or invent a change of a few
+// percent. The first config
 // must be the stream reference: every buffered relation is checked against
 // it. Returns false on an I/O error or a mismatch.
 bool RunIngest(const std::string& prefix, const std::string& text,
@@ -206,7 +210,7 @@ bool RunIngest(const std::string& prefix, const std::string& text,
   for (const Config& config : configs) {
     CsvOptions options;
     options.num_threads = config.threads;
-    double best_ms = 0.0;
+    std::vector<double> rep_ms;
     std::optional<Relation> relation;
     for (int rep = 0; rep < reps; ++rep) {
       Timer timer;
@@ -219,9 +223,12 @@ bool RunIngest(const std::string& prefix, const std::string& text,
         std::remove(path.c_str());
         return false;
       }
-      if (rep == 0 || ms < best_ms) best_ms = ms;
+      rep_ms.push_back(ms);
       relation.emplace(std::move(parsed).value());
     }
+    std::sort(rep_ms.begin(), rep_ms.end());
+    const double best_ms = rep_ms.front();
+    const double median_ms = rep_ms[rep_ms.size() / 2];
     if (config.read_file == kStream) {
       stream_ms = best_ms;
       reference.emplace(std::move(*relation));
@@ -241,13 +248,15 @@ bool RunIngest(const std::string& prefix, const std::string& text,
     const double speedup = stream_ms / best_ms;
     const std::string name =
         prefix + config.name + "/threads=" + std::to_string(config.threads);
-    std::printf("%-32s %9.1f ms  %7.2f MiB/s  %8lld rows/s  %.2fx\n",
-                name.c_str(), best_ms,
+    std::printf("%-32s %9.1f ms  (median %9.1f ms)  %7.2f MiB/s  %8lld rows/s"
+                "  %.2fx\n",
+                name.c_str(), best_ms, median_ms,
                 static_cast<double>(bytes_per_s) / (1 << 20),
                 static_cast<long long>(rows_per_s), speedup);
     writer->Add(name, best_ms, config.threads,
                 {{"rows", rows},
                  {"bytes", static_cast<int64_t>(text.size())},
+                 {"median_us", static_cast<int64_t>(median_ms * 1e3)},
                  {"rows_per_s", rows_per_s},
                  {"bytes_per_s", bytes_per_s},
                  {"speedup_vs_stream_pct",
@@ -260,7 +269,7 @@ bool RunIngest(const std::string& prefix, const std::string& text,
 int Run(int argc, char** argv) {
   const bench::BenchArgs args = bench::ParseArgs(argc, argv);
   const int64_t rows = args.full ? 2'000'000 : 1'000'000;
-  const int reps = 3;
+  const int reps = 5;
 
   std::printf("generating %lld-row CSV...\n", static_cast<long long>(rows));
   bench::PrintRule();

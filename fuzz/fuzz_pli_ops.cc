@@ -121,7 +121,8 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   // Re-read the dictionary codes: value strings sort differently than the
   // raw numeric codes, so the oracle must use the relation's own encoding.
   const auto column_codes = [&](int column) {
-    return relation.GetColumn(column).codes;
+    const CodeVector& codes = relation.GetColumn(column).codes;
+    return std::vector<int32_t>(codes.begin(), codes.end());
   };
 
   const Pli pli_a = Pli::FromColumn(relation.GetColumn(0), rows);

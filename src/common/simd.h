@@ -195,40 +195,6 @@ inline bool AnyGroupMultiBit4(const uint64_t* w, size_t groups) {
   return false;
 }
 
-/// Returns a 16-bit mask of the bytes in tags[0..16) equal to `tag` (bit i
-/// set iff tags[i] == tag) — the control-byte group probe of the
-/// SwissTable-style interning table in the ingest dictionary encode: one
-/// compare inspects a whole probe group, so a lookup usually costs one
-/// kernel call plus at most one full key compare.
-inline uint32_t MatchTag16(const uint8_t* tags, uint8_t tag) {
-#if defined(MUDS_SIMD_AVX2)
-  // SSE2 is implied by AVX2; 16 control bytes fit one xmm register.
-  if (!ScalarForced()) {
-    const __m128i group =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(tags));
-    const __m128i match =
-        _mm_cmpeq_epi8(group, _mm_set1_epi8(static_cast<char>(tag)));
-    return static_cast<uint32_t>(_mm_movemask_epi8(match));
-  }
-#elif defined(MUDS_SIMD_NEON) && defined(__aarch64__)
-  if (!ScalarForced()) {
-    const uint8x16_t eq = vceqq_u8(vld1q_u8(tags), vdupq_n_u8(tag));
-    // Each matching lane contributes its distinct power-of-two bit, so the
-    // horizontal add is an OR over disjoint bits.
-    const uint8x16_t bits = {1, 2, 4, 8, 16, 32, 64, 128,
-                             1, 2, 4, 8, 16, 32, 64, 128};
-    const uint8x16_t masked = vandq_u8(eq, bits);
-    return static_cast<uint32_t>(vaddv_u8(vget_low_u8(masked))) |
-           (static_cast<uint32_t>(vaddv_u8(vget_high_u8(masked))) << 8);
-  }
-#endif
-  uint32_t mask = 0;
-  for (int i = 0; i < 16; ++i) {
-    mask |= static_cast<uint32_t>(tags[i] == tag) << i;
-  }
-  return mask;
-}
-
 }  // namespace simd
 }  // namespace muds
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <deque>
@@ -16,7 +17,6 @@
 #include "common/check.h"
 #include "common/hash.h"
 #include "common/metrics.h"
-#include "common/simd.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
 
@@ -32,117 +32,88 @@ constexpr size_t kMinAutoChunkBytes = size_t{256} << 10;
 // between chunks balances out through the pool's dynamic claiming.
 constexpr int kChunksPerThread = 4;
 
-// Records whose byte length sizes a chunk's code vectors: a sample, so
+// Records whose byte length sizes a chunk's code buffers: a sample, so
 // that one short first record cannot inflate the reservation.
-constexpr int64_t kSizingRecords = 64;
+constexpr size_t kSizingRecords = 64;
 
-// SwissTable-style flat interning table for the chunk-local dictionary
-// encode: one control byte (7 hash bits) per slot, probed 16 slots at a
-// time with simd::MatchTag16, open addressing over groups, no deletions.
-// The group probe turns a per-cell bucket walk into one SIMD compare plus
-// (almost always) at most one full key compare. The table starts small
-// and doubles when 7/8 full, so a column pays only for the distinct values
-// it actually holds.
-// A value of at most 8 bytes is keyed by its exact word plus its length
-// (LoadShortWord): integer hash and compare. A longer one keeps HashBytes
-// and the string compare, behind a check of its first 8 bytes.
+// The first min(size, 8) bytes of `value`, zero-padded, as one word: one
+// unaligned load plus a length mask when the 8 bytes at value.data() are
+// `readable` (inside the input buffer), else LoadShortWord's loads, which
+// never pass the value's end. Both give the same word.
+uint64_t FirstWord(std::string_view value, bool readable) {
+  const size_t n = value.size();
+  if (n < 8 && !readable) return LoadShortWord(value.data(), n);
+  uint64_t word;
+  std::memcpy(&word, value.data(), 8);
+  return n < 8 ? word & ((uint64_t{1} << (8 * n)) - 1) : word;
+}
+
+// Flat linear-probing interning table for the chunk-local dictionary
+// encode, kept at most half full so that probe runs stay short. A slot
+// holds the value's first word (FirstWord), its bytes and its id. A value
+// of at most 8 bytes is identified by its word plus its length ("a" and
+// "a\0" share a word), so its hash is one multiply and a match two integer
+// compares; a longer one hashes with HashBytes and compares the bytes past
+// its first word. The table starts small and doubles, so a column pays
+// only for the distinct values it actually holds.
 class InternTable {
  public:
-  static constexpr size_t kGroup = 16;
-  static constexpr uint8_t kEmpty = 0xFF;  // Tags keep the high bit clear.
+  static constexpr int32_t kAbsent = -1;
 
-  InternTable() { Allocate(4 * kGroup); }
+  InternTable() : slots_(kInitialSlots) {}
 
-  // Returns the id of `value`, inserting it with id `next_id` when absent;
-  // *inserted reports which happened.
-  int32_t Intern(std::string_view value, int32_t next_id, bool* inserted) {
-    const uint64_t word =
-        LoadShortWord(value.data(), std::min<size_t>(value.size(), 8));
-    const uint64_t hash = Hash(value, word);
-    const uint8_t tag = static_cast<uint8_t>(hash & 0x7F);
-    size_t group = (hash >> 7) & group_mask_;
-    for (;;) {
-      const uint8_t* tags = tags_.data() + group * kGroup;
-      uint32_t match = simd::MatchTag16(tags, tag);
-      while (match != 0) {
-        const Slot& slot = slots_[group * kGroup +
-                                  static_cast<size_t>(std::countr_zero(match))];
-        if (slot.word == word && slot.key.size() == value.size() &&
-            (value.size() <= 8 || slot.key == value)) {
-          *inserted = false;
-          return slot.id;
-        }
-        match &= match - 1;
-      }
-      if (simd::MatchTag16(tags, kEmpty) != 0) {
-        // With no deletions, the first group holding an empty slot ends the
-        // probe chain: the key cannot live further along.
-        if (size_ == max_size_) Grow();
-        Place(hash, Slot{word, value, next_id});
-        *inserted = true;
-        return next_id;
-      }
-      group = (group + 1) & group_mask_;
-    }
+  // The id of `value`, whose first word is `word`, or kAbsent.
+  int32_t Find(std::string_view value, uint64_t word) const {
+    return slots_[Probe(value, word)].id;
+  }
+
+  // Adds `value`, which Find reported absent, under `id` (not kAbsent).
+  void Insert(std::string_view value, uint64_t word, int32_t id) {
+    slots_[Probe(value, word)] = Slot{word, value.data(), value.size(), id};
+    if (2 * ++size_ > slots_.size()) Grow();
   }
 
  private:
+  static constexpr size_t kInitialSlots = 16;
+
   struct Slot {
-    uint64_t word;
-    std::string_view key;
-    int32_t id;
+    uint64_t word = 0;
+    const char* data = nullptr;
+    size_t size = 0;
+    int32_t id = kAbsent;
   };
 
-  // Bijective on a short key, so values of at most 7 bytes never collide.
-  static uint64_t Hash(std::string_view value, uint64_t word) {
-    if (value.size() > 8) return HashBytes(value.data(), value.size());
-    const uint64_t h =
-        (word ^ (uint64_t{value.size()} << 56)) * 0x9DDFEA08EB382D69ull;
-    return h ^ (h >> 32);
-  }
-
-  // Empties the table at `capacity` slots (a power of two >= kGroup). The
-  // 7/8 load cap keeps an empty slot in every probe chain.
-  void Allocate(size_t capacity) {
-    tags_.assign(capacity, kEmpty);
-    slots_.resize(capacity);
-    group_mask_ = capacity / kGroup - 1;
-    size_ = 0;
-    max_size_ = capacity - capacity / 8;
-  }
-
-  // Puts an absent key into the first empty slot of its probe chain.
-  void Place(uint64_t hash, const Slot& entry) {
-    size_t group = (hash >> 7) & group_mask_;
-    for (;;) {
-      const uint32_t empty =
-          simd::MatchTag16(tags_.data() + group * kGroup, kEmpty);
-      if (empty != 0) {
-        const size_t slot =
-            group * kGroup + static_cast<size_t>(std::countr_zero(empty));
-        tags_[slot] = static_cast<uint8_t>(hash & 0x7F);
-        slots_[slot] = entry;
-        ++size_;
-        return;
+  // The slot holding `value`, or the empty slot that ends its probe run.
+  // The run starts at the hash's top bits, where a multiply mixes best.
+  size_t Probe(std::string_view value, uint64_t word) const {
+    const size_t n = value.size();
+    const uint64_t hash = n <= 8 ? word * 0x9DDFEA08EB382D69ull
+                                 : HashBytes(value.data(), n);
+    for (size_t i = hash >> shift_;; i = (i + 1) & (slots_.size() - 1)) {
+      const Slot& slot = slots_[i];
+      if (slot.id == kAbsent ||
+          (slot.word == word && slot.size == n &&
+           (n <= 8 ||
+            std::memcmp(slot.data + 8, value.data() + 8, n - 8) == 0))) {
+        return i;
       }
-      group = (group + 1) & group_mask_;
     }
   }
 
   void Grow() {
-    const std::vector<uint8_t> tags = std::move(tags_);
-    const std::vector<Slot> slots = std::move(slots_);
-    Allocate(2 * tags.size());
-    for (size_t i = 0; i < tags.size(); ++i) {
-      if (tags[i] != kEmpty) Place(Hash(slots[i].key, slots[i].word), slots[i]);
+    std::vector<Slot> old(2 * slots_.size());
+    old.swap(slots_);
+    --shift_;
+    for (const Slot& slot : old) {
+      if (slot.id != kAbsent) {
+        slots_[Probe({slot.data, slot.size}, slot.word)] = slot;
+      }
     }
   }
 
-  std::vector<uint8_t> tags_;
   std::vector<Slot> slots_;
-  size_t group_mask_ = 0;
+  int shift_ = 64 - std::countr_zero(kInitialSlots);
   size_t size_ = 0;
-  size_t max_size_ = 0;
 };
 
 int HardwareThreads() {
@@ -219,22 +190,18 @@ class FieldBuilder {
 // state machine is byte-for-byte the one in csv.cc's RecordScanner (quote
 // opens only on an empty field, doubled quote is a literal, \r\n is one
 // break, fully-blank lines are skipped) so that chunked parses agree with
-// the streaming reference on every input. A field without a quote byte is
-// returned as a view of its bytes; only a field holding a quote byte goes
-// through the FieldBuilder.
+// the streaming reference on every input. The caller keeps the scan
+// position. A field without a quote byte is returned as a view of its
+// bytes; only a field holding a quote byte goes through the FieldBuilder.
 class ChunkParser {
  public:
   enum class Next { kRecord, kEnd, kUnterminatedQuote };
   // What ended a field.
   enum class End { kSeparator, kLineBreak, kEnd, kUnterminatedQuote };
 
-  ChunkParser(std::string_view text, size_t begin, size_t end,
-              const CsvOptions& options, std::deque<std::string>* arena)
-      : text_(text),
-        pos_(begin),
-        end_(end),
-        options_(options),
-        field_(text.data(), arena) {
+  ChunkParser(std::string_view text, size_t end, const CsvOptions& options,
+              std::deque<std::string>* arena)
+      : text_(text), end_(end), options_(options), field_(text.data(), arena) {
     plain_.fill(true);
     plain_[static_cast<unsigned char>(options.quote)] = false;
     plain_[static_cast<unsigned char>(options.separator)] = false;
@@ -242,53 +209,56 @@ class ChunkParser {
     plain_[static_cast<unsigned char>('\r')] = false;
   }
 
-  // Skips blank lines at a record start; false when no record is left. A
-  // record starts at a quote, a separator or any byte but a line break.
-  bool StartRecord() {
-    while (pos_ < end_) {
-      const char c = text_[pos_];
+  // Skips blank lines from `pos` to where the next record starts (at a
+  // quote, a separator or any byte but a line break), or to the chunk end.
+  size_t StartRecord(size_t pos) const {
+    while (pos < end_) {
+      const char c = text_[pos];
       if (c == options_.quote || c == options_.separator ||
           (c != '\n' && c != '\r')) {
-        return true;
+        return pos;
       }
-      ++pos_;
-      if (c == '\r' && pos_ < end_ && text_[pos_] == '\n') ++pos_;
+      ++pos;
+      if (c == '\r' && pos < end_ && text_[pos] == '\n') ++pos;
     }
-    return false;
+    return end_;
   }
 
-  // Scans the field at pos_ into *field and consumes what ended it (a
+  // Scans the field at `pos` into *field and consumes what ended it (a
   // "\r\n" break as one).
-  End NextField(std::string_view* field) {
-    const size_t begin = pos_;
-    pos_ = PlainRunEnd(pos_);
-    *field = std::string_view(text_.data() + begin, pos_ - begin);
-    if (pos_ < end_ && text_[pos_] == options_.quote &&
-        !ScanQuotedField(begin, field)) {
-      return End::kUnterminatedQuote;
+  End NextField(size_t& pos, std::string_view* field) {
+    const size_t begin = pos;
+    pos = PlainRunEnd(pos);
+    *field = std::string_view(text_.data() + begin, pos - begin);
+    if (pos < end_ && text_[pos] == options_.quote) {
+      std::string_view quoted;
+      pos = ScanQuotedField(begin, pos, &quoted);
+      if (pos == kUnterminated) return End::kUnterminatedQuote;
+      *field = quoted;
     }
-    if (pos_ == end_) return End::kEnd;
-    const char c = text_[pos_++];
+    if (pos == end_) return End::kEnd;
+    const char c = text_[pos++];
     if (c == options_.separator) return End::kSeparator;
-    if (c == '\r' && pos_ < end_ && text_[pos_] == '\n') ++pos_;
+    if (c == '\r' && pos < end_ && text_[pos] == '\n') ++pos;
     return End::kLineBreak;
   }
 
-  Next NextRecord(std::vector<std::string_view>* fields) {
+  Next NextRecord(size_t& pos, std::vector<std::string_view>* fields) {
     fields->clear();
-    if (!StartRecord()) return Next::kEnd;
+    pos = StartRecord(pos);
+    if (pos == end_) return Next::kEnd;
     for (;;) {
       std::string_view field;
-      const End end = NextField(&field);
+      const End end = NextField(pos, &field);
       if (end == End::kUnterminatedQuote) return Next::kUnterminatedQuote;
       fields->push_back(field);
       if (end != End::kSeparator) return Next::kRecord;
     }
   }
 
-  size_t pos() const { return pos_; }
-
  private:
+  static constexpr size_t kUnterminated = ~size_t{0};
+
   // End of the run of plain bytes starting at `pos`.
   size_t PlainRunEnd(size_t pos) const {
     while (pos < end_ && plain_[static_cast<unsigned char>(text_[pos])]) {
@@ -297,54 +267,50 @@ class ChunkParser {
     return pos;
   }
 
-  // Finishes a field that starts at `begin` and holds a quote byte at pos_:
-  // runs the full state machine up to the separator or line break that
-  // ends the field (left unconsumed), materializing into the arena only
-  // where the content diverges from the raw bytes. False on an
-  // unterminated quote.
-  bool ScanQuotedField(size_t begin, std::string_view* field) {
-    field_.AppendRange(begin, pos_);
+  // Finishes a field that starts at `begin` and holds a quote byte at
+  // `pos`: runs the full state machine up to the separator or line break
+  // that ends the field, whose position it returns (the byte is left
+  // unconsumed), materializing into the arena only where the content
+  // diverges from the raw bytes. kUnterminated on an unterminated quote.
+  size_t ScanQuotedField(size_t begin, size_t pos, std::string_view* field) {
+    field_.AppendRange(begin, pos);
     bool in_quotes = false;
-    while (pos_ < end_) {
-      const char c = text_[pos_];
+    while (pos < end_) {
+      const char c = text_[pos];
       if (in_quotes) {
         // Bulk-skip to the next quote; everything before it is content.
         const char* next = static_cast<const char*>(std::memchr(
-            text_.data() + pos_, options_.quote, end_ - pos_));
-        if (next == nullptr) {
-          pos_ = end_;
-          return false;
-        }
+            text_.data() + pos, options_.quote, end_ - pos));
+        if (next == nullptr) return kUnterminated;
         const size_t quote_pos = static_cast<size_t>(next - text_.data());
-        field_.AppendRange(pos_, quote_pos);
+        field_.AppendRange(pos, quote_pos);
         if (quote_pos + 1 < end_ && text_[quote_pos + 1] == options_.quote) {
           field_.AppendRaw(quote_pos);  // Doubled quote = literal quote.
-          pos_ = quote_pos + 2;
+          pos = quote_pos + 2;
         } else {
           in_quotes = false;
-          pos_ = quote_pos + 1;
+          pos = quote_pos + 1;
         }
         continue;
       }
       if (c == options_.quote && field_.empty()) {
         in_quotes = true;
-        ++pos_;
+        ++pos;
       } else if (c == options_.separator || c == '\n' || c == '\r') {
         break;
       } else {
         // A literal quote after content, and the plain run that follows.
-        const size_t run = PlainRunEnd(pos_ + 1);
-        field_.AppendRange(pos_, run);
-        pos_ = run;
+        const size_t run = PlainRunEnd(pos + 1);
+        field_.AppendRange(pos, run);
+        pos = run;
       }
     }
-    if (in_quotes) return false;
+    if (in_quotes) return kUnterminated;
     *field = field_.Finish();
-    return true;
+    return pos;
   }
 
   std::string_view text_;
-  size_t pos_;
   size_t end_;
   const CsvOptions& options_;
   FieldBuilder field_;
@@ -436,12 +402,11 @@ std::vector<size_t> SplitAtLineFeeds(std::string_view text, size_t begin,
 // One column of one chunk, encoded against a chunk-local dictionary.
 struct ChunkColumn {
   std::vector<std::string_view> distinct;  // [local_id], first-seen order
-  std::vector<int32_t> codes;              // [local_row]
+  CodeVector codes;                        // [local_row]
 };
 
 // Everything one chunk's parse produces; written by exactly one pool task.
-// Cache-line aligned: the record count is written once per record, and
-// chunks that share a line would stall each other's parse.
+// Cache-line aligned: chunks parsed side by side must not share a line.
 struct alignas(64) ChunkData {
   std::vector<ChunkColumn> encoded;  // [col], valid records only
   // Owns unescaped fields and synthesized NULL values (stable addresses).
@@ -463,70 +428,104 @@ struct alignas(64) ChunkData {
   bool unterminated = false;
 };
 
+// Per-column encode state of one chunk's parse.
+struct ColumnState {
+  InternTable table;
+  int32_t* codes = nullptr;  // The column's ChunkColumn::codes.
+  // A near-unique column (a key, say) empties its table and adds no more:
+  // deduplicating it buys nothing, as the merge sort deduplicates anyway
+  // (duplicate entries in `distinct` get the same rank).
+  bool near_unique = false;
+};
+
+// Table id of the NULL token under NULL != NULL; its cells take fresh ids.
+constexpr int32_t kNullId = InternTable::kAbsent - 1;
+
 // Parses one chunk and dictionary-encodes it field by field: each field is
-// interned into its column's chunk-local table, one hash probe per cell, as
-// it is scanned. A record that does not complete (wrong arity, unterminated
-// quote) ends the parse and leaves no trace: its cells are taken back out
-// of `codes`, `distinct` and `null_cells`, since a max_rows cut exactly at
-// it keeps every earlier row and so would drop none of its values.
+// looked up in its column's chunk-local table as it is scanned, and its
+// code is written at its row; only a miss (a new value, a NULL cell under
+// NULL != NULL, any cell of a near-unique column) leaves that path. The
+// code vectors hold kSizingRecords rows, then as many as those records'
+// bytes predict for the chunk, doubling only when that runs short. A
+// record that does not complete (wrong arity, unterminated quote) ends the
+// parse and leaves no trace: it is not counted, and the values it added
+// come back out of `distinct` and `null_cells`, since a max_rows cut
+// exactly at it keeps every earlier row and so would drop none of them.
 void ParseChunk(std::string_view text, size_t begin, size_t end,
                 const CsvOptions& options, int num_columns, ChunkData* out) {
   using End = ChunkParser::End;
   const size_t width = static_cast<size_t>(num_columns);
   out->encoded.resize(width);
-  std::vector<InternTable> tables(width);
-  std::vector<bool> near_unique(width, false);
+  std::vector<ColumnState> states(width);
+  const auto add_null_token = [&options](InternTable* table) {
+    if (options.nulls == NullSemantics::kNullUnequal) {
+      table->Insert(options.null_token, FirstWord(options.null_token, false),
+                    kNullId);
+    }
+  };
+  for (ColumnState& state : states) add_null_token(&state.table);
   std::vector<size_t> grew;  // Columns the current record added a value to.
-  ChunkParser parser(text, begin, end, options, &out->arena);
-  const bool scan_nulls = options.nulls == NullSemantics::kNullUnequal;
-  while (parser.StartRecord()) {
-    const int64_t row = out->num_records;
+  ChunkParser parser(text, end, options, &out->arena);
+  size_t capacity = 0;  // Rows each code vector holds.
+  int64_t row = 0;
+  for (size_t pos = parser.StartRecord(begin); pos < end;
+       pos = parser.StartRecord(pos), ++row) {
+    const size_t rows = static_cast<size_t>(row);
+    if (rows == capacity) {
+      capacity = rows == 0 ? kSizingRecords
+                 : rows == kSizingRecords
+                     ? (end - begin) * kSizingRecords / (pos - begin) + 1
+                     : 2 * capacity;
+      for (size_t c = 0; c < width; ++c) {
+        // Cut to the written rows first, so that growing copies only those.
+        CodeVector& codes = out->encoded[c].codes;
+        codes.resize(rows);
+        codes.resize(capacity);
+        states[c].codes = codes.data();
+      }
+    }
     grew.clear();
     size_t fields = 0;
     End ended = End::kSeparator;
     while (ended == End::kSeparator) {
+      const size_t field_begin = pos;
       std::string_view value;
-      ended = parser.NextField(&value);
+      ended = parser.NextField(pos, &value);
       if (ended == End::kUnterminatedQuote) break;
       const size_t c = fields++;
       if (c >= width) continue;  // Over-wide: counted, not encoded.
-      ChunkColumn& column = out->encoded[c];
-      const int32_t fresh = static_cast<int32_t>(column.distinct.size());
-      int32_t id = fresh;
-      if (scan_nulls && value == options.null_token) {
-        out->null_cells.push_back({row, static_cast<int32_t>(c), fresh});
-        column.distinct.emplace_back();
-      } else if (near_unique[c]) {
-        column.distinct.push_back(value);
-      } else {
-        bool inserted = false;
-        id = tables[c].Intern(value, fresh, &inserted);
-        if (inserted) {
+      ColumnState& state = states[c];
+      // A view of the buffer from the field's start (an arena copy never
+      // starts there) may be read 8 bytes wide while 8 bytes are left.
+      const bool readable = value.data() == text.data() + field_begin &&
+                            text.size() - field_begin >= 8;
+      const uint64_t word = FirstWord(value, readable);
+      int32_t id = state.table.Find(value, word);
+      if (id < 0) {
+        ChunkColumn& column = out->encoded[c];
+        const bool null = id == kNullId;
+        id = static_cast<int32_t>(column.distinct.size());
+        grew.push_back(c);
+        if (null) {
+          out->null_cells.push_back({row, static_cast<int32_t>(c), id});
+          column.distinct.emplace_back();
+        } else {
           column.distinct.push_back(value);
-          // Near-unique column (a key, say): deduplicating here buys
-          // nothing — the merge sort deduplicates anyway, and duplicate
-          // entries in `distinct` are harmless (each gets the same rank).
-          // Stop paying a hash probe per cell once that's clear.
-          near_unique[c] = column.distinct.size() >= 4096 &&
-                           column.distinct.size() * 4 >=
-                               static_cast<size_t>(row + 1) * 3;
+          if (!state.near_unique) {
+            state.table.Insert(value, word, id);
+            state.near_unique = column.distinct.size() >= 4096 &&
+                                column.distinct.size() * 4 >=
+                                    static_cast<size_t>(row + 1) * 3;
+            if (state.near_unique) {
+              state.table = InternTable();
+              add_null_token(&state.table);
+            }
+          }
         }
       }
-      if (id == fresh) grew.push_back(c);
-      column.codes.push_back(id);
+      state.codes[rows] = id;
     }
-    if (ended != End::kUnterminatedQuote && fields == width) {
-      if (++out->num_records == kSizingRecords) {
-        // Sized from the chunk's first records, code vectors seldom regrow.
-        const size_t records =
-            (end - begin) * kSizingRecords / (parser.pos() - begin) + 1;
-        for (ChunkColumn& column : out->encoded) column.codes.reserve(records);
-      }
-      continue;
-    }
-    for (size_t c = 0; c < std::min(fields, width); ++c) {
-      out->encoded[c].codes.pop_back();
-    }
+    if (ended != End::kUnterminatedQuote && fields == width) continue;
     for (const size_t c : grew) out->encoded[c].distinct.pop_back();
     while (!out->null_cells.empty() && out->null_cells.back().row == row) {
       out->null_cells.pop_back();
@@ -534,8 +533,9 @@ void ParseChunk(std::string_view text, size_t begin, size_t end,
     out->unterminated = ended == End::kUnterminatedQuote;
     out->bad_local = out->unterminated ? -1 : row;
     out->bad_fields = fields;
-    return;
+    break;
   }
+  out->num_records = row;
 }
 
 }  // namespace
@@ -552,8 +552,9 @@ Result<Relation> IngestCsv(std::string_view text, const CsvOptions& options,
   {
     std::deque<std::string> arena;
     std::vector<std::string_view> fields;
-    ChunkParser probe(text, 0, text.size(), options, &arena);
-    const ChunkParser::Next next = probe.NextRecord(&fields);
+    ChunkParser probe(text, text.size(), options, &arena);
+    size_t pos = 0;
+    const ChunkParser::Next next = probe.NextRecord(pos, &fields);
     if (next == ChunkParser::Next::kUnterminatedQuote) {
       return Status::ParseError("unterminated quoted field in record 1");
     }
@@ -567,7 +568,7 @@ Result<Relation> IngestCsv(std::string_view text, const CsvOptions& options,
       for (const std::string_view field : fields) {
         column_names.emplace_back(field);
       }
-      data_begin = probe.pos();
+      data_begin = pos;
     } else {
       for (size_t i = 0; i < fields.size(); ++i) {
         column_names.push_back("col" + std::to_string(i));
@@ -621,13 +622,20 @@ Result<Relation> IngestCsv(std::string_view text, const CsvOptions& options,
   std::vector<ChunkData> chunks(static_cast<size_t>(num_chunks));
   {
     MUDS_TRACE_SPAN("ingest.parse");
+    // Each chunk's parse time, summed: next to the span's wall time, what
+    // the threads cost each other.
+    Counter* const parse_ns =
+        MetricsRegistry::Global().GetCounter("ingest.parse_ns");
     pool->ParallelFor(0, num_chunks, [&](int64_t i) {
+      const auto start = std::chrono::steady_clock::now();
       const size_t begin = starts[static_cast<size_t>(i)];
       const size_t end = i + 1 < num_chunks
                              ? starts[static_cast<size_t>(i + 1)]
                              : text.size();
       ParseChunk(text, begin, end, options, num_columns,
                  &chunks[static_cast<size_t>(i)]);
+      parse_ns->Add((std::chrono::steady_clock::now() - start) /
+                    std::chrono::nanoseconds(1));
     });
   }
 
@@ -794,28 +802,29 @@ Result<Relation> IngestCsv(std::string_view text, const CsvOptions& options,
       }
 
       // Chunk 0's code vector becomes the column's, cut or grown to
-      // total_rows, so with one chunk nothing is zero-filled only to be
-      // overwritten. Rows parsed past a max_rows cut were written, and the
-      // column lives as long as the relation: give back capacity beyond
-      // twice the rows.
-      std::vector<int32_t>& codes = column.codes;
+      // total_rows without a zero-fill, remapped in place; later chunks are
+      // remapped into it at their offsets, and each is freed once read. Rows
+      // parsed past a max_rows cut were written, and the column lives as
+      // long as the relation: give back capacity beyond twice the rows.
+      CodeVector& codes = column.codes;
       if (num_chunks > 0) {
         codes = std::move(chunks[0].encoded[static_cast<size_t>(c)].codes);
+        codes.resize(static_cast<size_t>(keep[0]));  // Growing copies these.
       }
       codes.resize(static_cast<size_t>(total_rows));
       if (codes.capacity() > 2 * codes.size()) codes.shrink_to_fit();
       for (int i = 0; i < num_chunks; ++i) {
-        // Chunk 0 is remapped in place (its offset is 0).
-        const int32_t* in =
-            i == 0 ? codes.data()
+        CodeVector& chunk_codes =
+            i == 0 ? codes
                    : chunks[static_cast<size_t>(i)]
                          .encoded[static_cast<size_t>(c)]
-                         .codes.data();
+                         .codes;
         const auto& chunk_remap = remap[static_cast<size_t>(i)];
         int32_t* out = codes.data() + row_offset[static_cast<size_t>(i)];
         for (int64_t j = 0; j < keep[static_cast<size_t>(i)]; ++j) {
-          out[j] = chunk_remap[static_cast<size_t>(in[j])];
+          out[j] = chunk_remap[static_cast<size_t>(chunk_codes[j])];
         }
+        if (i > 0) chunk_codes = CodeVector();
       }
     });
   }

@@ -28,7 +28,7 @@ namespace muds {
 /// size. The global dictionary is the
 /// sorted union of the chunk dictionaries and a code is the value's rank in
 /// it, so the merge is independent of how the input was chunked; rows keep
-/// file order through per-chunk row offsets.
+/// file order as each column appends the chunks' codes in turn.
 ///
 /// Runs on `pool` when one is given (a run owner's pool; `options.num_threads`
 /// is then ignored), else on a pool of `options.num_threads` threads capped
@@ -37,8 +37,9 @@ namespace muds {
 /// min(pool threads, hardware), so an input splits the same on both. Honors
 /// `options.chunk_bytes` (0 = automatic sizing; tests set tiny values to
 /// force record boundaries into quoted fields).
-/// Counts `ingest.bytes`, `ingest.records`, and `ingest.chunks` in the
-/// metrics registry and emits `ingest.scan` / `ingest.parse` (parse and
+/// Counts `ingest.bytes`, `ingest.records`, `ingest.chunks` and
+/// `ingest.parse_ns` (each chunk's parse time, summed) in the metrics
+/// registry and emits `ingest.scan` / `ingest.parse` (parse and
 /// encode) / `ingest.merge` trace spans.
 Result<Relation> IngestCsv(std::string_view text, const CsvOptions& options,
                            std::string name = "relation",

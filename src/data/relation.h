@@ -2,6 +2,8 @@
 #define MUDS_DATA_RELATION_H_
 
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -14,6 +16,26 @@ namespace muds {
 /// largest evaluated instances.
 using RowId = int32_t;
 
+/// std::allocator whose value-initialization (resize, the count
+/// constructor) leaves the element uninitialized: a code vector that is
+/// written in full right after it grows (the ingest parse and merge) pays
+/// no zero-fill.
+template <typename T>
+struct UninitializedAllocator : std::allocator<T> {
+  UninitializedAllocator() = default;
+  template <typename U>
+  UninitializedAllocator(const UninitializedAllocator<U>&) noexcept {}
+
+  // Construction with arguments falls back to std::construct_at.
+  template <typename U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+};
+
+/// A column's codes, one per row.
+using CodeVector = std::vector<int32_t, UninitializedAllocator<int32_t>>;
+
 /// A single dictionary-encoded column.
 ///
 /// `dictionary` holds the distinct values sorted ascending, so a code also
@@ -22,7 +44,7 @@ using RowId = int32_t;
 /// sharing described in §3), and PLI construction groups equal codes.
 struct Column {
   std::vector<std::string> dictionary;
-  std::vector<int32_t> codes;  // codes[row] indexes into dictionary.
+  CodeVector codes;  // codes[row] indexes into dictionary.
 
   /// Number of distinct values.
   int64_t Cardinality() const {

@@ -8,7 +8,10 @@
 // separators at chunk edges) and assert exact equality.
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -229,9 +232,8 @@ TEST(IngestMaxRowsTest, PrefixCutsAcrossChunks) {
   }
 }
 
-// The first chunk's code vector becomes the column's. A cut leaves that
-// chunk's parsed rows past it in the vector's capacity; the relation must
-// not keep them.
+// A chunk parses rows past a max_rows cut; the relation must keep no
+// capacity for them.
 TEST(IngestMaxRowsTest, CutColumnKeepsNoCapacityForCutRows) {
   std::string text = "A,B\n";
   for (int i = 0; i < 5000; ++i) {
@@ -245,7 +247,7 @@ TEST(IngestMaxRowsTest, CutColumnKeepsNoCapacityForCutRows) {
     const Result<Relation> got = CsvReader::ReadString(text, options);
     ASSERT_TRUE(got.ok());
     for (int c = 0; c < 2; ++c) {
-      const std::vector<int32_t>& codes = got.value().GetColumn(c).codes;
+      const CodeVector& codes = got.value().GetColumn(c).codes;
       EXPECT_EQ(codes.size(), 100u);
       EXPECT_LE(codes.capacity(), 200u) << "threads=" << threads;
     }
@@ -439,7 +441,7 @@ TEST(IngestShortKeyTest, SevenEightAndNineByteValuesSharingAPrefix) {
             (std::vector<std::string>{"abcdefg", "abcdefgX", "abcdefgh",
                                       "abcdefghi"}));
   EXPECT_EQ(got.value().GetColumn(1).codes,
-            (std::vector<int32_t>{1, 3, 0, 1, 2, 1}));
+            (CodeVector{1, 3, 0, 1, 2, 1}));
 }
 
 TEST(IngestShortKeyTest, ValuesDifferingOnlyInTrailingNulBytes) {
@@ -503,6 +505,147 @@ TEST(IngestShortKeyTest, NearUniqueSwitchMidChunkThenShortRecordAtTheCut) {
   }
   options.max_rows = -1;
   ExpectParityAtAllChunkings(text, options, {text.size(), 40000});
+}
+
+// Parses `text` from a heap copy of exactly its size, so a read past its
+// last byte is out of bounds (and an ASan failure), at threads 1 and 4 and
+// chunk_bytes 0, 1, 7 and 64, and demands the reference's relation.
+// Returns the reference's relation (nullopt if it refused the text).
+std::optional<Relation> ExpectParityFromExactBuffer(const std::string& text,
+                                                    CsvOptions options = {}) {
+  const Result<Relation> want = ReferenceCsvReader::ReadString(text, options);
+  EXPECT_TRUE(want.ok()) << want.status().ToString();
+  if (!want.ok()) return std::nullopt;
+  const auto exact = std::make_unique<char[]>(text.size());
+  std::copy(text.begin(), text.end(), exact.get());
+  const std::string_view view(exact.get(), text.size());
+  for (const int threads : {1, 4}) {
+    for (const size_t bytes : {size_t{0}, size_t{1}, size_t{7}, size_t{64}}) {
+      options.num_threads = threads;
+      options.chunk_bytes = bytes;
+      const Result<Relation> got = CsvReader::ReadString(view, options);
+      const std::string context = "threads=" + std::to_string(threads) +
+                                  " chunk_bytes=" + std::to_string(bytes);
+      EXPECT_TRUE(got.ok()) << context << " " << got.status().ToString();
+      if (got.ok()) ExpectIdentical(got.value(), want.value(), context);
+    }
+  }
+  return want.value();
+}
+
+// A value of at most 8 bytes is interned by its zero-padded first word and
+// its length; the word is one 8-byte load while 8 bytes of the input
+// buffer are readable from the value's start, and bounded loads otherwise.
+TEST(IngestInternTableTest, EveryLengthFromZeroToSeventeen) {
+  const std::string bytes = "abcdefghijklmnopq";
+  std::string text = "A,B,C\n";
+  for (int i = 0; i < 3 * 18; ++i) {
+    std::string b = bytes.substr(0, static_cast<size_t>(i * 7 % 18));
+    if (i % 2 == 1 && !b.empty()) b.back() = 'Z';  // Same length, last byte.
+    text += bytes.substr(0, static_cast<size_t>(i % 18)) + "," + b + "," +
+            std::string(static_cast<size_t>(17 - i % 18), 'x') + "\n";
+  }
+  const std::optional<Relation> got = ExpectParityFromExactBuffer(text);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->GetColumn(0).dictionary.size(), 18u);
+  EXPECT_EQ(got->GetColumn(2).dictionary.size(), 18u);
+}
+
+TEST(IngestInternTableTest, ValuesSharingTheirFirstEightBytes) {
+  // Each pair below has one length and one first word; they differ only
+  // past byte 8, so only the long-value byte compare tells them apart.
+  const std::string text =
+      "A,B\n"
+      "abcdefgh,abcdefghX\n"
+      "abcdefghX,abcdefghY\n"
+      "abcdefghY,abcdefghXY\n"
+      "abcdefghXY,abcdefghYX\n"
+      "abcdefghYX,abcdefgh12345678A\n"
+      "abcdefgh12345678A,abcdefgh12345678B\n"
+      "abcdefgh12345678B,abcdefgh\n"
+      "abcdefghX,abcdefgh12345678A\n";
+  const std::optional<Relation> got = ExpectParityFromExactBuffer(text);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->GetColumn(0).dictionary.size(), 7u);
+  EXPECT_EQ(got->GetColumn(1).dictionary.size(), 7u);
+}
+
+TEST(IngestInternTableTest, ValuesDifferingOnlyInTrailingNulBytes) {
+  // Zero padding gives "", "\0", "a", "a\0", ... "a" + 7 NULs the same
+  // word as their shorter neighbors; only the length separates them.
+  std::string text = "A,B\n";
+  for (int n = 0; n <= 9; ++n) {
+    text += "a" + std::string(static_cast<size_t>(n), '\0') + "," +
+            std::string(static_cast<size_t>(n), '\0') + "\n";
+  }
+  text += "a,\na" + std::string(8, '\0') + "," + std::string(8, '\0') + "\n";
+  const std::optional<Relation> got = ExpectParityFromExactBuffer(text);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->GetColumn(0).dictionary.size(), 10u);
+  EXPECT_EQ(got->GetColumn(1).dictionary.size(), 10u);
+}
+
+TEST(IngestInternTableTest, ShortLastFieldEndsAtTheLastByte) {
+  // No newline at the end: the last field's 8-byte window runs past the
+  // buffer, so its word must come from the bounded loads.
+  for (size_t n = 0; n <= 9; ++n) {
+    const std::string last = std::string("abcdefghi").substr(0, n);
+    ExpectParityFromExactBuffer("A,B\n1,abcdefghi\n2," + last);
+    ExpectParityFromExactBuffer("A\n" + last + "\n" + last + "\n" + last);
+  }
+  ExpectParityFromExactBuffer("A,B\nx,y\r\nx,y");
+}
+
+TEST(IngestInternTableTest, QuotedAndArenaValuesMatchTheirPlainTwins) {
+  // "abcd"efgh is an arena copy of abcdefgh, "abc" a view of the buffer
+  // past its quote, and "a""b" an unescaped arena value; each must take
+  // the id of the same bytes met as a plain field.
+  const std::string text =
+      "A,B\n"
+      "abcdefgh,abc\n"
+      "\"abcd\"efgh,\"abc\"\n"
+      "abcdefghi,\"a\"\"b\"\n"
+      "\"abcd\"efghi,a\"b\n"
+      "\"\"\"\",\"abcdefgh\"\"\"\n"
+      "\"abcdefgh\",\"\"\n";
+  const std::optional<Relation> got = ExpectParityFromExactBuffer(text);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->GetColumn(0).dictionary,
+            (std::vector<std::string>{"\"", "abcdefgh", "abcdefghi"}));
+  EXPECT_EQ(got->GetColumn(1).dictionary,
+            (std::vector<std::string>{"", "a\"b", "abc", "abcdefgh\""}));
+}
+
+// ingest.parse_ns sums each chunk's parse time into the run exactly once:
+// a run reads what the process counter gained over it, and at one thread
+// (chunks parse one after another) no more than the call's wall time.
+TEST(IngestMetricsTest, ParseNanosecondsAreCreditedOncePerRun) {
+  std::string text = "A,B,C\n";
+  for (int i = 0; i < 20000; ++i) {
+    text += "v" + std::to_string(i % 7) + ",w" + std::to_string(i % 5) +
+            "," + std::to_string(i % 3) + "\n";
+  }
+  Counter* parse_ns = MetricsRegistry::Global().GetCounter("ingest.parse_ns");
+  for (const int threads : {1, 4}) {
+    CsvOptions options;
+    options.num_threads = threads;
+    options.chunk_bytes = threads == 1 ? 0 : 8192;
+    const int64_t before = parse_ns->Value();
+    MetricsScope scope;
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_TRUE(CsvReader::ReadString(text, options).ok());
+    const int64_t wall_ns =
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count();
+    const int64_t run = metrics::ValueOf(scope.run()->Snapshot(),
+                                         "ingest.parse_ns");
+    EXPECT_GT(run, 0) << "threads=" << threads;
+    EXPECT_EQ(run, parse_ns->Value() - before) << "threads=" << threads;
+    if (threads == 1) {
+      EXPECT_LE(run, wall_ns);
+    }
+  }
 }
 
 TEST(IngestDeterminismTest, BitIdenticalAcrossThreadCounts) {

@@ -161,7 +161,7 @@ TEST(RelationAppendTest, AppendDeltaReportsOldCountsAndSingletons) {
 
 TEST(RelationAppendTest, AppendWithNoNewValuesKeepsCodesStable) {
   Relation relation = Relation::FromRows({"A"}, {{"p"}, {"q"}});
-  const std::vector<int32_t> codes_before = relation.GetColumn(0).codes;
+  const CodeVector codes_before = relation.GetColumn(0).codes;
   const Relation batch = Relation::FromRows({"A"}, {{"q"}, {"p"}});
   const AppendDelta delta = relation.AppendBatch(batch);
   EXPECT_FALSE(delta.columns[0].new_values);

@@ -48,15 +48,17 @@ inline int64_t ScopeValue(const MetricsScope& scope, std::string_view name) {
 /// The part of a run's metrics that does not depend on scheduling, so it
 /// must read the same whether the run was alone in the process or next to
 /// others: every instrument except the clock-valued
-/// thread_pool.task_wait_us and sampling.probe_ns and the Set-only gauge
-/// thread_pool.queue_depth. Zero entries are dropped, because a name
-/// registered between two runs is missing from the earlier snapshot.
+/// thread_pool.task_wait_us, sampling.probe_ns and ingest.parse_ns and the
+/// Set-only gauge thread_pool.queue_depth. Zero entries are dropped,
+/// because a name registered between two runs is missing from the earlier
+/// snapshot.
 inline std::map<std::string, int64_t> ScheduleFreeMetrics(
     const MetricsSnapshot& snapshot) {
   std::map<std::string, int64_t> kept;
   for (const auto& [name, value] : snapshot) {
     if (value == 0 || name == "thread_pool.task_wait_us" ||
-        name == "sampling.probe_ns" || name == "thread_pool.queue_depth") {
+        name == "sampling.probe_ns" || name == "ingest.parse_ns" ||
+        name == "thread_pool.queue_depth") {
       continue;
     }
     kept.emplace(name, value);
