@@ -1,7 +1,8 @@
 // Incremental-maintenance bench: grow a relation through a sequence of
 // append batches and compare
 //   - incremental/appends: IncrementalProfiler::Append per batch (witness
-//     screen + localized re-exploration + PLI merge-append), and
+//     screen + localized re-exploration over a PLI cache rebuilt per
+//     batch), and
 //   - from-scratch/reprofile: ProfileRelation over every grown prefix,
 // with the dependency sets verified identical after every batch before
 // anything is reported.
@@ -10,7 +11,7 @@
 // append time) is the gated ratio (tools/bench_gate +
 // bench/baselines/BENCH_incremental.floors.json): the whole point of the
 // incremental path is that an append costs far less than a re-profile, so
-// a regression here means the screen or the merge-append stopped working.
+// a regression here means the screen stopped working.
 
 #include <cstdint>
 #include <cstdio>
@@ -19,9 +20,9 @@
 
 #include "bench_util.h"
 #include "common/timer.h"
-#include "core/incremental.h"
 #include "core/profiler.h"
 #include "data/relation.h"
+#include "research/incremental.h"
 #include "workload/generators.h"
 
 namespace muds {

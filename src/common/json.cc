@@ -1,6 +1,7 @@
 #include "common/json.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -102,6 +103,9 @@ class Parser {
     char* end = nullptr;
     out->number = std::strtod(token.c_str(), &end);
     if (end != token.c_str() + token.size()) return Error("invalid number");
+    // strtod turns an overflowing literal (1e400) into an infinity, which
+    // JSON cannot spell, so Dump could not write it back.
+    if (!std::isfinite(out->number)) return Error("number out of range");
     out->type = Value::Type::kNumber;
     return Status::Ok();
   }
@@ -237,12 +241,15 @@ void DumpTo(const Value& value, std::string* out) {
       break;
     case Value::Type::kNumber: {
       char buf[32];
-      const int64_t integral = static_cast<int64_t>(value.number);
-      if (static_cast<double>(integral) == value.number) {
+      const double x = value.number;
+      // Cast only inside int64_t's range [-2^63, 2^63): the cast of any
+      // other double (and of NaN) is undefined.
+      if (x >= -0x1p63 && x < 0x1p63 &&
+          static_cast<double>(static_cast<int64_t>(x)) == x) {
         std::snprintf(buf, sizeof(buf), "%lld",
-                      static_cast<long long>(integral));
+                      static_cast<long long>(static_cast<int64_t>(x)));
       } else {
-        std::snprintf(buf, sizeof(buf), "%.17g", value.number);
+        std::snprintf(buf, sizeof(buf), "%.17g", x);
       }
       *out += buf;
       break;

@@ -43,15 +43,18 @@ class Value {
 
 /// Parses a complete JSON document (trailing whitespace allowed, trailing
 /// garbage is an error). Returns ParseError with a byte offset on failure,
-/// including for arrays and objects nested more than 512 deep.
+/// including for arrays and objects nested more than 512 deep and for
+/// numbers whose magnitude overflows a double (1e400).
 Result<Value> Parse(std::string_view text);
 
 /// Escapes `value` for embedding in JSON, surrounding quotes included.
 std::string Quote(const std::string& value);
 
 /// Serializes a Value back to compact JSON (no insignificant whitespace).
-/// Numbers that are integral round-trip as integers; object members are
-/// emitted in map order (sorted by key), so the output is deterministic.
+/// Numbers that are integral and fit int64_t print as integers, others
+/// with 17 significant digits (so Parse gets the same double back); object
+/// members are emitted in map order (sorted by key), so the output is
+/// deterministic.
 /// The serving layer builds its response frames through this.
 std::string Dump(const Value& value);
 

@@ -9,10 +9,10 @@
 
 namespace muds {
 
-/// The settings every engine takes (MUDS, Holistic FUN, the baseline and
-/// the incremental maintainer). None of them changes the discovered
-/// IND/UCC/FD sets; they trade time for memory. Threads are not among them:
-/// an engine runs on the pool of the run that calls it.
+/// The settings every engine takes (MUDS, Holistic FUN and the baseline).
+/// None of them changes the discovered IND/UCC/FD sets; they trade time
+/// for memory. Threads are not among them: an engine runs on the pool of
+/// the run that calls it.
 struct EngineConfig {
   /// Seed for randomized traversals (MUDS / baseline DUCC). Per-task
   /// traversals derive their own seeds from it.

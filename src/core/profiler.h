@@ -121,8 +121,7 @@ Result<ProfilingResult> ProfileCsvFile(const std::string& path,
 /// is ProfileCsvString of the concatenation base + appends[0] + ...; a blob
 /// of only line breaks adds no rows. Rejects kNullUnequal with appends
 /// (per-file NULL sentinels break that equivalence) and batches whose
-/// column count differs from the base. IncrementalProfiler is the API for
-/// callers that keep a profile alive across appends.
+/// column count differs from the base.
 Result<ProfilingResult> ProfileCsvStringWithAppends(
     std::string_view base, const std::vector<std::string>& appends,
     const ProfileOptions& options = {});

@@ -76,7 +76,7 @@ Relation::Relation(std::string name, std::vector<std::string> column_names,
   }
 }
 
-AppendDelta Relation::AppendBatch(const Relation& batch, ThreadPool* pool) {
+void Relation::AppendBatch(const Relation& batch, ThreadPool* pool) {
   MUDS_CHECK_MSG(batch.NumColumns() == NumColumns(),
                  "append batch arity does not match the schema");
   const RowId old_rows = num_rows_;
@@ -85,16 +85,10 @@ AppendDelta Relation::AppendBatch(const Relation& batch, ThreadPool* pool) {
                      std::numeric_limits<RowId>::max(),
                  "append would overflow the row id space");
 
-  AppendDelta delta;
-  delta.old_num_rows = old_rows;
-  delta.new_num_rows = old_rows + batch_rows;
-  delta.columns.resize(columns_.size());
-
   const auto merge_column = [&](int64_t ci) {
     const size_t c = static_cast<size_t>(ci);
     Column& column = columns_[c];
     const Column& added = batch.columns_[c];
-    ColumnAppendDelta& col_delta = delta.columns[c];
 
     // Merge the two sorted dictionaries, recording where each side's codes
     // land. Equal values collapse; batch-only values shift every later old
@@ -124,25 +118,15 @@ AppendDelta Relation::AppendBatch(const Relation& batch, ThreadPool* pool) {
         remap_added[j] = code;
         merged.push_back(added.dictionary[j]);
         ++j;
-        col_delta.new_values = true;
       }
     }
-    const size_t card = merged.size();
+    // The merge shifted old codes only if it inserted new values.
+    if (merged.size() != old_card) {
+      for (int32_t& code : column.codes) {
+        code = remap_old[static_cast<size_t>(code)];
+      }
+    }
     column.dictionary = std::move(merged);
-
-    // One pass over the old codes: remap them (only needed when the merge
-    // inserted new values, i.e. grew the dictionary) and collect the old
-    // occurrence counts the PLI merge and the break screens need.
-    col_delta.old_count.assign(card, 0);
-    col_delta.old_row_of_code.assign(card, ColumnAppendDelta::kNoRow);
-    const bool rewrite = card != old_card;
-    for (RowId row = 0; row < old_rows; ++row) {
-      int32_t& code = column.codes[static_cast<size_t>(row)];
-      if (rewrite) code = remap_old[static_cast<size_t>(code)];
-      if (++col_delta.old_count[static_cast<size_t>(code)] == 1) {
-        col_delta.old_row_of_code[static_cast<size_t>(code)] = row;
-      }
-    }
 
     column.codes.reserve(static_cast<size_t>(old_rows) + added.codes.size());
     for (const int32_t code : added.codes) {
@@ -151,8 +135,7 @@ AppendDelta Relation::AppendBatch(const Relation& batch, ThreadPool* pool) {
   };
   ParallelForOrInline(pool, static_cast<int64_t>(columns_.size()),
                       merge_column);
-  num_rows_ = delta.new_num_rows;
-  return delta;
+  num_rows_ = old_rows + batch_rows;
 }
 
 ColumnSet Relation::ActiveColumns() const {

@@ -52,40 +52,14 @@ struct Column {
   }
 };
 
-/// Per-column summary of one Relation::AppendBatch, sized to the post-merge
-/// dictionary. It carries exactly what the incremental machinery needs —
-/// Pli::MergeAppend extends the column's PLI without rescanning the old
-/// rows, and the IncrementalProfiler's break screens read the old
-/// occurrence counts — and is computed in the same pass that remaps the
-/// old codes after the dictionary merge.
-struct ColumnAppendDelta {
-  /// Marker for "no single old row" in `old_row_of_code`.
-  static constexpr RowId kNoRow = -1;
-
-  /// Occurrences of each post-merge code among the pre-append rows.
-  std::vector<RowId> old_count;
-  /// When old_count[code] == 1, the one pre-append row holding that value
-  /// (kNoRow otherwise). Lets the PLI merge turn a pre-append singleton —
-  /// stripped from the old PLI — into a cluster without a rescan.
-  std::vector<RowId> old_row_of_code;
-  /// True if the batch introduced values absent from the old dictionary.
-  bool new_values = false;
-};
-
-/// Summary of one Relation::AppendBatch across all columns.
-struct AppendDelta {
-  RowId old_num_rows = 0;
-  RowId new_num_rows = 0;
-  std::vector<ColumnAppendDelta> columns;  // One per relation column.
-};
-
 class ThreadPool;
 
 /// An in-memory relation instance: a schema plus dictionary-encoded
 /// columns. This is the single shared input of all profiling algorithms —
 /// the data is read (and encoded) once, as the holistic approach prescribes.
-/// Immutable except for AppendBatch, the delta-ingest entry point of the
-/// incremental profiler; every other operation returns a new relation.
+/// Immutable except for AppendBatch, which grows a base by appended row
+/// batches before the one profile; every other operation returns a new
+/// relation.
 class Relation {
  public:
   /// Builds a relation from rows of strings. Every row must have exactly
@@ -137,16 +111,15 @@ class Relation {
 
   /// Appends every row of `batch` to this relation in place, merging the
   /// sorted dictionaries per column (codes stay equal to value ranks, so
-  /// SPIDER keeps reading sorted duplicate-free value lists) and remapping
-  /// the old codes where the merge shifted them. `batch` must have the same
-  /// column count and minimal dictionaries (every dictionary value occurs
-  /// in some batch row — CsvReader and SelectRows both guarantee this);
-  /// otherwise the merged dictionary would report phantom values to the
-  /// value-based IND discovery. Columns are processed in parallel when
-  /// `pool` has more than one thread; the result is identical for every
-  /// thread count. Returns the per-column delta the PLI merge-append and
-  /// the incremental dependency screens consume.
-  AppendDelta AppendBatch(const Relation& batch, ThreadPool* pool = nullptr);
+  /// SPIDER keeps reading sorted duplicate-free value lists). Old codes are
+  /// rewritten only in columns whose dictionary grew. The result equals
+  /// FromRows of the concatenated rows. `batch` must have the same column
+  /// count and minimal dictionaries (every dictionary value occurs in some
+  /// batch row — CsvReader and SelectRows both guarantee this); otherwise
+  /// the merged dictionary would report phantom values to the value-based
+  /// IND discovery. Columns are processed in parallel when `pool` has more
+  /// than one thread; the result is identical for every thread count.
+  void AppendBatch(const Relation& batch, ThreadPool* pool = nullptr);
 
   /// New relation keeping exactly the rows in `rows` (in the given order).
   /// Dictionaries are rebuilt so they stay duplicate-free and minimal.

@@ -267,77 +267,4 @@ void PliCache::Put(const ColumnSet& columns, std::shared_ptr<const Pli> pli) {
   Insert(columns, std::move(pli));
 }
 
-void PliCache::OnAppend(const AppendDelta& delta, ThreadPool* pool) {
-  MUDS_TRACE_SPAN("pliCacheOnAppend");
-  const int n = relation_->NumColumns();
-  MUDS_CHECK(static_cast<size_t>(n) == delta.columns.size());
-  MUDS_CHECK(relation_->NumRows() == delta.new_num_rows);
-
-  // Merge-append the pinned single-column PLIs first, in parallel when the
-  // pool has workers. Appends are stop-the-world for the cache's users, so
-  // the brief per-shard locks here only guard the map structure.
-  std::vector<std::shared_ptr<const Pli>> singles(static_cast<size_t>(n));
-  const auto merge = [&](int64_t c) {
-    const ColumnSet key = ColumnSet::Single(static_cast<int>(c));
-    Shard& shard = ShardFor(key);
-    std::shared_ptr<const Pli> old;
-    {
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      auto it = shard.map.find(key);
-      MUDS_CHECK(it != shard.map.end() && it->second.pli != nullptr);
-      old = it->second.pli;
-    }
-    singles[static_cast<size_t>(c)] = std::make_shared<Pli>(Pli::MergeAppend(
-        *old, relation_->GetColumn(static_cast<int>(c)),
-        delta.columns[static_cast<size_t>(c)], delta.new_num_rows));
-  };
-  ParallelForOrInline(pool, n, merge);
-
-  const CacheCounters& counters = CacheCounters::Get();
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    for (auto it = shard.map.begin(); it != shard.map.end();) {
-      Entry& entry = it->second;
-      if (entry.pinned) {
-        // Patch the pinned working set in place, re-charging the byte
-        // accounting for the grown PLI. Pinned entries never spill, so
-        // there is no stale disk copy to drop here.
-        MUDS_DCHECK(!entry.spilled.valid());
-        std::shared_ptr<const Pli> updated =
-            it->first.Count() == 0
-                ? std::make_shared<Pli>(Pli::ForEmptySet(delta.new_num_rows))
-                : singles[static_cast<size_t>(it->first.ToIndices()[0])];
-        const size_t old_bytes = entry.bytes;
-        entry.pli = std::move(updated);
-        entry.bytes = entry.pli->MemoryBytes();
-        bytes_cached_.fetch_add(entry.bytes, std::memory_order_relaxed);
-        bytes_cached_.fetch_sub(old_bytes, std::memory_order_relaxed);
-        counters.bytes_cached->Add(static_cast<int64_t>(entry.bytes) -
-                                   static_cast<int64_t>(old_bytes));
-        counters.pinned_bytes->Add(static_cast<int64_t>(entry.bytes) -
-                                   static_cast<int64_t>(old_bytes));
-        ++it;
-        continue;
-      }
-      // Derived entry: the appended rows invalidate it at every tier. The
-      // hot bytes are uncharged, and a disk copy — whether the entry was
-      // cold or merely kept a handle from an earlier demotion — goes back
-      // to the spill pool so it can never be reloaded against the grown
-      // relation.
-      if (entry.pli != nullptr) {
-        bytes_cached_.fetch_sub(entry.bytes, std::memory_order_relaxed);
-        counters.bytes_cached->Add(-static_cast<int64_t>(entry.bytes));
-        num_cached_.fetch_sub(1, std::memory_order_release);
-      }
-      if (entry.spilled.valid()) {
-        counters.spill_bytes->Add(
-            -static_cast<int64_t>(entry.spilled.bytes));
-        if (spill_pool_ != nullptr) spill_pool_->Free(entry.spilled);
-      }
-      it = shard.map.erase(it);
-    }
-    shard.clock.clear();
-  }
-}
-
 }  // namespace muds

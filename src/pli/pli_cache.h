@@ -109,17 +109,6 @@ class PliCache {
   /// promoted in place with the caller's (identical) PLI.
   void Put(const ColumnSet& columns, std::shared_ptr<const Pli> pli);
 
-  /// Brings the cache up to date after a Relation::AppendBatch on the
-  /// relation it was built over. The pinned working set is patched in place
-  /// — each single-column PLI through Pli::MergeAppend (in parallel when
-  /// `pool` has workers), the empty-set PLI rebuilt — and every derived
-  /// entry is invalidated: its hot bytes are uncharged, any disk copy is
-  /// returned to the spill pool (a spilled PLI of the old instance must
-  /// never be reloaded against the new one), and the clock queues are
-  /// cleared. Not safe concurrently with Get/Put: appends are a
-  /// stop-the-world point for the cache's users by design.
-  void OnAppend(const AppendDelta& delta, ThreadPool* pool = nullptr);
-
   const Relation& relation() const { return *relation_; }
 
   /// Number of hot cached entries (including single columns); cold spilled

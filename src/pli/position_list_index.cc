@@ -132,87 +132,6 @@ Pli Pli::FromColumn(const Column& column, RowId num_rows, PliImpl impl) {
   return pli;
 }
 
-Pli Pli::MergeAppend(const Pli& old, const Column& column,
-                     const ColumnAppendDelta& delta, RowId num_rows) {
-  const RowId old_rows = old.NumRows();
-  MUDS_CHECK(static_cast<RowId>(column.codes.size()) == num_rows &&
-             old_rows <= num_rows);
-  const size_t cardinality = column.dictionary.size();
-  MUDS_CHECK(delta.old_count.size() == cardinality);
-  Arena& arena = t_arena;
-  const int32_t* codes = column.codes.data();
-
-  // Group the appended suffix by code: count, then scatter into the arena
-  // (FromColumn's counting-sort idiom, over the suffix only).
-  arena.count.assign(cardinality, 0);
-  for (RowId row = old_rows; row < num_rows; ++row) {
-    ++arena.count[static_cast<size_t>(codes[static_cast<size_t>(row)])];
-  }
-  const size_t suffix_len = static_cast<size_t>(num_rows - old_rows);
-  if (arena.cursor.size() < cardinality) arena.cursor.resize(cardinality);
-  if (arena.scratch_rows.size() < suffix_len) {
-    arena.scratch_rows.resize(suffix_len);
-  }
-  uint32_t position = 0;
-  for (size_t c = 0; c < cardinality; ++c) {
-    arena.cursor[c] = position;
-    position += arena.count[c];
-  }
-  for (RowId row = old_rows; row < num_rows; ++row) {
-    const size_t c = static_cast<size_t>(codes[static_cast<size_t>(row)]);
-    arena.scratch_rows[arena.cursor[c]++] = row;
-  }
-  // Suffix rows of code c now sit at [cursor[c] - count[c], cursor[c]).
-
-  size_t out_rows = 0;
-  size_t out_clusters = 0;
-  for (size_t c = 0; c < cardinality; ++c) {
-    // old_count is the full pre-append occurrence count, so it equals the
-    // old cluster size when >= 2 and counts the stripped singleton when 1.
-    const uint32_t total =
-        static_cast<uint32_t>(delta.old_count[c]) + arena.count[c];
-    if (total >= 2) {
-      out_rows += total;
-      ++out_clusters;
-    }
-  }
-
-  std::vector<RowId> rows(out_rows);
-  std::vector<uint32_t> offsets;
-  offsets.reserve(out_clusters + 1);
-  offsets.push_back(0);
-  // Old clusters arrive in code order (remaps are order-preserving), so one
-  // merged walk over the codes emits the result in code order — the exact
-  // layout FromColumn would produce over the grown column.
-  int64_t next_old_cluster = 0;
-  uint32_t out = 0;
-  for (size_t c = 0; c < cardinality; ++c) {
-    const uint32_t suffix_count = arena.count[c];
-    const uint32_t old_count = static_cast<uint32_t>(delta.old_count[c]);
-    if (old_count + suffix_count < 2) continue;
-    if (old_count >= 2) {
-      const std::span<const RowId> old_cluster =
-          old.cluster(next_old_cluster++);
-      MUDS_DCHECK(old_cluster.size() == old_count);
-      std::copy(old_cluster.begin(), old_cluster.end(), rows.begin() + out);
-      out += old_count;
-    } else if (old_count == 1) {
-      MUDS_DCHECK(delta.old_row_of_code[c] != ColumnAppendDelta::kNoRow);
-      rows[out++] = delta.old_row_of_code[c];
-    }
-    const uint32_t suffix_begin = arena.cursor[c] - suffix_count;
-    std::copy(arena.scratch_rows.begin() + suffix_begin,
-              arena.scratch_rows.begin() + arena.cursor[c],
-              rows.begin() + out);
-    out += suffix_count;
-    offsets.push_back(out);
-  }
-  MUDS_DCHECK(next_old_cluster == old.NumClusters());
-  Pli pli(std::move(rows), std::move(offsets), num_rows);
-  pli.MaybeAttachSidecar(PliImpl::kAuto);
-  return pli;
-}
-
 Pli Pli::ForEmptySet(RowId num_rows, PliImpl impl) {
   std::vector<RowId> rows;
   std::vector<uint32_t> offsets = {0};

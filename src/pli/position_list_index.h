@@ -13,7 +13,7 @@ namespace muds {
 
 /// Whether a freshly built PLI may carry the bitmap sidecar.
 ///
-/// Every engine, the PliCache and appends build with kAuto — the one
+/// Every engine and the PliCache build with kAuto — the one
 /// attach rule. The forced layouts exist for kernel tests, fuzzers and
 /// micro-benchmarks that need a fixed representation as their reference
 /// (and kBitmap is how Intersect propagates a sidecar); every layout
@@ -88,18 +88,6 @@ class Pli {
   /// PLI of the empty column combination: one cluster holding every row
   /// (empty if the relation has fewer than two rows).
   static Pli ForEmptySet(RowId num_rows, PliImpl impl = PliImpl::kAuto);
-
-  /// PLI of `column` after a Relation::AppendBatch, built from `old` — the
-  /// same column's PLI before the append — plus the per-column delta of
-  /// that append. Only the appended suffix of the code array is scanned:
-  /// old clusters are copied through (suffix rows joining at the tail, so
-  /// rows stay ascending), pre-append singletons recorded in the delta
-  /// become clusters without a rescan, and brand-new codes group among
-  /// themselves. `old` must hold its clusters in code order, as FromColumn
-  /// and MergeAppend produce them (Intersect results do not qualify).
-  /// The output is bit-identical to FromColumn over the grown column.
-  static Pli MergeAppend(const Pli& old, const Column& column,
-                         const ColumnAppendDelta& delta, RowId num_rows);
 
   /// Flattens materialized clusters into CSR. Every cluster must have
   /// size >= 2 (checked in debug builds). Compatibility/test path — the hot

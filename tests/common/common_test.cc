@@ -143,6 +143,37 @@ TEST(JsonTest, DeepNestingIsAnErrorNotAStackOverflow) {
   EXPECT_FALSE(json::Parse(objects).ok());
 }
 
+TEST(JsonTest, OverflowingNumbersAreParseErrors) {
+  // strtod reads these as infinities, which Dump could not write back.
+  for (const char* text : {"1e400", "-1e400", "[1e400]", "{\"k\":-1e999}"}) {
+    const Result<json::Value> parsed = json::Parse(text);
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kParseError) << text;
+  }
+  // Underflow rounds to a finite number and stays valid.
+  const Result<json::Value> tiny = json::Parse("1e-400");
+  ASSERT_TRUE(tiny.ok()) << tiny.status().ToString();
+  EXPECT_EQ(tiny.value().number, 0.0);
+}
+
+TEST(JsonTest, DumpOfNumbersOutsideInt64RoundTrips) {
+  json::Value value;
+  value.type = json::Value::Type::kNumber;
+  // Integral but far outside int64_t: printed with 17 digits, not cast.
+  value.number = 1e300;
+  const std::string big = json::Dump(value);
+  EXPECT_EQ(big, "1.0000000000000001e+300");
+  const Result<json::Value> reparsed = json::Parse(big);
+  ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
+  EXPECT_EQ(reparsed.value().number, 1e300);
+  // The int64_t edges: -2^63 still prints as an integer, 2^63 does not.
+  value.number = -0x1p63;
+  EXPECT_EQ(json::Dump(value), "-9223372036854775808");
+  value.number = 0x1p63;
+  EXPECT_EQ(json::Dump(value), "9.2233720368547758e+18");
+  EXPECT_EQ(json::Parse(json::Dump(value)).value().number, 0x1p63);
+}
+
 TEST(HashBytesTest, TailLoadEqualsZeroExtendedMemcpy) {
   // HashBytes reads the 1-7 tail bytes with fixed-size loads. The value
   // must stay the one a memcpy into a zeroed word gives, since result

@@ -134,37 +134,23 @@ TEST(RelationAppendTest, AppendBatchEqualsFromRowsOfConcatenation) {
   Relation relation = Relation::FromRows({"A", "B", "C"}, base_rows);
   const Relation batch = Relation::FromRows({"A", "B", "C"}, batch_rows);
 
-  const AppendDelta delta = relation.AppendBatch(batch);
-  EXPECT_EQ(delta.old_num_rows, 3);
-  EXPECT_EQ(delta.new_num_rows, 6);
+  ASSERT_EQ(relation.NumRows(), 3);
+  relation.AppendBatch(batch);
+  EXPECT_EQ(relation.NumRows(), 6);
 
   std::vector<std::vector<std::string>> all = base_rows;
   all.insert(all.end(), batch_rows.begin(), batch_rows.end());
   ExpectSameInstance(relation, Relation::FromRows({"A", "B", "C"}, all));
 }
 
-TEST(RelationAppendTest, AppendDeltaReportsOldCountsAndSingletons) {
-  Relation relation =
-      Relation::FromRows({"A"}, {{"x"}, {"y"}, {"x"}});
-  const Relation batch = Relation::FromRows({"A"}, {{"a"}, {"y"}});
-  const AppendDelta delta = relation.AppendBatch(batch);
-
-  ASSERT_EQ(delta.columns.size(), 1u);
-  const ColumnAppendDelta& col = delta.columns[0];
-  EXPECT_TRUE(col.new_values);  // "a" is new.
-  // Post-merge dictionary is {a, x, y}: a had 0 old rows, x had 2, y had 1
-  // (row 1 — the singleton the PLI merge needs to locate without a rescan).
-  ASSERT_EQ(col.old_count, (std::vector<RowId>{0, 2, 1}));
-  EXPECT_EQ(col.old_row_of_code[0], ColumnAppendDelta::kNoRow);
-  EXPECT_EQ(col.old_row_of_code[2], 1);
-}
-
 TEST(RelationAppendTest, AppendWithNoNewValuesKeepsCodesStable) {
   Relation relation = Relation::FromRows({"A"}, {{"p"}, {"q"}});
   const CodeVector codes_before = relation.GetColumn(0).codes;
   const Relation batch = Relation::FromRows({"A"}, {{"q"}, {"p"}});
-  const AppendDelta delta = relation.AppendBatch(batch);
-  EXPECT_FALSE(delta.columns[0].new_values);
+  relation.AppendBatch(batch);
+  EXPECT_EQ(relation.NumRows(), 4);
+  EXPECT_EQ(relation.GetColumn(0).dictionary,
+            (std::vector<std::string>{"p", "q"}));
   // Old prefix codes are untouched when the dictionary did not grow.
   for (size_t i = 0; i < codes_before.size(); ++i) {
     EXPECT_EQ(relation.GetColumn(0).codes[i], codes_before[i]);

@@ -225,101 +225,6 @@ TEST(PliCacheTest, PutAndSize) {
   EXPECT_EQ(ScopeValue(scope, "pli_cache.hits"), 1);
 }
 
-void ExpectSamePli(const Pli& a, const Pli& b, const std::string& what) {
-  EXPECT_EQ(a.NumRows(), b.NumRows()) << what;
-  ASSERT_EQ(a.NumClusters(), b.NumClusters()) << what;
-  EXPECT_TRUE(std::equal(a.rows().begin(), a.rows().end(), b.rows().begin(),
-                         b.rows().end()))
-      << what;
-  EXPECT_TRUE(std::equal(a.offsets().begin(), a.offsets().end(),
-                         b.offsets().begin(), b.offsets().end()))
-      << what;
-  EXPECT_EQ(a.HasBitmap(), b.HasBitmap()) << what;
-  EXPECT_TRUE(std::equal(a.bitmap_cluster_of_row().begin(),
-                         a.bitmap_cluster_of_row().end(),
-                         b.bitmap_cluster_of_row().begin(),
-                         b.bitmap_cluster_of_row().end()))
-      << what;
-}
-
-TEST(PliMergeAppendTest, MergeAppendIsBitIdenticalToFromColumn) {
-  // Randomized: grow a single-column relation in batches and check that
-  // MergeAppend over the AppendBatch delta reproduces FromColumn on the
-  // grown column exactly — sidecar included. The cuts cross both edges of
-  // the attach rule: the 64-row threshold (30 -> 70 rows) and, at
-  // cardinality 400, the 256-cluster limit (~180 clusters at 600 rows,
-  // ~320 at 1200).
-  bool saw_sidecar = false;
-  bool saw_csr_only = false;
-  for (uint64_t seed : {1u, 2u, 3u, 4u}) {
-    for (int cardinality : {1, 2, 40, 400}) {
-      std::vector<std::vector<std::string>> rows;
-      uint64_t state = seed * 0x9E3779B97F4A7C15ULL + 1;
-      const auto next = [&state]() {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        return state;
-      };
-      for (int i = 0; i < 1200; ++i) {
-        rows.push_back({"v" + std::to_string(next() % cardinality)});
-      }
-      Relation relation =
-          Relation::FromRows({"A"}, {rows.begin(), rows.begin() + 30});
-      Pli pli = Pli::FromColumn(relation.GetColumn(0), relation.NumRows());
-      const int cuts[] = {30, 31, 70, 600, 1200};  // Includes a 1-row batch.
-      for (size_t i = 1; i < std::size(cuts); ++i) {
-        const Relation batch = Relation::FromRows(
-            {"A"}, {rows.begin() + cuts[i - 1], rows.begin() + cuts[i]});
-        const AppendDelta delta = relation.AppendBatch(batch);
-        pli = Pli::MergeAppend(pli, relation.GetColumn(0), delta.columns[0],
-                               delta.new_num_rows);
-        (pli.HasBitmap() ? saw_sidecar : saw_csr_only) = true;
-        ExpectSamePli(
-            pli, Pli::FromColumn(relation.GetColumn(0), relation.NumRows()),
-            "seed " + std::to_string(seed) + " card " +
-                std::to_string(cardinality) + " rows " +
-                std::to_string(cuts[i]));
-      }
-    }
-  }
-  EXPECT_TRUE(saw_sidecar);
-  EXPECT_TRUE(saw_csr_only);
-}
-
-TEST(PliMergeAppendTest, CacheOnAppendPatchesPinnedAndDropsDerived) {
-  Relation relation = Relation::FromRows(
-      {"A", "B"},
-      {{"a", "1"}, {"a", "2"}, {"b", "1"}, {"b", "2"}, {"c", "1"}});
-  PliCache cache(relation);
-  // Populate a derived entry, then append.
-  ASSERT_NE(cache.Get(ColumnSet::FromIndices({0, 1})), nullptr);
-  const size_t size_with_derived = cache.Size();
-
-  const Relation batch = Relation::FromRows({"A", "B"}, {{"c", "2"}});
-  const AppendDelta delta = relation.AppendBatch(batch);
-  cache.OnAppend(delta);
-
-  // Derived entries are gone; pinned singles are patched to the new rows.
-  EXPECT_LT(cache.Size(), size_with_derived);
-  for (int c = 0; c < relation.NumColumns(); ++c) {
-    const auto pli = cache.Get(ColumnSet::Single(c));
-    ASSERT_NE(pli, nullptr);
-    EXPECT_EQ(pli->NumRows(), relation.NumRows());
-    ExpectSamePli(*pli,
-                  Pli::FromColumn(relation.GetColumn(c), relation.NumRows()),
-                  "patched single " + std::to_string(c));
-  }
-  // A rebuilt derived entry must see the appended instance, not a stale
-  // spill copy: compare against a from-scratch intersect of the grown
-  // columns.
-  ExpectSamePli(*cache.Get(ColumnSet::FromIndices({0, 1})),
-                Pli::FromColumn(relation.GetColumn(0), relation.NumRows())
-                    .Intersect(Pli::FromColumn(relation.GetColumn(1),
-                                               relation.NumRows())),
-                "rebuilt derived");
-}
-
 // One column of `rows` rows cycling through `cardinality` values, so each
 // value occurs rows / cardinality or one more times.
 Relation CyclicColumn(int rows, int cardinality) {
@@ -375,14 +280,18 @@ TEST(PliSidecarRuleTest, CachePinsAndAppendsFollowTheRule) {
   EXPECT_TRUE(cache.Get(ColumnSet())->HasBitmap());
 
   // 63 rows: no pin carries a sidecar; one appended row crosses the
-  // threshold, and OnAppend's patched pins pick it up.
+  // threshold, and a cache over the grown relation pins with sidecars.
   Relation short_relation = CyclicColumn(63, 4);
-  PliCache short_cache(short_relation);
-  EXPECT_FALSE(short_cache.Get(ColumnSet::Single(0))->HasBitmap());
-  EXPECT_FALSE(short_cache.Get(ColumnSet())->HasBitmap());
-  short_cache.OnAppend(short_relation.AppendBatch(CyclicColumn(1, 4)));
-  EXPECT_TRUE(short_cache.Get(ColumnSet::Single(0))->HasBitmap());
-  EXPECT_TRUE(short_cache.Get(ColumnSet())->HasBitmap());
+  {
+    PliCache short_cache(short_relation);
+    EXPECT_FALSE(short_cache.Get(ColumnSet::Single(0))->HasBitmap());
+    EXPECT_FALSE(short_cache.Get(ColumnSet())->HasBitmap());
+  }
+  short_relation.AppendBatch(CyclicColumn(1, 4));
+  ASSERT_EQ(short_relation.NumRows(), 64);
+  PliCache grown_cache(short_relation);
+  EXPECT_TRUE(grown_cache.Get(ColumnSet::Single(0))->HasBitmap());
+  EXPECT_TRUE(grown_cache.Get(ColumnSet())->HasBitmap());
 }
 
 }  // namespace

@@ -47,13 +47,13 @@
 #include <vector>
 
 #include "common/simd.h"
-#include "core/incremental.h"
 #include "core/profiler.h"
 #include "data/csv.h"
 #include "data/metadata.h"
 #include "data/preprocess.h"
 #include "data/relation.h"
 #include "fd/tane.h"
+#include "research/incremental.h"
 #include "testing/reference.h"
 #include "testing/reference_csv.h"
 #include "workload/generators.h"
