@@ -89,16 +89,28 @@ class Parser {
     return Status::Ok();
   }
 
-  Status ParseNumber(Value* out) {
+  // Skips a run of decimal digits; false if there is none.
+  bool ConsumeDigits() {
     const size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
     while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
+           std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
       ++pos_;
     }
-    if (pos_ == start) return Error("invalid value");
+    return pos_ != start;
+  }
+
+  // RFC 8259: -? (0 | [1-9][0-9]*) (\.[0-9]+)? ([eE][+-]?[0-9]+)?
+  Status ParseNumber(Value* out) {
+    const size_t start = pos_;
+    Consume('-');
+    if (!Consume('0') && !ConsumeDigits()) {
+      return Error(pos_ == start ? "invalid value" : "invalid number");
+    }
+    if (Consume('.') && !ConsumeDigits()) return Error("invalid number");
+    if (Consume('e') || Consume('E')) {
+      if (!Consume('+')) Consume('-');
+      if (!ConsumeDigits()) return Error("invalid number");
+    }
     const std::string token(text_.substr(start, pos_ - start));
     char* end = nullptr;
     out->number = std::strtod(token.c_str(), &end);

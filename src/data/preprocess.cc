@@ -12,8 +12,9 @@ namespace muds {
 
 namespace {
 
-// Rows per chunk of the row-parallel steps (keys, scatter, compaction).
-// Fixed, so every intermediate array is the same at every thread count.
+// Rows per chunk of the row-parallel steps (ranks, keys, scatter,
+// compaction). Fixed, so every intermediate array is the same at every
+// thread count.
 constexpr int64_t kChunkRows = int64_t{1} << 16;
 
 // The scatter aims at partitions of about this many rows, so a partition's
@@ -21,23 +22,51 @@ constexpr int64_t kChunkRows = int64_t{1} << 16;
 constexpr int64_t kPartitionRows = int64_t{1} << 13;
 constexpr int kMaxPartitionBits = 10;
 
-}  // namespace
+int64_t NumChunks(int64_t n) { return (n + kChunkRows - 1) / kChunkRows; }
+int64_t ChunkEnd(int64_t n, int64_t chunk) {
+  return std::min(n, (chunk + 1) * kChunkRows);
+}
 
-std::vector<RowId> DistinctRowIds(const Relation& relation,
+// Every rank lies below n: 32-bit ranks, filled chunk-parallel, then one
+// row-order pass over a bitmap of Π = max_rank() + 1 <= n bits. A row whose
+// bit is still clear is the first occurrence of its row. The pass writes
+// every row to the next free slot of Π + 1 and advances only past a first
+// occurrence, so it has no branch to mispredict.
+std::vector<RowId> DistinctByRank(const RowKeys& row_keys, int64_t n,
                                   ThreadPool* pool) {
-  const int64_t n = relation.NumRows();
-  const int64_t num_chunks = (n + kChunkRows - 1) / kChunkRows;
-  const auto chunk_end = [n](int64_t chunk) {
-    return std::min(n, (chunk + 1) * kChunkRows);
-  };
+  std::unique_ptr<uint32_t[]> ranks(new uint32_t[static_cast<size_t>(n)]);
+  ParallelForOrInline(pool, NumChunks(n), [&](int64_t chunk) {
+    row_keys.FillRanks(static_cast<RowId>(chunk * kChunkRows),
+                       static_cast<RowId>(ChunkEnd(n, chunk)),
+                       ranks.get() + chunk * kChunkRows);
+  });
+  const size_t num_ranks = static_cast<size_t>(row_keys.max_rank()) + 1;
+  std::vector<uint64_t> seen((num_ranks + 63) / 64, 0);
+  std::vector<RowId> distinct(num_ranks + 1);
+  size_t kept = 0;
+  for (RowId row = 0; row < n; ++row) {
+    const uint32_t rank = ranks[static_cast<size_t>(row)];
+    uint64_t& word = seen[rank >> 6];
+    const uint64_t bit = uint64_t{1} << (rank & 63);
+    distinct[kept] = row;
+    kept += (word & bit) == 0;
+    word |= bit;
+  }
+  distinct.resize(kept);
+  return distinct;
+}
 
-  // Step 1: a 64-bit key per row, one RowKeys fill per chunk. Exact keys
-  // are the packed rows; hashed keys are confirmed on the codes below.
-  const RowKeys row_keys(relation, ColumnSet::FirstN(relation.NumColumns()));
+// Any relation: four row-parallel steps over 64-bit keys.
+std::vector<RowId> DistinctByHash(const RowKeys& row_keys, int64_t n,
+                                  ThreadPool* pool) {
+  const int64_t num_chunks = NumChunks(n);
+
+  // Step 1: a 64-bit key per row, one RowKeys fill per chunk. Hashed keys
+  // are confirmed on the codes below.
   std::unique_ptr<uint64_t[]> keys(new uint64_t[static_cast<size_t>(n)]);
   ParallelForOrInline(pool, num_chunks, [&](int64_t chunk) {
     row_keys.Fill(static_cast<RowId>(chunk * kChunkRows),
-                  static_cast<RowId>(chunk_end(chunk)),
+                  static_cast<RowId>(ChunkEnd(n, chunk)),
                   keys.get() + chunk * kChunkRows);
   });
 
@@ -61,7 +90,7 @@ std::vector<RowId> DistinctRowIds(const Relation& relation,
       static_cast<size_t>(num_chunks * num_partitions), 0);
   ParallelForOrInline(pool, num_chunks, [&](int64_t chunk) {
     int64_t* const count = cursor.data() + chunk * num_partitions;
-    for (int64_t r = chunk * kChunkRows; r < chunk_end(chunk); ++r) {
+    for (int64_t r = chunk * kChunkRows; r < ChunkEnd(n, chunk); ++r) {
       ++count[partition_of(keys[static_cast<size_t>(r)])];
     }
   });
@@ -82,7 +111,7 @@ std::vector<RowId> DistinctRowIds(const Relation& relation,
   std::unique_ptr<uint64_t[]> part_keys(new uint64_t[static_cast<size_t>(n)]);
   ParallelForOrInline(pool, num_chunks, [&](int64_t chunk) {
     int64_t* const next = cursor.data() + chunk * num_partitions;
-    for (int64_t r = chunk * kChunkRows; r < chunk_end(chunk); ++r) {
+    for (int64_t r = chunk * kChunkRows; r < ChunkEnd(n, chunk); ++r) {
       const uint64_t key = keys[static_cast<size_t>(r)];
       const size_t pos = static_cast<size_t>(next[partition_of(key)]++);
       part_rows[pos] = static_cast<RowId>(r);
@@ -129,9 +158,9 @@ std::vector<RowId> DistinctRowIds(const Relation& relation,
   // Step 4: compact the first occurrences in row order.
   std::vector<int64_t> kept_before(static_cast<size_t>(num_chunks) + 1, 0);
   ParallelForOrInline(pool, num_chunks, [&](int64_t chunk) {
-    kept_before[static_cast<size_t>(chunk) + 1] = std::count(
-        is_first.get() + chunk * kChunkRows, is_first.get() + chunk_end(chunk),
-        uint8_t{1});
+    kept_before[static_cast<size_t>(chunk) + 1] =
+        std::count(is_first.get() + chunk * kChunkRows,
+                   is_first.get() + ChunkEnd(n, chunk), uint8_t{1});
   });
   for (int64_t chunk = 0; chunk < num_chunks; ++chunk) {
     kept_before[static_cast<size_t>(chunk) + 1] +=
@@ -141,12 +170,28 @@ std::vector<RowId> DistinctRowIds(const Relation& relation,
       static_cast<size_t>(kept_before[static_cast<size_t>(num_chunks)]));
   ParallelForOrInline(pool, num_chunks, [&](int64_t chunk) {
     RowId* out = distinct.data() + kept_before[static_cast<size_t>(chunk)];
-    for (int64_t r = chunk * kChunkRows; r < chunk_end(chunk); ++r) {
+    for (int64_t r = chunk * kChunkRows; r < ChunkEnd(n, chunk); ++r) {
       if (is_first[static_cast<size_t>(r)]) *out++ = static_cast<RowId>(r);
     }
   });
 
+  return distinct;
+}
+
+}  // namespace
+
+std::vector<RowId> DistinctRowIds(const Relation& relation,
+                                  ThreadPool* pool) {
+  const int64_t n = relation.NumRows();
+  const RowKeys row_keys(relation, ColumnSet::FirstN(relation.NumColumns()));
+  // Π <= n: the pigeonhole bound, which also makes a rank fit a RowId and
+  // caps the bitmap at n bits.
+  const bool direct =
+      row_keys.exact() && row_keys.max_rank() < static_cast<uint64_t>(n);
+  std::vector<RowId> distinct = direct ? DistinctByRank(row_keys, n, pool)
+                                       : DistinctByHash(row_keys, n, pool);
   metrics::Add("dedup.rows", n);
+  metrics::Add("dedup.direct_rows", direct ? n : 0);
   metrics::Add("dedup.duplicates_removed",
                n - static_cast<int64_t>(distinct.size()));
   return distinct;

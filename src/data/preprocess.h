@@ -16,10 +16,17 @@ struct DeduplicateResult {
   int64_t duplicates_removed = 0;
 };
 
-/// Ids of the first occurrence of each distinct row, ascending. The pass
-/// runs on `pool` when it has more than one thread; the result is identical
-/// for every thread count. Adds the call's row and duplicate counts to the
-/// `dedup.rows` and `dedup.duplicates_removed` registry counters.
+/// Ids of the first occurrence of each distinct row, ascending, found on
+/// the rows' RowKeys. When the product Π of the cardinalities is at most the
+/// row count, every row's rank lies below it: the pass fills 32-bit ranks
+/// and keeps, in one row-order scan over a Π-bit bitmap, each row whose
+/// rank is new. Otherwise it hashes: 64-bit keys, a radix scatter into
+/// cache-sized partitions, a probe table per partition and an in-order
+/// compaction. Both run on `pool` when it has more than one thread; the
+/// result is identical for every thread count. Adds the call's row and
+/// duplicate counts to the `dedup.rows` and `dedup.duplicates_removed`
+/// registry counters, and its rows to `dedup.direct_rows` when the bitmap
+/// pass ran.
 std::vector<RowId> DistinctRowIds(const Relation& relation,
                                   ThreadPool* pool = nullptr);
 

@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdint>
+
+#include "common/check.h"
 
 namespace muds {
 
 namespace {
 
-// SplitMix64 finalizer. A bijection, so mixing a packed row loses nothing:
+// SplitMix64 finalizer. A bijection, so mixing a rank loses nothing:
 // equal mixed keys still mean equal rows.
 uint64_t Mix(uint64_t x) {
   x ^= x >> 30;
@@ -16,6 +19,27 @@ uint64_t Mix(uint64_t x) {
   x *= 0x94D049BB133111EBull;
   x ^= x >> 31;
   return x;
+}
+
+using Product = unsigned __int128;
+
+// One past the largest product whose ranks fit a 64-bit key.
+constexpr Product kPastExact = (Product{1} << 64) + 1;
+
+// Π of the cardinalities of the non-constant columns of `columns`,
+// saturated at kPastExact. Cardinalities are below 2^31, so the product
+// never overflows before it saturates.
+Product CardinalityProduct(const Relation& relation,
+                           const ColumnSet& columns) {
+  Product product = 1;
+  for (int c = columns.First(); c >= 0 && product < kPastExact;
+       c = columns.NextAtLeast(c + 1)) {
+    const int64_t card = relation.Cardinality(c);
+    if (card > 1) {
+      product = std::min(product * static_cast<uint64_t>(card), kPastExact);
+    }
+  }
+  return product;
 }
 
 // ProbeFdViolations keys this many rows at a time, so an early exit wastes
@@ -27,28 +51,50 @@ constexpr size_t kInitialSlots = 64;
 }  // namespace
 
 RowKeys::RowKeys(const Relation& relation, const ColumnSet& columns) {
-  int total_bits = 0;
+  // Wraps once Π reaches 2^64, but only after the last weight an exact key
+  // uses.
+  uint64_t weight = 1;
   for (int c = columns.First(); c >= 0; c = columns.NextAtLeast(c + 1)) {
     const int64_t card = relation.Cardinality(c);
     if (card <= 1) continue;
     codes_.push_back(relation.GetColumn(c).codes.data());
-    shift_.push_back(total_bits);
-    total_bits += std::bit_width(static_cast<uint64_t>(card - 1));
+    weight_.push_back(weight);
+    weight *= static_cast<uint64_t>(card);
   }
-  exact_ = total_bits <= 64;
+  const Product product = CardinalityProduct(relation, columns);
+  exact_ = product < kPastExact;
+  max_rank_ = static_cast<uint64_t>(product - 1);
+}
+
+template <typename Rank>
+void RowKeys::FillRanksAs(RowId begin, RowId end, Rank* ranks) const {
+  Rank* const ranks_end = ranks + (end - begin);
+  if (codes_.empty()) {
+    std::fill(ranks, ranks_end, Rank{0});
+    return;
+  }
+  // The first column's weight is 1.
+  const int32_t* code = codes_[0] + begin;
+  for (Rank* rank = ranks; rank < ranks_end; ++rank, ++code) {
+    *rank = static_cast<uint32_t>(*code);
+  }
+  for (size_t i = 1; i < codes_.size(); ++i) {
+    const Rank weight = static_cast<Rank>(weight_[i]);
+    code = codes_[i] + begin;
+    for (Rank* rank = ranks; rank < ranks_end; ++rank, ++code) {
+      *rank += static_cast<Rank>(static_cast<uint32_t>(*code)) * weight;
+    }
+  }
 }
 
 void RowKeys::Fill(RowId begin, RowId end, uint64_t* keys) const {
   uint64_t* const keys_end = keys + (end - begin);
-  std::fill(keys, keys_end, 0);
-  for (size_t i = 0; i < codes_.size(); ++i) {
-    const int32_t* code = codes_[i] + begin;
-    if (exact_) {
-      const int s = shift_[i];
-      for (uint64_t* key = keys; key < keys_end; ++key, ++code) {
-        *key |= static_cast<uint64_t>(static_cast<uint32_t>(*code)) << s;
-      }
-    } else {
+  if (exact_) {
+    FillRanksAs(begin, end, keys);
+  } else {
+    std::fill(keys, keys_end, 0);
+    for (const int32_t* column : codes_) {
+      const int32_t* code = column + begin;
       for (uint64_t* key = keys; key < keys_end; ++key, ++code) {
         *key = (std::rotl(*key, 27) ^ static_cast<uint32_t>(*code)) *
                0x9E3779B97F4A7C15ull;
@@ -58,17 +104,15 @@ void RowKeys::Fill(RowId begin, RowId end, uint64_t* keys) const {
   for (uint64_t* key = keys; key < keys_end; ++key) *key = Mix(*key);
 }
 
+void RowKeys::FillRanks(RowId begin, RowId end, uint32_t* ranks) const {
+  MUDS_DCHECK(exact_ && max_rank_ <= UINT32_MAX);
+  FillRanksAs(begin, end, ranks);
+}
+
 bool CardinalityBoundRefutesUcc(const Relation& relation,
                                 const ColumnSet& columns) {
-  const int64_t rows = relation.NumRows();
-  // Stops as soon as the product reaches the row count, so it never
-  // exceeds rows * max cardinality < 2^62.
-  int64_t product = 1;
-  for (int c = columns.First(); c >= 0 && product < rows;
-       c = columns.NextAtLeast(c + 1)) {
-    product *= relation.Cardinality(c);
-  }
-  return product < rows;
+  return CardinalityProduct(relation, columns) <
+         static_cast<uint64_t>(relation.NumRows());
 }
 
 ColumnSet ProbeFdViolations(const Relation& relation, const ColumnSet& lhs,

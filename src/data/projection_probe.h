@@ -14,12 +14,16 @@ namespace muds {
 /// DistinctRowIds keys whole rows with it; ProbeFdViolations keys rows on a
 /// left-hand side.
 ///
-/// When the codes fit side by side at ceil(log2 cardinality) bits each, the
-/// key is the packed projection, so equal keys are equal projections
-/// (exact()). Otherwise it is a hash of the codes and a key match is
-/// confirmed with SameProjection. Constant columns take 0 bits and are
-/// skipped either way. Both forms finish with a bijective mix, so the low
-/// and the high bits of a key are usable as table and partition indices.
+/// A row's rank is its mixed-radix number over the set's non-constant
+/// columns, Σ code_c · Π_{c' < c} card_{c'}: a bijection from the possible
+/// projections onto [0, Π), where Π is the product of the cardinalities
+/// (CardinalityBoundRefutesUcc's product). When Π ≤ 2^64 the rank fits a
+/// 64-bit key, so equal keys are equal projections (exact()). Otherwise the
+/// key is a hash of the codes and a key match is confirmed with
+/// SameProjection. Constant columns are skipped either way. Both forms
+/// finish with a bijective mix, so the low and the high bits of a key are
+/// usable as table and partition indices; the unmixed ranks themselves
+/// (FillRanks) index a table of Π slots directly.
 class RowKeys {
  public:
   /// `relation` must outlive the keys and keep its codes unchanged.
@@ -28,9 +32,16 @@ class RowKeys {
   /// True if equal keys always mean equal projections.
   bool exact() const { return exact_; }
 
+  /// Π − 1, the largest rank, when exact().
+  uint64_t max_rank() const { return max_rank_; }
+
   /// Writes the keys of rows [begin, end) to keys[0 .. end - begin),
   /// column by column.
   void Fill(RowId begin, RowId end, uint64_t* keys) const;
+
+  /// Writes the ranks of rows [begin, end) to ranks[0 .. end - begin),
+  /// unmixed. Needs exact() and max_rank() < 2^32.
+  void FillRanks(RowId begin, RowId end, uint32_t* ranks) const;
 
   /// True if rows `a` and `b` agree on every column of the set.
   bool SameProjection(RowId a, RowId b) const {
@@ -41,8 +52,12 @@ class RowKeys {
   }
 
  private:
+  template <typename Rank>
+  void FillRanksAs(RowId begin, RowId end, Rank* ranks) const;
+
   std::vector<const int32_t*> codes_;  // Non-constant columns only.
-  std::vector<int> shift_;             // Bit offset of each, when exact.
+  std::vector<uint64_t> weight_;       // Π of the cardinalities before each.
+  uint64_t max_rank_ = 0;
   bool exact_ = true;
 };
 

@@ -154,24 +154,30 @@ Relation Relation::SelectRows(const std::vector<RowId>& rows,
   std::vector<Column> new_columns(columns_.size());
   const auto select_column = [&](int64_t c) {
     const Column& column = columns_[static_cast<size_t>(c)];
+    Column& new_column = new_columns[static_cast<size_t>(c)];
+    // One gather copies the old codes and marks the values still used.
+    std::vector<char> used(column.dictionary.size(), 0);
+    new_column.codes.resize(rows.size());
+    for (size_t i = 0; i < rows.size(); ++i) {
+      const int32_t code = column.codes[static_cast<size_t>(rows[i])];
+      new_column.codes[i] = code;
+      used[static_cast<size_t>(code)] = 1;
+    }
+    if (std::find(used.begin(), used.end(), 0) == used.end()) {
+      new_column.dictionary = column.dictionary;
+      return;
+    }
     // The old dictionary is already sorted, so the surviving values keep
     // their relative order: remap old codes to their rank among the codes
     // that actually occur — no strings are materialized or re-hashed.
-    std::vector<char> used(column.dictionary.size(), 0);
-    for (const RowId row : rows) {
-      used[static_cast<size_t>(column.codes[static_cast<size_t>(row)])] = 1;
-    }
-    Column& new_column = new_columns[static_cast<size_t>(c)];
     std::vector<int32_t> remap(column.dictionary.size(), 0);
     for (size_t code = 0; code < used.size(); ++code) {
       if (!used[code]) continue;
       remap[code] = static_cast<int32_t>(new_column.dictionary.size());
       new_column.dictionary.push_back(column.dictionary[code]);
     }
-    new_column.codes.reserve(rows.size());
-    for (const RowId row : rows) {
-      new_column.codes.push_back(remap[static_cast<size_t>(
-          column.codes[static_cast<size_t>(row)])]);
+    for (int32_t& code : new_column.codes) {
+      code = remap[static_cast<size_t>(code)];
     }
   };
   ParallelForOrInline(pool, static_cast<int64_t>(columns_.size()),

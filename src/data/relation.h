@@ -122,7 +122,8 @@ class Relation {
   void AppendBatch(const Relation& batch, ThreadPool* pool = nullptr);
 
   /// New relation keeping exactly the rows in `rows` (in the given order).
-  /// Dictionaries are rebuilt so they stay duplicate-free and minimal.
+  /// Dictionaries stay duplicate-free and minimal: each column is gathered
+  /// once, and its codes are rewritten only when a value dropped out.
   /// Columns are processed in parallel when `pool` has more than one
   /// thread; the result is identical for every thread count.
   Relation SelectRows(const std::vector<RowId>& rows,

@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <cstring>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -154,6 +155,30 @@ TEST(JsonTest, OverflowingNumbersAreParseErrors) {
   const Result<json::Value> tiny = json::Parse("1e-400");
   ASSERT_TRUE(tiny.ok()) << tiny.status().ToString();
   EXPECT_EQ(tiny.value().number, 0.0);
+}
+
+TEST(JsonTest, NumbersFollowTheRfc8259Grammar) {
+  // strtod would read each of these, but JSON spells none of them.
+  for (const char* text : {"+1", ".5", "1.", "01", "-", "1e", "1e+", "--1",
+                           "-01", "1.e5", "1e5.", "0x10", "[01]", "[.5]",
+                           "{\"k\":1.}", "[-]", "[1e-]", "00"}) {
+    const Result<json::Value> parsed = json::Parse(text);
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kParseError) << text;
+  }
+  const std::pair<const char*, double> valid[] = {
+      {"0", 0.0},     {"-0", -0.0},   {"7", 7.0},     {"-12", -12.0},
+      {"0.5", 0.5},   {"-0.25", -0.25}, {"10.0", 10.0}, {"1e3", 1e3},
+      {"1E+2", 1e2},  {"2e-1", 0.2},  {"0e0", 0.0},   {"-1.5E-3", -1.5e-3},
+      {"[0, 1]", 0.0}};
+  for (const auto& [text, number] : valid) {
+    const Result<json::Value> parsed = json::Parse(text);
+    ASSERT_TRUE(parsed.ok()) << text << ": " << parsed.status().ToString();
+    const json::Value& value = parsed.value().type == json::Value::Type::kArray
+                                   ? parsed.value().array[0]
+                                   : parsed.value();
+    EXPECT_EQ(value.number, number) << text;
+  }
 }
 
 TEST(JsonTest, DumpOfNumbersOutsideInt64RoundTrips) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -159,8 +161,8 @@ TEST(ProjectionProbeTest, TinyRelations) {
 }
 
 TEST(ProjectionProbeTest, KeysPackUpTo64Bits) {
-  // 16 columns of 16 values pack into exactly 64 bits; a 17th does not,
-  // but a constant column takes no bits.
+  // 16 columns of 16 values have exactly 2^64 ranks; a 17th column has
+  // more, but a constant column adds none.
   std::vector<std::string> names;
   std::vector<std::vector<std::string>> rows(16);
   for (int c = 0; c < 18; ++c) {
@@ -175,6 +177,118 @@ TEST(ProjectionProbeTest, KeysPackUpTo64Bits) {
   EXPECT_TRUE(RowKeys(r, ColumnSet::FirstN(16)).exact());
   EXPECT_TRUE(RowKeys(r, ColumnSet::FirstN(16).With(17)).exact());
   EXPECT_FALSE(RowKeys(r, ColumnSet::FirstN(17)).exact());
+}
+
+// The probe as its header specifies it, with projections compared as code
+// vectors: the refutations and witnesses any correct key rule must give.
+ColumnSet NaiveProbe(const Relation& r, const ColumnSet& lhs,
+                     const ColumnSet& candidates, Pairs* witnesses) {
+  ColumnSet refuted;
+  std::vector<int> open = candidates.ToIndices();
+  const RowId n = r.NumRows();
+  if (open.empty() || n < 2) return refuted;
+  const RowId limit =
+      std::min(n, std::max(kProbeMinRows, n / kProbeRowDivisor));
+  std::map<std::vector<int32_t>, RowId> first_of;
+  for (RowId row = 0; row < limit && !open.empty(); ++row) {
+    std::vector<int32_t> projection;
+    for (int c = lhs.First(); c >= 0; c = lhs.NextAtLeast(c + 1)) {
+      projection.push_back(r.Code(row, c));
+    }
+    const auto [it, inserted] = first_of.emplace(projection, row);
+    if (inserted) continue;
+    bool refutes = false;
+    for (auto a = open.begin(); a != open.end();) {
+      if (r.Code(it->second, *a) != r.Code(row, *a)) {
+        refuted.Add(*a);
+        a = open.erase(a);
+        refutes = true;
+      } else {
+        ++a;
+      }
+    }
+    if (refutes) witnesses->emplace_back(it->second, row);
+  }
+  return refuted;
+}
+
+// Columns of the given cardinalities (each value occurs: base row i < card
+// holds (i + c) % card, later rows are random), then "rhs" and "same". Each
+// base row appears twice in a row, the copies differing on "rhs" only.
+Relation CardinalityShape(uint64_t seed, const std::vector<int>& cards,
+                          int base_rows) {
+  Rng rng(seed);
+  std::vector<std::string> names;
+  for (size_t c = 0; c < cards.size(); ++c) {
+    names.push_back("c" + std::to_string(c));
+  }
+  names.push_back("rhs");
+  names.push_back("same");
+  std::vector<std::vector<std::string>> rows;
+  for (int i = 0; i < base_rows; ++i) {
+    std::vector<std::string> row;
+    for (size_t c = 0; c < cards.size(); ++c) {
+      const int card = cards[c];
+      row.push_back(std::to_string(
+          i < card ? (i + static_cast<int>(c)) % card
+                   : static_cast<int>(rng.NextBelow(
+                         static_cast<uint64_t>(card)))));
+    }
+    for (int copy = 0; copy < 2; ++copy) {
+      rows.push_back(row);
+      rows.back().push_back(std::to_string(2 * i + copy));
+      rows.back().push_back(std::to_string(i));
+    }
+  }
+  const Relation r = Relation::FromRows(names, rows);
+  for (size_t c = 0; c < cards.size(); ++c) {
+    EXPECT_EQ(r.Cardinality(static_cast<int>(c)), cards[c]);
+  }
+  return r;
+}
+
+TEST(ProjectionProbeTest, RanksStayExactUpToTwoToThe64) {
+  struct Shape {
+    std::vector<int> cards;
+    bool exact;
+  };
+  const auto repeat = [](int count, int card) {
+    return std::vector<int>(static_cast<size_t>(count), card);
+  };
+  std::vector<int> sixteens_and_17 = repeat(15, 16);
+  sixteens_and_17.push_back(17);
+  std::vector<int> bytes_and_257 = repeat(7, 256);
+  bytes_and_257.push_back(257);
+  const Shape shapes[] = {
+      {repeat(16, 16), true},    // Π = 2^64.
+      {repeat(17, 16), false},   // Π = 2^68.
+      {sixteens_and_17, false},  // Π = 2^60 · 17, the next step past 2^64.
+      {repeat(8, 256), true},    // Π = 2^64.
+      {bytes_and_257, false},    // Π = 2^56 · 257.
+      // 9^20 < 2^64 although packing needs 4 bits per column, 80 in all.
+      {repeat(20, 9), true},
+      {repeat(21, 9), false},  // 9^21 > 2^64.
+  };
+  for (const Shape& shape : shapes) {
+    const int k = static_cast<int>(shape.cards.size());
+    SCOPED_TRACE(std::to_string(k) + " columns, the last of " +
+                 std::to_string(shape.cards.back()) + " values");
+    const Relation r = CardinalityShape(static_cast<uint64_t>(k) * 7,
+                                        shape.cards, /*base_rows=*/300);
+    const ColumnSet all = ColumnSet::FirstN(k);
+    EXPECT_EQ(RowKeys(r, all).exact(), shape.exact);
+    const ColumnSet candidates = ColumnSet::FromIndices({k, k + 1});
+    for (const ColumnSet& lhs : {all, ColumnSet::FirstN(k / 2),
+                                 all.Difference(ColumnSet::Single(0))}) {
+      Pairs witnesses;
+      Pairs expected_witnesses;
+      EXPECT_EQ(ProbeFdViolations(r, lhs, candidates, &witnesses),
+                NaiveProbe(r, lhs, candidates, &expected_witnesses))
+          << lhs.ToString();
+      EXPECT_EQ(witnesses, expected_witnesses) << lhs.ToString();
+      ExpectSoundProbe(r, lhs, candidates);
+    }
+  }
 }
 
 TEST(ProjectionProbeTest, HashedKeysAreConfirmedOnTheCodes) {
